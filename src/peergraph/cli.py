@@ -215,7 +215,7 @@ def cmd_reduce(args, argv) -> int:
     g = load_graph(args.graph)
     subset = read_subset_file(args.subset, g)
     G = google_matrix(g, alpha=args.alpha, direction=args.direction)
-    R = reduced_google_matrix(G, subset, tol=args.tol, method=args.method)
+    R = reduced_google_matrix(G, subset, tol=args.tol)
     if g.date is not None:
         from dataclasses import replace
 
@@ -233,7 +233,6 @@ def cmd_reduce(args, argv) -> int:
             "direction": args.direction,
             "alpha": args.alpha,
             "tol": args.tol,
-            "method": args.method,
             "censor_diagonal": args.censor_diagonal,
         },
         [Path(args.graph), Path(args.subset)],
@@ -541,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, help="file of AS numbers / AS-IX labels")
     p.add_argument("--direction", choices=["forward", "reverse"], default="reverse")
     p.add_argument("--censor-diagonal", action="store_true")
-    p.add_argument("--method", choices=["direct", "series"], default="direct")
     _add_spectral_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)

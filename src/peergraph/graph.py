@@ -18,9 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize_scalar
 from scipy.sparse.csgraph import connected_components
-from scipy.special import zeta
 
 from .errors import DegenerateTailError, EmptyGraphError
 from .ingest import IxpRecord, NetworkRecord, RawSnapshot, TrafficClass
@@ -297,6 +295,11 @@ class PowerLawFit:
 
 
 def _gamma_mle(tail: np.ndarray, xmin: int) -> float:
+    # Imported here, not at module level: no CLI command fits a power law,
+    # and scipy.optimize is the slowest import of the package.
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
+
     # Discrete maximum likelihood: maximize -gamma*sum(log x) - n*log(zeta(gamma, xmin)).
     log_sum = float(np.log(tail).sum())
     n = tail.size
@@ -312,6 +315,8 @@ def _gamma_mle(tail: np.ndarray, xmin: int) -> float:
 
 
 def _ks_distance(tail: np.ndarray, gamma: float, xmin: int) -> float:
+    from scipy.special import zeta
+
     # Compare empirical and fitted CDFs at the observed tail values.
     xs = np.unique(tail)
     ecdf = np.searchsorted(np.sort(tail), xs, side="right") / tail.size

@@ -8,8 +8,9 @@ fixtures and the daily dump files published for the community.
 """
 from __future__ import annotations
 
-import json
 import csv
+import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -148,7 +149,8 @@ def _section(raw: Mapping, key: str) -> list:
 def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
     """Parse one dump file into a snapshot.
 
-    Field-level problems are non-fatal: malformed records are skipped and
+    Field-level problems are non-fatal: malformed records (a membership
+    speed that is negative, NaN or infinite among them) are skipped and
     counted, memberships whose AS or exchange is unknown are dropped and
     counted.  A missing speed is kept as port size 0 (graph construction
     discards zero-capacity memberships later).  Duplicated AS numbers or
@@ -209,8 +211,8 @@ def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
             ixp_id = int(rec["ix_id"])
             speed = rec.get("speed")
             port_size = 0.0 if speed is None else float(speed)
-            if port_size < 0:
-                raise ValueError("negative speed")
+            if not (math.isfinite(port_size) and port_size >= 0):
+                raise ValueError("speed must be finite and non-negative")
         except (KeyError, TypeError, ValueError):
             invalid_memberships += 1
             continue
@@ -273,14 +275,18 @@ def validate_snapshot(
         raise ValueError("factor must be positive")
     threshold = factor * reference_capacity
     totals = as_port_capacity(snapshot)
-    flagged = []
-    for asn, total in totals.items():
-        if total > threshold:
-            details = tuple(
-                (m.ixp_id, m.port_size) for m in snapshot.memberships if m.asn == asn
-            )
-            name = snapshot.network_by_asn[asn].name
-            flagged.append(OutlierReport(asn, name, total, threshold, details))
+    details: dict[int, list[tuple[int, float]]] = {
+        asn: [] for asn, total in totals.items() if total > threshold
+    }
+    for m in snapshot.memberships:
+        if m.asn in details:
+            details[m.asn].append((m.ixp_id, m.port_size))
+    flagged = [
+        OutlierReport(
+            asn, snapshot.network_by_asn[asn].name, totals[asn], threshold, tuple(ports)
+        )
+        for asn, ports in details.items()
+    ]
     flagged.sort(key=lambda r: (-r.total_capacity, r.asn))
     return tuple(flagged)
 

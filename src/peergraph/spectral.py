@@ -12,11 +12,13 @@ stochastic complement
     G_R = G_rr + G_rs (I - G_ss)^{-1} G_sr,
 
 an exact Markov-chain reduction: the restriction of the PageRank vector
-to ``r``, L1-normalized, is a fixed point of ``G_R``.  The linear solve
-exploits that ``I - G_ss`` is a sparse matrix minus a rank-one term, so a
-sparse LU factorization plus a Sherman-Morrison correction solves all
-right-hand sides at once; a plain fixed-point series is available as an
-alternative method.
+to ``r``, L1-normalized, is a fixed point of ``G_R``.  ``I - G_ss`` is the
+sparse matrix ``I - alpha * A_ss`` minus a rank-one teleport/dangling
+term, so one solve of the sparse part plus a Sherman-Morrison correction
+handles all right-hand sides at once.  On the bipartite AS-IXP graph
+``A_ss`` links only ASes to IXPs, so eliminating the AS side leaves one
+dense system over the complement's IXPs; other graphs fall back to a
+sparse LU factorization.
 """
 from __future__ import annotations
 
@@ -60,6 +62,8 @@ class GoogleMatrix:
             raise ValueError("weight matrix must be square")
         if direction == "reverse":
             W = W.T.tocsc()
+        if not np.isfinite(W.data).all():
+            raise ValueError("weights must be finite")
         if W.nnz and W.data.min() < 0:
             raise ValueError("weights must be non-negative")
 
@@ -247,22 +251,53 @@ def _slice_blocks(A: sparse.csc_matrix, r: np.ndarray, s: np.ndarray):
     return A_rr, A_rs, A_sr, A_ss
 
 
+def _solve_complement(
+    A_ss: sparse.csr_matrix, alpha: float, on_x: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve ``(I - alpha * A_ss) Y = rhs`` over the complement.
+
+    ``on_x`` marks the complement's IXPs (``x``); the rest are ASes
+    (``a``).  When no nonzero of ``A_ss`` joins two nodes on the same side,
+    eliminating ``a`` is exact and leaves the dense system
+
+        (I - alpha^2 A_xa A_ax) y_x = b_x + alpha A_xa b_a,
+        y_a = b_a + alpha A_ax y_x.
+
+    Columns of ``A`` sum to at most 1, so ``K = I - alpha^2 A_xa A_ax`` is
+    strictly column diagonally dominant with ``||K^-1||_1 <= 1 / (1 - alpha^2)``.
+    Any other sparsity pattern is factorized by sparse LU.
+    """
+    rows, cols = A_ss.nonzero()
+    if np.any(on_x[rows] == on_x[cols]):
+        M = sparse.identity(A_ss.shape[0], format="csc") - alpha * A_ss.tocsc()
+        return splu(M).solve(rhs)
+    x = np.flatnonzero(on_x)
+    a = np.flatnonzero(~on_x)
+    A_xa = A_ss[x][:, a]
+    A_ax = A_ss[a][:, x]
+    K = np.eye(x.size) - alpha**2 * (A_xa @ A_ax).toarray()
+    Y = np.empty_like(rhs)
+    Y[x] = np.linalg.solve(K, rhs[x] + alpha * (A_xa @ rhs[a]))
+    Y[a] = rhs[a] + alpha * (A_ax @ Y[x])
+    return Y
+
+
 def reduced_google_matrix(
     G: GoogleMatrix,
     subset: Sequence[int],
     tol: float = DEFAULT_TOL,
-    method: str = "direct",
-    max_iter: int = 200_000,
     pagerank_vector: PageRankVector | None = None,
 ) -> ReducedGoogleMatrix:
     """Stochastic complement of ``G`` onto ``subset`` (order preserved).
 
-    ``method="direct"`` factorizes the sparse part of ``I - G_ss`` once
-    (LU) and applies a rank-one Sherman-Morrison correction; the residual
-    of every column solve is checked against ``tol``.  ``method="series"``
-    iterates ``Y <- B + G_ss Y`` until the largest column change in L1
-    norm drops below ``tol``.  With an empty complement the result is
-    ``G`` itself restricted to the requested ordering.
+    ``I - G_ss = M - 1 q^T`` with sparse ``M = I - alpha * A_ss``.  One
+    solve of ``M`` over the stacked right-hand sides ``[1 | G_sr]`` gives
+    the Sherman-Morrison correction for the rank-one term.  On a bipartite
+    AS-IXP graph (node kinds ``"AS"``/``"IXP"``) that solve eliminates the
+    complement's ASes exactly and solves one dense system over its IXPs;
+    otherwise ``M`` is LU-factorized.  The residual of every column is
+    checked against ``tol``.  With an empty complement the result is ``G``
+    itself restricted to the requested ordering.
     """
     r = np.asarray(list(subset), dtype=np.int64)
     if r.size == 0:
@@ -271,8 +306,6 @@ def reduced_google_matrix(
         raise ValueError("subset nodes must be distinct")
     if r.min() < 0 or r.max() >= G.N:
         raise ValueError("subset index out of range")
-    if method not in ("direct", "series"):
-        raise ValueError("method must be 'direct' or 'series'")
 
     alpha, n = G.alpha, G.N
     in_r = np.zeros(n, dtype=bool)
@@ -299,33 +332,18 @@ def reduced_google_matrix(
                 + base * np.outer(ones_s, Y.sum(axis=0))
             )
 
-        if method == "direct":
-            # I - G_ss = M - 1 q^T with sparse M = I - alpha*A_ss and
-            # q = (alpha/n)*dangling_s + (1-alpha)/n.
-            M = (sparse.identity(s.size, format="csc") - alpha * A_ss.tocsc()).tocsc()
-            lu = splu(M)
-            q = (alpha / n) * dang_s + base
-            h = lu.solve(ones_s)
-            denom = 1.0 - float(q @ h)
-            Z = lu.solve(B)
-            Y = Z + np.outer(h, q @ Z) / denom
-            residual = float(np.abs(Y - apply_G_ss(Y) - B).sum(axis=0).max())
-            if residual > max(tol, 1e-9):
-                raise ConvergenceError(
-                    f"direct complement solve residual {residual:.3e} exceeds tolerance"
-                )
-        else:
-            Y = B.copy()
-            for _ in range(max_iter):
-                nxt = B + apply_G_ss(Y)
-                change = float(np.abs(nxt - Y).sum(axis=0).max())
-                Y = nxt
-                if change < tol:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"series complement solve did not reach tol={tol} in {max_iter} iterations"
-                )
+        on_x = np.asarray(G.kinds)[s] == "IXP"
+        HZ = _solve_complement(A_ss, alpha, on_x, np.column_stack([ones_s, B]))
+        h, Z = HZ[:, 0], HZ[:, 1:]
+        # I - G_ss = M - 1 q^T with q = (alpha/n)*dangling_s + (1-alpha)/n.
+        q = (alpha / n) * dang_s + base
+        denom = 1.0 - float(q @ h)
+        Y = Z + np.outer(h, q @ Z) / denom
+        residual = float(np.abs(Y - apply_G_ss(Y) - B).sum(axis=0).max())
+        if not residual <= max(tol, 1e-9):
+            raise ConvergenceError(
+                f"complement solve residual {residual:.3e} exceeds tolerance"
+            )
         G_rsY = (
             alpha * (A_rs @ Y)
             + (alpha / n) * np.outer(np.ones(r.size), dang_s @ Y)

@@ -87,6 +87,18 @@ def test_malformed_rows_counted_not_fatal(tmp_path):
     assert len(snap.memberships) == 2
 
 
+def test_non_finite_speeds_counted_invalid(tmp_path):
+    # json writes these as NaN / Infinity / -Infinity, which json.loads accepts
+    netixlan = BASIC_NETIXLAN + [
+        {"asn": 10, "ix_id": 1, "speed": float("nan")},
+        {"asn": 20, "ix_id": 1, "speed": float("inf")},
+        {"asn": 20, "ix_id": 1, "speed": float("-inf")},
+    ]
+    snap = parse_snapshot(write_dump(tmp_path, BASIC_NET, BASIC_IX, netixlan), D)
+    assert snap.report.invalid_memberships == 3
+    assert [m.port_size for m in snap.memberships] == [1000.0, 2000.0]
+
+
 def test_missing_speed_kept_as_zero(tmp_path):
     netixlan = [{"asn": 10, "ix_id": 1}, {"asn": 10, "ix_id": 1, "speed": None}]
     snap = parse_snapshot(write_dump(tmp_path, BASIC_NET, BASIC_IX, netixlan), D)
@@ -150,6 +162,22 @@ def test_outlier_boundary_is_strict():
     snap = outlier_snapshot(1000.0)  # exactly 10x the reference
     assert validate_snapshot(snap, reference_capacity=100.0) == ()
     assert [r.asn for r in validate_snapshot(snap, reference_capacity=99.9999)] == [2]
+
+
+def test_outlier_details_keep_membership_order():
+    snap = make_snapshot(
+        networks=[(1, TrafficClass.BALANCED), (2, TrafficClass.BALANCED), (3, TrafficClass.BALANCED)],
+        ixps=[(1, "DE"), (2, "US")],
+        memberships=[
+            (2, 1, 600.0), (1, 1, 10.0), (3, 2, 5000.0),
+            (2, 2, 700.0), (3, 1, 40.0), (2, 1, 50.0),
+        ],
+    )
+    reports = validate_snapshot(snap, reference_capacity=100.0, factor=1.0)
+    assert [(r.asn, r.total_capacity, r.memberships) for r in reports] == [
+        (3, 5040.0, ((2, 5000.0), (1, 40.0))),
+        (2, 1350.0, ((1, 600.0), (2, 700.0), (1, 50.0))),
+    ]
 
 
 def test_outlier_requires_positive_reference():

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from peergraph.errors import CensorError, ConvergenceError, SubsetMismatchError
@@ -20,7 +22,7 @@ from peergraph.spectral import (
     relative_change,
 )
 
-from conftest import make_snapshot, random_weights
+from conftest import make_snapshot, random_snapshot, random_weights
 from oracles import dense_google, dense_pagerank, dense_reduction
 
 TC = TrafficClass
@@ -46,6 +48,13 @@ def test_two_node_entries():
 def test_alpha_zero_is_uniform():
     G = google_matrix(random_weights(np.random.default_rng(0), 6), alpha=0.0)
     assert np.allclose(G.dense(), 1.0 / 6.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    W = sparse.csc_matrix(np.array([[0.0, bad], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        google_matrix(W)
 
 
 def test_alpha_out_of_range():
@@ -184,14 +193,53 @@ def test_reduction_matches_dense_schur_complement():
         assert np.abs(R.GR.sum(axis=0) - 1.0).max() < 1e-10
 
 
-def test_series_and_direct_methods_agree():
-    rng = np.random.default_rng(11)
-    W = random_weights(rng, 30)
-    G = google_matrix(W)
-    subset = [3, 17, 22, 29]
-    direct = reduced_google_matrix(G, subset, method="direct")
-    series = reduced_google_matrix(G, subset, method="series", tol=1e-12)
-    assert np.abs(direct.GR - series.GR).max() < 1e-9
+SUBSET_KINDS = ("ases", "ixps", "mixed", "all_ixps", "all_ases")
+
+
+def bipartite_subset(g, kind: str, rng: np.random.Generator) -> list[int]:
+    ases, ixps = np.arange(g.n_as), np.arange(g.n_as, g.n_nodes)
+    if kind == "all_ixps":  # the complement has no IXP left
+        return [int(i) for i in ixps]
+    if kind == "all_ases":  # the complement has no AS left
+        return [int(i) for i in ases]
+    pool = {"ases": ases, "ixps": ixps, "mixed": np.arange(g.n_nodes)}[kind]
+    size = int(rng.integers(1, min(pool.size, 6) + 1))
+    return [int(i) for i in rng.choice(pool, size=size, replace=False)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    direction=st.sampled_from(("forward", "reverse")),
+    # beta = 1 gives the minor direction weight 0, so some nodes dangle
+    beta=st.sampled_from((BetaParams(), BetaParams(mostly=1.0, heavy=1.0))),
+    kind=st.sampled_from(SUBSET_KINDS),
+)
+def test_bipartite_elimination_matches_oracle_and_lu(seed, direction, beta, kind):
+    rng = np.random.default_rng(seed)
+    g = build_graph(random_snapshot(rng), beta)
+    subset = bipartite_subset(g, kind, rng)
+    R = reduced_google_matrix(google_matrix(g, direction=direction), subset)
+    # the same weights without node kinds take the sparse LU path
+    lu = reduced_google_matrix(GoogleMatrix(g.W, direction=direction), subset)
+    W = g.W.toarray() if direction == "forward" else g.W.T.toarray()
+    oracle = dense_reduction(dense_google(W), subset)
+    assert np.abs(R.GR - oracle).max() < 1e-10
+    assert np.abs(R.GR - lu.GR).max() <= 1e-12
+
+
+def test_nan_in_complement_fails_residual_gate():
+    snap = make_snapshot(
+        [(10, TC.BALANCED), (20, TC.BALANCED)],
+        [(1, "DE"), (2, "DE")],
+        [(10, 1, 5.0), (20, 1, 5.0), (20, 2, 5.0)],
+    )
+    g = build_graph(snap)
+    G = google_matrix(g)
+    # corrupt the link AS20 -> IX2, which lies inside the complement of {AS10}
+    G.normalized_weights[g.ixp_index(2), g.as_index(20)] = np.nan
+    with pytest.raises(ConvergenceError):
+        reduced_google_matrix(G, [g.as_index(10)])
 
 
 def test_restricted_pagerank_is_fixed_point():
