@@ -9,7 +9,6 @@ the beta sensitivity sweep.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -60,15 +59,16 @@ def classify_countries(g: PeeringGraph, rule: str = "strict") -> CountryAssignme
     """
     if rule not in ("strict", "plurality"):
         raise ValueError("rule must be 'strict' or 'plurality'")
-    country_of = {x.ixp_id: x.country for x in g.ixp_nodes}
-    votes: dict[int, Counter] = {rec.asn: Counter() for rec in g.as_nodes}
-    for (asn, ixp_id) in g.edges:
-        country = country_of[ixp_id]
+    country_of = [x.country for x in g.ixp_nodes]
+    votes: list[Counter] = [Counter() for _ in g.as_nodes]
+    for a, x in zip(g.edge_as.tolist(), g.edge_ixp.tolist()):
+        country = country_of[x - g.n_as]
         if country:
-            votes[asn][country] += 1
+            votes[a][country] += 1
 
     assignments: dict[int, str] = {}
-    for asn, counter in votes.items():
+    for rec, counter in zip(g.as_nodes, votes):
+        asn = rec.asn
         if not counter:
             assignments[asn] = TIED
             continue
@@ -268,28 +268,6 @@ def default_probes(g: PeeringGraph, per_class: int = 4) -> tuple[int, ...]:
     return tuple(probes)
 
 
-def _ranks_at(
-    snapshot: RawSnapshot,
-    beta: BetaParams,
-    probe_asns: Sequence[int],
-    alpha: float,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    g = build_graph(snapshot, beta)
-    pr = pagerank(google_matrix(g, alpha, "forward"), tol=tol)
-    rpr = pagerank(google_matrix(g, alpha, "reverse"), tol=tol)
-    pr_ranks = rank_positions(pr.P)
-    rpr_ranks = rank_positions(rpr.P)
-    idx = np.array([g.as_index(asn) for asn in probe_asns], dtype=np.int64)
-    return pr_ranks[idx], rpr_ranks[idx], pr.P[idx], rpr.P[idx]
-
-
-def _sweep_point(args):
-    snapshot, beta_h, beta_m, beta_balanced, probes, alpha, tol = args
-    beta = BetaParams(balanced=beta_balanced, mostly=beta_m, heavy=beta_h)
-    return _ranks_at(snapshot, beta, probes, alpha, tol)
-
-
 def beta_stability_sweep(
     snapshot: RawSnapshot,
     grid_heavy: Sequence[float],
@@ -298,15 +276,17 @@ def beta_stability_sweep(
     beta_default: BetaParams | None = None,
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> StabilityReport:
     """Rank sensitivity of probe ASes over a (beta_heavy, beta_mostly) grid.
 
-    Each grid point rebuilds the graph and recomputes PageRank in both
-    directions; the report carries the ranks at the default parameters
-    plus the maximum rank variation (and, for diagnostics, the maximum
-    value variation) over the whole grid.  ``beta_heavy = 1`` is excluded:
-    it silences heavy-outbound ASes entirely.
+    The graph is built once; each grid point re-weights its edges for the
+    point's beta and recomputes PageRank in both directions, starting from
+    the previous point's vector in the same direction (the default point
+    starts from the uniform vector).  The report carries the ranks at the
+    default parameters plus the maximum rank variation (and, for
+    diagnostics, the maximum value variation) over the whole grid.
+    ``beta_heavy = 1`` is excluded: it silences heavy-outbound ASes
+    entirely.
     """
     grid_h = tuple(b for b in grid_heavy if b < 1.0)
     grid_m = tuple(grid_mostly)
@@ -314,31 +294,31 @@ def beta_stability_sweep(
         raise ValueError("sweep grids must be non-empty (beta_heavy=1 is excluded)")
     beta_default = beta_default or BetaParams()
 
-    g0 = build_graph(snapshot, beta_default)
-    probe_asns = tuple(probes) if probes is not None else default_probes(g0)
-    missing = [asn for asn in probe_asns if not g0.contains_as(asn)]
+    g = build_graph(snapshot, beta_default)
+    probe_asns = tuple(probes) if probes is not None else default_probes(g)
+    missing = [asn for asn in probe_asns if not g.contains_as(asn)]
     if missing:
         raise ValueError(f"probe ASes not in graph: {missing}")
+    idx = np.array([g.as_index(asn) for asn in probe_asns], dtype=np.int64)
 
-    pr0_rank, rpr0_rank, pr0_val, rpr0_val = _ranks_at(
-        snapshot, beta_default, probe_asns, alpha, tol
-    )
-
-    jobs = [
-        (snapshot, bh, bm, beta_default.balanced, probe_asns, alpha, tol)
+    # Row 0 of each table is the default point, the other rows the grid.
+    betas = [beta_default] + [
+        BetaParams(balanced=beta_default.balanced, mostly=bm, heavy=bh)
         for bh in grid_h
         for bm in grid_m
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(job) for job in jobs]
-
-    pr_ranks = np.stack([res[0] for res in results])
-    rpr_ranks = np.stack([res[1] for res in results])
-    pr_vals = np.stack([res[2] for res in results])
-    rpr_vals = np.stack([res[3] for res in results])
+    previous = {"forward": None, "reverse": None}
+    ranks = {"forward": [], "reverse": []}
+    values = {"forward": [], "reverse": []}
+    for beta in betas:
+        W = g.weights(beta)
+        for direction in ("forward", "reverse"):
+            pr = pagerank(google_matrix(W, alpha, direction), tol=tol, start=previous[direction])
+            previous[direction] = pr.P
+            ranks[direction].append(rank_positions(pr.P)[idx])
+            values[direction].append(pr.P[idx])
+    pr_ranks, rpr_ranks = np.stack(ranks["forward"]), np.stack(ranks["reverse"])
+    pr_vals, rpr_vals = np.stack(values["forward"]), np.stack(values["reverse"])
 
     rows = []
     for j, asn in enumerate(probe_asns):
@@ -348,14 +328,14 @@ def beta_stability_sweep(
                 asn=asn,
                 name=rec.name,
                 traffic_class=rec.info_ratio,
-                pr_value=float(pr0_val[j]),
-                pr_rank=int(pr0_rank[j]),
-                rpr_value=float(rpr0_val[j]),
-                rpr_rank=int(rpr0_rank[j]),
-                delta_pr_rank=int(pr_ranks[:, j].max() - pr_ranks[:, j].min()),
-                delta_rpr_rank=int(rpr_ranks[:, j].max() - rpr_ranks[:, j].min()),
-                delta_pr_value=float(pr_vals[:, j].max() - pr_vals[:, j].min()),
-                delta_rpr_value=float(rpr_vals[:, j].max() - rpr_vals[:, j].min()),
+                pr_value=float(pr_vals[0, j]),
+                pr_rank=int(pr_ranks[0, j]),
+                rpr_value=float(rpr_vals[0, j]),
+                rpr_rank=int(rpr_ranks[0, j]),
+                delta_pr_rank=int(np.ptp(pr_ranks[1:, j])),
+                delta_rpr_rank=int(np.ptp(rpr_ranks[1:, j])),
+                delta_pr_value=float(np.ptp(pr_vals[1:, j])),
+                delta_rpr_value=float(np.ptp(rpr_vals[1:, j])),
             )
         )
     return StabilityReport(

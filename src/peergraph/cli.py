@@ -177,7 +177,7 @@ def cmd_build(args, argv) -> int:
     g = build_graph(snapshot, _beta_from_args(args), min_members=args.min_members)
     out = _resolve_out(args.out)
     save_graph(g, out)
-    print(f"built graph: {g.n_as} ASes, {g.n_ixp} IXPs, {len(g.edges)} links -> {out}")
+    print(f"built graph: {g.n_as} ASes, {g.n_ixp} IXPs, {g.n_edges} links -> {out}")
     _write_manifests(
         argv,
         {
@@ -375,7 +375,6 @@ def cmd_sweep(args, argv) -> int:
         beta_default=BetaParams(balanced=args.beta_b, mostly=args.beta_m, heavy=args.beta_h),
         alpha=args.alpha,
         tol=args.tol,
-        threads=args.threads,
     )
     rows = [[
         "asn", "name", "class", "pr_value", "pr_rank", "delta_pr_rank",
@@ -507,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="peergraph",
         description="Build and analyze the weighted directed bipartite AS-IXP peering graph.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="parallel workers (sweep)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a snapshot dump and report counts")

@@ -70,9 +70,6 @@ class Partition:
     def n_communities(self) -> int:
         return int(self.communities.max()) + 1 if self.communities.size else 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {label: int(c) for label, c in zip(self.labels, self.communities)}
-
 
 def modularity(sym: SymmetrizedGraph, communities: np.ndarray) -> float:
     """Bipartite modularity of a partition over the symmetrized graph."""

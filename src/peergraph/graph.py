@@ -7,14 +7,20 @@ into two directed edges whose weights depend on the AS's traffic class:
 the declared direction carries the full port size, the opposite direction
 carries ``(1 - beta) * ps`` with a per-class beta coefficient.
 
+A graph stores its aggregated edges as columns sorted by (asn, ixp_id):
+AS node index, IXP node index, port size and the AS's traffic-class code.
+The weight matrix is one vectorized function of those columns and a
+:class:`BetaParams` (:meth:`PeeringGraph.weights`), so re-weighting a
+graph for another beta reuses its sparsity pattern without rebuilding it.
+
 ``W[i, j]`` is the weight of the directed link ``j -> i``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +28,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateTailError, EmptyGraphError
 from .ingest import IxpRecord, NetworkRecord, RawSnapshot, TrafficClass
+
+# Traffic-class code of an edge: the class's position in this tuple.
+CLASSES = tuple(TrafficClass)
+_CODE = {tc: code for code, tc in enumerate(CLASSES)}
+_OUTBOUND = np.array([tc.is_outbound for tc in CLASSES])
 
 
 @dataclass(frozen=True)
@@ -57,14 +68,27 @@ class PeeringGraph:
     Node indices run over ASes first (ascending AS number) then IXPs
     (ascending exchange id); the ordering is part of the output contract
     for every matrix and rank table derived from the graph.
+
+    The four edge columns are read-only arrays of equal length, one entry
+    per aggregated (AS, IXP) edge, sorted by (asn, ixp_id):
+
+    - ``edge_as``: node index of the AS (``0 <= i < n_as``);
+    - ``edge_ixp``: node index of the IXP (``n_as <= i < n_nodes``);
+    - ``port_size``: aggregated port size, finite and positive;
+    - ``edge_class``: traffic-class code of the AS, its position in
+      :data:`CLASSES`.
+
+    ``W`` is :meth:`weights` at the graph's own ``beta``.
     """
 
     date: Date | None
     beta: BetaParams
     as_nodes: tuple[NetworkRecord, ...]
     ixp_nodes: tuple[IxpRecord, ...]
-    edges: dict[tuple[int, int], float]  # (asn, ixp_id) -> aggregated port size
-    W: sparse.csr_matrix
+    edge_as: np.ndarray
+    edge_ixp: np.ndarray
+    port_size: np.ndarray
+    edge_class: np.ndarray
 
     @property
     def n_as(self) -> int:
@@ -77,6 +101,10 @@ class PeeringGraph:
     @property
     def n_nodes(self) -> int:
         return self.n_as + self.n_ixp
+
+    @property
+    def n_edges(self) -> int:
+        return self.port_size.shape[0]
 
     @cached_property
     def _as_pos(self) -> dict[int, int]:
@@ -112,49 +140,117 @@ class PeeringGraph:
     def is_as(self, index: int) -> bool:
         return index < self.n_as
 
+    def edge_list(self) -> list[tuple[int, int, float]]:
+        """The aggregated edges as (asn, ixp_id, port size), sorted."""
+        asns = [r.asn for r in self.as_nodes]
+        ixp_ids = [r.ixp_id for r in self.ixp_nodes]
+        return [
+            (asns[a], ixp_ids[x - self.n_as], ps)
+            for a, x, ps in zip(
+                self.edge_as.tolist(), self.edge_ixp.tolist(), self.port_size.tolist()
+            )
+        ]
+
+    def weights(self, beta: BetaParams) -> sparse.csr_matrix:
+        """Directed weight matrix of this graph's edges under ``beta``.
+
+        Every edge gives ``ps`` in its AS's declared direction and
+        ``(1 - beta) * ps`` in the other; zero weights (beta = 1) are left
+        out of the sparsity pattern.  Indices are sorted.
+        """
+        n = self.n_nodes
+        coef = np.array([1.0 - beta.for_class(tc) for tc in CLASSES])
+        minor = coef[self.edge_class] * self.port_size
+        outbound = _OUTBOUND[self.edge_class]
+        rows = np.concatenate([self.edge_as, self.edge_ixp])
+        cols = np.concatenate([self.edge_ixp, self.edge_as])
+        data = np.concatenate([
+            np.where(outbound, minor, self.port_size),  # IXP -> AS
+            np.where(outbound, self.port_size, minor),  # AS -> IXP
+        ])
+        keep = data > 0.0
+        W = sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
+        W.sort_indices()
+        return W
+
+    @cached_property
+    def W(self) -> sparse.csr_matrix:
+        return self.weights(self.beta)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _positions(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``wanted`` in the sorted ``ids``, and which are present."""
+    pos = np.searchsorted(ids, wanted)
+    found = np.zeros(wanted.shape, dtype=bool)
+    inside = pos < ids.size
+    found[inside] = ids[pos[inside]] == wanted[inside]
+    return pos, found
+
 
 def _assemble(
     as_records: Sequence[NetworkRecord],
     ixp_records: Sequence[IxpRecord],
-    edges: Mapping[tuple[int, int], float],
+    asn: np.ndarray,
+    ixp_id: np.ndarray,
+    port_size: np.ndarray,
     beta: BetaParams,
     date: Date | None,
 ) -> PeeringGraph:
-    """Build the directed weight matrix from aggregated edges."""
+    """Canonical graph from node records and edge columns keyed by node id.
+
+    Nodes are sorted by id and edges by (asn, ixp_id).  Raises
+    ``ValueError`` naming the record when a node id is listed twice, an
+    edge names an unlisted node or appears twice, or a port size is not
+    finite and positive.
+    """
     as_nodes = tuple(sorted(as_records, key=lambda r: r.asn))
     ixp_nodes = tuple(sorted(ixp_records, key=lambda r: r.ixp_id))
-    as_pos = {r.asn: i for i, r in enumerate(as_nodes)}
-    ixp_pos = {r.ixp_id: i for i, r in enumerate(ixp_nodes)}
-    ratio = {r.asn: r.info_ratio for r in as_nodes}
-    n = len(as_nodes) + len(ixp_nodes)
+    as_ids = np.array([r.asn for r in as_nodes], dtype=np.int64)
+    ixp_ids = np.array([r.ixp_id for r in ixp_nodes], dtype=np.int64)
+    for kind, ids in (("AS", as_ids), ("IXP", ixp_ids)):
+        twice = ids[1:][ids[1:] == ids[:-1]]
+        if twice.size:
+            raise ValueError(f"{kind} {twice[0]} is listed twice")
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    ordered = dict(sorted(edges.items()))
-    for (asn, ixp_id), ps in ordered.items():
-        a = as_pos[asn]
-        x = len(as_nodes) + ixp_pos[ixp_id]
-        minor = (1.0 - beta.for_class(ratio[asn])) * ps
-        if ratio[asn].is_outbound:
-            to_as, to_ixp = minor, ps
-        else:
-            to_as, to_ixp = ps, minor
-        if to_as > 0.0:
-            rows.append(a)
-            cols.append(x)
-            data.append(to_as)
-        if to_ixp > 0.0:
-            rows.append(x)
-            cols.append(a)
-            data.append(to_ixp)
+    asn = np.asarray(asn, dtype=np.int64)
+    ixp_id = np.asarray(ixp_id, dtype=np.int64)
+    port_size = np.asarray(port_size, dtype=np.float64)
+    bad = ~(np.isfinite(port_size) & (port_size > 0.0))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"edge AS{asn[k]}-IX{ixp_id[k]} has port size {port_size[k]!r}; "
+            "port sizes must be finite and positive"
+        )
+    a, as_listed = _positions(as_ids, asn)
+    x, ixp_listed = _positions(ixp_ids, ixp_id)
+    unlisted = ~(as_listed & ixp_listed)
+    if unlisted.any():
+        k = int(np.flatnonzero(unlisted)[0])
+        raise ValueError(f"edge AS{asn[k]}-IX{ixp_id[k]} names a node that is not listed")
 
-    W = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), (rows, cols)), shape=(n, n)
-    )
-    W.sort_indices()
+    order = np.lexsort((x, a))
+    a, x = a[order], x[order]
+    repeated = (a[1:] == a[:-1]) & (x[1:] == x[:-1])
+    if repeated.any():
+        k = int(np.flatnonzero(repeated)[0])
+        raise ValueError(f"edge AS{as_ids[a[k]]}-IX{ixp_ids[x[k]]} is listed twice")
+
+    as_class = np.array([_CODE[r.info_ratio] for r in as_nodes], dtype=np.int8)
     return PeeringGraph(
-        date=date, beta=beta, as_nodes=as_nodes, ixp_nodes=ixp_nodes, edges=ordered, W=W
+        date=date,
+        beta=beta,
+        as_nodes=as_nodes,
+        ixp_nodes=ixp_nodes,
+        edge_as=_frozen(a),
+        edge_ixp=_frozen(len(as_nodes) + x),
+        port_size=_frozen(port_size[order]),
+        edge_class=_frozen(as_class[a]),
     )
 
 
@@ -166,33 +262,40 @@ def build_graph(
     """Construct the capacity graph for one snapshot.
 
     Memberships with zero port size are discarded; multiple router ports
-    of one (AS, IXP) pair are summed.  ``min_members`` optionally removes
-    IXPs with fewer distinct member ASes before the graph is assembled
-    (the default keeps every IXP that has at least one member).
+    of one (AS, IXP) pair are summed in membership order.  ``min_members``
+    optionally removes IXPs with fewer distinct member ASes before the
+    graph is assembled (the default keeps every IXP that has at least one
+    member).
     """
     beta = beta or BetaParams()
-    agg: dict[tuple[int, int], float] = {}
-    for m in snapshot.memberships:
-        if m.port_size <= 0.0:
-            continue
-        key = (m.asn, m.ixp_id)
-        agg[key] = agg.get(key, 0.0) + m.port_size
+    ports = snapshot.memberships
+    m = len(ports)
+    asn = np.fromiter((p.asn for p in ports), dtype=np.int64, count=m)
+    ixp_id = np.fromiter((p.ixp_id for p in ports), dtype=np.int64, count=m)
+    size = np.fromiter((p.port_size for p in ports), dtype=np.float64, count=m)
+    positive = size > 0.0
+    asn, ixp_id, size = asn[positive], ixp_id[positive], size[positive]
+
+    # Group the ports of each (asn, ixp_id) pair; the stable sort keeps them
+    # in membership order, and bincount adds them in that order.
+    order = np.lexsort((ixp_id, asn))
+    asn, ixp_id, size = asn[order], ixp_id[order], size[order]
+    first = np.ones(asn.size, dtype=bool)
+    first[1:] = (asn[1:] != asn[:-1]) | (ixp_id[1:] != ixp_id[:-1])
+    size = np.bincount(np.cumsum(first) - 1, weights=size)
+    asn, ixp_id = asn[first], ixp_id[first]
 
     if min_members > 1:
-        members: dict[int, set[int]] = {}
-        for asn, ixp_id in agg:
-            members.setdefault(ixp_id, set()).add(asn)
-        keep = {ixp_id for ixp_id, asns in members.items() if len(asns) >= min_members}
-        agg = {k: v for k, v in agg.items() if k[1] in keep}
+        ixps, members = np.unique(ixp_id, return_counts=True)
+        keep = np.isin(ixp_id, ixps[members >= min_members])
+        asn, ixp_id, size = asn[keep], ixp_id[keep], size[keep]
 
-    if not agg:
+    if size.size == 0:
         raise EmptyGraphError("snapshot has no positive-capacity membership")
 
-    as_ids = {asn for asn, _ in agg}
-    ixp_ids = {ixp_id for _, ixp_id in agg}
-    as_records = [snapshot.network_by_asn[asn] for asn in as_ids]
-    ixp_records = [snapshot.ixp_by_id[ixp_id] for ixp_id in ixp_ids]
-    return _assemble(as_records, ixp_records, agg, beta, snapshot.date)
+    as_records = [snapshot.network_by_asn[a] for a in np.unique(asn).tolist()]
+    ixp_records = [snapshot.ixp_by_id[x] for x in np.unique(ixp_id).tolist()]
+    return _assemble(as_records, ixp_records, asn, ixp_id, size, beta, snapshot.date)
 
 
 @dataclass(frozen=True)
@@ -211,17 +314,13 @@ class NodeMetrics:
 
 
 def node_metrics(g: PeeringGraph) -> NodeMetrics:
+    n = g.n_nodes
     w_in = np.asarray(g.W.sum(axis=1)).ravel()
     w_out = np.asarray(g.W.sum(axis=0)).ravel()
-    degree = np.zeros(g.n_nodes, dtype=np.int64)
-    capacity = np.zeros(g.n_nodes, dtype=np.float64)
-    for (asn, ixp_id), ps in g.edges.items():
-        a = g.as_index(asn)
-        x = g.ixp_index(ixp_id)
-        degree[a] += 1
-        degree[x] += 1
-        capacity[a] += ps
-        capacity[x] += ps
+    degree = np.bincount(g.edge_as, minlength=n) + np.bincount(g.edge_ixp, minlength=n)
+    capacity = np.bincount(g.edge_as, weights=g.port_size, minlength=n) + np.bincount(
+        g.edge_ixp, weights=g.port_size, minlength=n
+    )
     return NodeMetrics(w_in=w_in, w_out=w_out, degree=degree, port_capacity=capacity)
 
 

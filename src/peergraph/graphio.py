@@ -67,37 +67,99 @@ def save_graph(g: PeeringGraph, path: str | Path) -> Path:
         "ixp_nodes": [
             {"id": r.ixp_id, "name": r.name, "country": r.country} for r in g.ixp_nodes
         ],
-        "edges": [[asn, ixp_id, ps] for (asn, ixp_id), ps in sorted(g.edges.items())],
+        "edges": [list(edge) for edge in g.edge_list()],
     }
     return atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def load_graph(path: str | Path) -> PeeringGraph:
-    """Load a graph produced by :func:`save_graph`."""
+    """Load a graph produced by :func:`save_graph`.
+
+    Raises :class:`SnapshotFormatError` naming the file and the record when
+    the file is not a graph of this format version, a key is missing, a
+    node id is listed twice, an edge names an unlisted node or is listed
+    twice, or a port size is not finite and positive.
+    """
     try:
         payload = json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise SnapshotFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != GRAPH_FORMAT:
         raise SnapshotFormatError(f"{path}: not a {GRAPH_FORMAT} file")
-    beta = BetaParams(**payload["beta"])
-    as_records = [
-        NetworkRecord(
-            asn=int(r["asn"]),
-            name=r["name"],
-            info_ratio=TrafficClass(r["info_ratio"]),
-            info_scope=r["info_scope"],
-            info_type=r["info_type"],
+    if payload.get("version") != GRAPH_FORMAT_VERSION:
+        raise SnapshotFormatError(
+            f"{path}: format version {payload.get('version')!r} is not "
+            f"{GRAPH_FORMAT_VERSION}"
         )
-        for r in payload["as_nodes"]
-    ]
-    ixp_records = [
-        IxpRecord(ixp_id=int(r["id"]), name=r["name"], country=r["country"])
-        for r in payload["ixp_nodes"]
-    ]
-    edges = {(int(a), int(x)): float(ps) for a, x, ps in payload["edges"]}
-    date = Date.fromisoformat(payload["date"]) if payload.get("date") else None
-    return _assemble(as_records, ixp_records, edges, beta, date)
+    record = "the top level"
+    try:
+        beta = BetaParams(**payload["beta"])
+        as_records = []
+        for i, r in enumerate(payload["as_nodes"]):
+            record = f"as_nodes[{i}]"
+            as_records.append(
+                NetworkRecord(
+                    asn=int(r["asn"]),
+                    name=r["name"],
+                    info_ratio=TrafficClass(r["info_ratio"]),
+                    info_scope=r["info_scope"],
+                    info_type=r["info_type"],
+                )
+            )
+        ixp_records = []
+        for i, r in enumerate(payload["ixp_nodes"]):
+            record = f"ixp_nodes[{i}]"
+            ixp_records.append(
+                IxpRecord(ixp_id=int(r["id"]), name=r["name"], country=r["country"])
+            )
+        record = "the top level"
+        edges = payload["edges"]
+        date = Date.fromisoformat(payload["date"]) if payload.get("date") else None
+    except KeyError as exc:
+        raise SnapshotFormatError(f"{path}: {record}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SnapshotFormatError(f"{path}: {record}: {exc}") from exc
+
+    columns = _edge_columns(path, edges)
+    try:
+        return _assemble(as_records, ixp_records, *columns, beta, date)
+    except (ValueError, OverflowError) as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+
+
+def _is_edge_triple(edge: object) -> bool:
+    return (
+        isinstance(edge, list)
+        and len(edge) == 3
+        and all(type(v) is int for v in edge[:2])
+        and type(edge[2]) in (int, float)
+    )
+
+
+def _edge_columns(path, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(asn, ixp_id, port size) columns of a list of ``[asn, ixp_id, ps]`` triples."""
+    if not isinstance(edges, list):
+        raise SnapshotFormatError(f"{path}: edges must be a list")
+    try:
+        table = np.array(edges, dtype=np.float64)
+        if table.size == 0:
+            table = table.reshape(0, 3)
+        if table.shape != (len(edges), 3):
+            raise ValueError("not a list of triples")
+        with np.errstate(invalid="ignore"):
+            asn, ixp_id = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+        exact = (asn == table[:, 0]) & (ixp_id == table[:, 1])
+    except (TypeError, ValueError, OverflowError):
+        exact = np.zeros(len(edges), dtype=bool)
+    if not exact.all():
+        k = next(
+            (i for i, edge in enumerate(edges) if not _is_edge_triple(edge)),
+            int(np.flatnonzero(~exact)[0]),
+        )
+        raise SnapshotFormatError(
+            f"{path}: edges[{k}] = {edges[k]!r} is not an [asn, ixp_id, port_size] triple"
+        )
+    return asn, ixp_id, table[:, 2]
 
 
 def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
@@ -139,8 +201,8 @@ def export_edgelist(g: PeeringGraph, path: str | Path) -> list[Path]:
     metrics = node_metrics(g)
 
     edge_rows = [["asn", "ixp_id", "port_size", "traffic_class"]]
-    for (asn, ixp_id), ps in sorted(g.edges.items()):
-        edge_rows.append([asn, ixp_id, repr(float(ps)), ratio[asn].value])
+    for asn, ixp_id, ps in g.edge_list():
+        edge_rows.append([asn, ixp_id, repr(ps), ratio[asn].value])
 
     as_rows = [["asn", "name", "info_ratio", "info_scope", "info_type", "port_capacity"]]
     for i, r in enumerate(g.as_nodes):

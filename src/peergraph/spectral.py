@@ -77,7 +77,7 @@ class GoogleMatrix:
         self.alpha = float(alpha)
         self.N = n
         self.direction = direction
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
+        self.labels = tuple(labels) if labels is not None else tuple(map(str, range(n)))
         self.kinds = tuple(kinds) if kinds is not None else ("",) * n
         self.names = tuple(names) if names is not None else ("",) * n
         if len(self.labels) != n:
@@ -136,11 +136,23 @@ def pagerank(
     G: GoogleMatrix,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: np.ndarray | None = None,
 ) -> PageRankVector:
-    """Power iteration from the uniform vector until the L1 change drops below tol."""
+    """Power iteration until the L1 change of one step drops below tol.
+
+    The iteration starts from the uniform vector, or from ``start``
+    (normalized to sum 1), such as the PageRank of a slightly different
+    chain; the fixed point and the convergence test do not depend on it.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v = np.full(G.N, 1.0 / G.N)
+    if start is None:
+        v = np.full(G.N, 1.0 / G.N)
+    else:
+        v = np.array(start, dtype=np.float64)
+        if v.shape != (G.N,) or not np.isfinite(v).all() or v.min() < 0 or v.sum() <= 0:
+            raise ValueError("start must be a finite non-negative vector with positive sum")
+        v /= v.sum()
     for iteration in range(1, max_iter + 1):
         nxt = G.apply(v)
         nxt /= nxt.sum()
@@ -175,11 +187,10 @@ class RankTable:
     def top(self, k: int) -> tuple[RankEntry, ...]:
         return self.entries[:k]
 
-    def rank_of(self, label: str) -> int | None:
-        for entry in self.entries:
-            if entry.label == label:
-                return entry.rank
-        return None
+
+def _rank_order(values: np.ndarray) -> np.ndarray:
+    """Node indices by descending value; ties keep the lower index first."""
+    return np.lexsort((np.arange(values.shape[0]), -values))
 
 
 def rank_table(
@@ -199,8 +210,7 @@ def rank_table(
         raise ValueError("labels length must match the value vector")
     kinds = kinds if kinds is not None else ("",) * len(labels)
     names = names if names is not None else ("",) * len(labels)
-    indices = [i for i in range(len(labels)) if keep is None or keep(i)]
-    indices.sort(key=lambda i: (-vec[i], i))
+    indices = [i for i in _rank_order(vec).tolist() if keep is None or keep(i)]
     entries = tuple(
         RankEntry(label=labels[i], kind=kinds[i], name=names[i], value=float(vec[i]), rank=r)
         for r, i in enumerate(indices, start=1)
@@ -211,9 +221,8 @@ def rank_table(
 def rank_positions(values: np.ndarray) -> np.ndarray:
     """1-based rank of every node under the same ordering as :func:`rank_table`."""
     n = values.shape[0]
-    order = sorted(range(n), key=lambda i: (-values[i], i))
     ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)
+    ranks[_rank_order(values)] = np.arange(1, n + 1)
     return ranks
 
 
@@ -224,7 +233,9 @@ class ReducedGoogleMatrix:
     ``GR[i, j]`` is the reduced transition probability toward subset node
     ``i`` from subset node ``j`` (direct plus every indirect path through
     the censored complement).  ``Pr`` is the unnormalized PageRank slice
-    of the subset nodes; ``GR @ (Pr / ||Pr||_1) = Pr / ||Pr||_1``.
+    of the subset nodes, ``GR @ (Pr / ||Pr||_1) = Pr / ||Pr||_1``, when the
+    PageRank vector was given to :func:`reduced_google_matrix`; otherwise
+    it is ``None``.
     """
 
     labels: tuple[str, ...]
@@ -297,7 +308,9 @@ def reduced_google_matrix(
     complement's ASes exactly and solves one dense system over its IXPs;
     otherwise ``M`` is LU-factorized.  The residual of every column is
     checked against ``tol``.  With an empty complement the result is ``G``
-    itself restricted to the requested ordering.
+    itself restricted to the requested ordering.  ``Pr`` is sliced from
+    ``pagerank_vector`` when one is given and is ``None`` otherwise; no
+    PageRank is computed here.
     """
     r = np.asarray(list(subset), dtype=np.int64)
     if r.size == 0:
@@ -351,12 +364,11 @@ def reduced_google_matrix(
         )
         GR = G_rr + G_rsY
 
-    pr = pagerank_vector if pagerank_vector is not None else pagerank(G, tol=min(tol, DEFAULT_TOL))
     return ReducedGoogleMatrix(
         labels=tuple(G.labels[i] for i in r),
         indices=tuple(int(i) for i in r),
         GR=np.asfortranarray(GR),
-        Pr=pr.P[r].copy(),
+        Pr=pagerank_vector.P[r].copy() if pagerank_vector is not None else None,
         direction=G.direction,
         alpha=alpha,
     )

@@ -74,6 +74,11 @@ def random_snapshot(
     return make_snapshot(networks, ixps, memberships)
 
 
+def edge_dict(g) -> dict[tuple[int, int], float]:
+    """(asn, ixp_id) -> aggregated port size of a graph's edges."""
+    return {(asn, ixp_id): ps for asn, ixp_id, ps in g.edge_list()}
+
+
 def random_graph(rng: np.random.Generator, max_as: int = 120, max_ixp: int = 40):
     return build_graph(random_snapshot(rng, max_as, max_ixp))
 

@@ -5,10 +5,15 @@ assembled entry by entry, PageRank via a dense linear solve, the reduced
 matrix via explicit block inversion, an exact inverse-CDF sampler for the
 discrete power law and exhaustive set-partition search for modularity.
 None of it shares code with the package's computational paths.
+
+Two references are the package's earlier paths, kept to check the fast
+ones that replaced them: the per-edge weight-matrix loop, and the beta
+sweep that rebuilds the graph and cold-starts PageRank at every point.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.special import zeta
 
 
@@ -126,3 +131,83 @@ def best_partition_exhaustive(A: np.ndarray, is_as: np.ndarray) -> tuple[float, 
         if q > best_q:
             best_q, best_parts = q, parts
     return best_q, best_parts
+
+
+def loop_weight_matrix(snapshot, beta) -> sparse.csr_matrix:
+    """Weight matrix of a snapshot built edge by edge from a port-size dict.
+
+    Nodes are ordered ASes (ascending) then IXPs (ascending);
+    ``W[i, j]`` is the weight of ``j -> i`` and zero weights are left out.
+    """
+    agg: dict[tuple[int, int], float] = {}
+    for m in snapshot.memberships:
+        if m.port_size > 0.0:
+            agg[(m.asn, m.ixp_id)] = agg.get((m.asn, m.ixp_id), 0.0) + m.port_size
+    as_ids = sorted({a for a, _ in agg})
+    ixp_ids = sorted({x for _, x in agg})
+    as_pos = {a: i for i, a in enumerate(as_ids)}
+    ixp_pos = {x: len(as_ids) + i for i, x in enumerate(ixp_ids)}
+    n = len(as_ids) + len(ixp_ids)
+    rows, cols, data = [], [], []
+    for (asn, ixp_id), ps in sorted(agg.items()):
+        tc = snapshot.network_by_asn[asn].info_ratio
+        minor = (1.0 - beta.for_class(tc)) * ps
+        to_as, to_ixp = (minor, ps) if tc.is_outbound else (ps, minor)
+        a, x = as_pos[asn], ixp_pos[ixp_id]
+        for row, col, w in ((a, x, to_as), (x, a, to_ixp)):
+            if w > 0.0:
+                rows.append(row)
+                cols.append(col)
+                data.append(w)
+    W = sparse.csr_matrix((np.asarray(data, dtype=np.float64), (rows, cols)), shape=(n, n))
+    W.sort_indices()
+    return W
+
+
+def sorted_rank_positions(values: np.ndarray) -> np.ndarray:
+    """1-based ranks by descending value, ties to the lower index, via ``sorted``."""
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    ranks = np.empty(len(values), dtype=np.int64)
+    for rank, i in enumerate(order, start=1):
+        ranks[i] = rank
+    return ranks
+
+
+def cold_sweep(snapshot, grid_h, grid_m, probes, beta_default, alpha, tol) -> dict:
+    """Beta sweep that rebuilds the graph and starts PageRank uniform at each point.
+
+    Returns ``asn -> (pr_value, pr_rank, delta_pr_rank, rpr_value, rpr_rank,
+    delta_rpr_rank, delta_pr_value, delta_rpr_value)`` at ``beta_default``
+    and over the grid points with ``beta_heavy < 1``.
+    """
+    from peergraph.graph import BetaParams, build_graph
+    from peergraph.spectral import google_matrix, pagerank
+
+    def point(beta):
+        g = build_graph(snapshot, beta)
+        idx = [g.as_index(asn) for asn in probes]
+        out = []
+        for direction in ("forward", "reverse"):
+            P = pagerank(google_matrix(g, alpha, direction), tol=tol).P
+            out.append((sorted_rank_positions(P)[idx], P[idx]))
+        return out
+
+    (pr_rank, pr_val), (rpr_rank, rpr_val) = point(beta_default)
+    grid = [
+        point(BetaParams(balanced=beta_default.balanced, mostly=bm, heavy=bh))
+        for bh in grid_h
+        if bh < 1.0
+        for bm in grid_m
+    ]
+    result = {}
+    for j, asn in enumerate(probes):
+        def spread(direction, part):
+            column = [p[direction][part][j] for p in grid]
+            return max(column) - min(column)
+
+        result[asn] = (
+            float(pr_val[j]), int(pr_rank[j]), int(spread(0, 0)),
+            float(rpr_val[j]), int(rpr_rank[j]), int(spread(1, 0)),
+            float(spread(0, 1)), float(spread(1, 1)),
+        )
+    return result

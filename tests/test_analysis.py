@@ -19,8 +19,8 @@ from peergraph.graph import BetaParams, build_graph
 from peergraph.ingest import GroundTruth, TrafficClass, EumsEntry
 from peergraph.spectral import RankTable
 
-from conftest import make_snapshot
-from oracles import dense_google, dense_pagerank
+from conftest import make_snapshot, random_snapshot
+from oracles import cold_sweep, dense_google, dense_pagerank
 
 TC = TrafficClass
 
@@ -382,6 +382,41 @@ def test_variation_monotone_in_grid_size():
     for a, b in zip(small.rows, large.rows):
         assert a.delta_pr_rank <= b.delta_pr_rank
         assert a.delta_rpr_rank <= b.delta_rpr_rank
+
+
+def assert_sweep_matches_cold_reference(snap, grid_h, grid_m, beta_default, tol):
+    probes = default_probes(build_graph(snap, beta_default))
+    report = beta_stability_sweep(
+        snap, grid_h, grid_m, probes=probes, beta_default=beta_default, tol=tol
+    )
+    reference = cold_sweep(snap, grid_h, grid_m, probes, beta_default, 0.85, tol)
+    for row in report.rows:
+        pr_v, pr_r, d_pr_r, rpr_v, rpr_r, d_rpr_r, d_pr_v, d_rpr_v = reference[row.asn]
+        assert (row.pr_rank, row.delta_pr_rank) == (pr_r, d_pr_r)
+        assert (row.rpr_rank, row.delta_rpr_rank) == (rpr_r, d_rpr_r)
+        assert row.pr_value == pytest.approx(pr_v, rel=0, abs=1e-9)
+        assert row.rpr_value == pytest.approx(rpr_v, rel=0, abs=1e-9)
+        assert row.delta_pr_value == pytest.approx(d_pr_v, rel=0, abs=1e-9)
+        assert row.delta_rpr_value == pytest.approx(d_rpr_v, rel=0, abs=1e-9)
+
+
+def test_sweep_matches_cold_reference_on_fixture(fixture_snapshot):
+    assert_sweep_matches_cold_reference(
+        fixture_snapshot, (0.9, 0.95, 0.99), (0.6, 0.7, 0.8), BetaParams(), tol=1e-10
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "beta_default", [BetaParams(), BetaParams(balanced=1.0)], ids=["default", "balanced1"]
+)
+def test_sweep_matches_cold_reference_on_random_snapshots(seed, beta_default):
+    # A tolerance below the default one: random port sizes can put two
+    # nodes closer than 1e-10 apart, where either order is a correct rank.
+    snap = random_snapshot(np.random.default_rng(seed))
+    assert_sweep_matches_cold_reference(
+        snap, (0.5, 0.9, 1.0), (0.6, 0.8, 1.0), beta_default, tol=1e-13
+    )
 
 
 def test_default_probes_pick_top_capacity_per_class(fixture_graph):

@@ -22,8 +22,8 @@ from peergraph.graph import (
 )
 from peergraph.ingest import IxpRecord, TrafficClass
 
-from conftest import ALL_CLASSES, make_snapshot
-from oracles import sample_discrete_power_law
+from conftest import ALL_CLASSES, edge_dict, make_snapshot, random_snapshot
+from oracles import loop_weight_matrix, sample_discrete_power_law
 
 TC = TrafficClass
 
@@ -76,7 +76,19 @@ def test_router_ports_aggregate_by_sum():
         [(10, TC.BALANCED)], [(1, "DE")], [(10, 1, 10.0), (10, 1, 20.0)]
     )
     g = build_graph(snap)
-    assert g.edges == {(10, 1): 30.0}
+    assert edge_dict(g) == {(10, 1): 30.0}
+
+    # Ports are summed in membership order, also when other pairs interleave.
+    snap = make_snapshot(
+        [(10, TC.BALANCED), (20, TC.BALANCED)],
+        [(1, "DE")],
+        [(20, 1, 0.3), (10, 1, 0.1), (20, 1, 0.2), (10, 1, 0.2), (20, 1, 0.1), (10, 1, 0.3)],
+    )
+    assert edge_dict(build_graph(snap)) == {
+        (10, 1): (0.1 + 0.2) + 0.3,
+        (20, 1): (0.3 + 0.2) + 0.1,
+    }
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
 
 
 def test_zero_capacity_memberships_dropped():
@@ -133,9 +145,9 @@ def test_weight_construction_invariants(snap):
     for m in snap.memberships:
         if m.port_size > 0:
             expected[(m.asn, m.ixp_id)] = expected.get((m.asn, m.ixp_id), 0.0) + m.port_size
-    assert g.edges == expected
+    assert edge_dict(g) == expected
 
-    for (asn, ixp_id), ps in g.edges.items():
+    for (asn, ixp_id), ps in edge_dict(g).items():
         a, x = g.as_index(asn), g.ixp_index(ixp_id)
         tc = snap.network_by_asn[asn].info_ratio
         b = beta.for_class(tc)
@@ -152,11 +164,36 @@ def test_weight_construction_invariants(snap):
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([
+        BetaParams(),
+        BetaParams(balanced=0.3, mostly=0.6, heavy=0.9),
+        BetaParams(mostly=1.0),
+        BetaParams(balanced=1.0),
+        BetaParams(balanced=1.0, mostly=1.0, heavy=1.0),
+        BetaParams(balanced=0.0, mostly=0.0, heavy=0.0),
+    ]),
+)
+def test_reweighted_matrix_matches_build_and_edge_loop(seed, beta):
+    snap = random_snapshot(np.random.default_rng(seed))
+    g = build_graph(snap)
+    assert g.edge_list() == sorted(g.edge_list())
+    W = g.weights(beta)
+    assert (W.data > 0.0).all()  # vanished directions leave no explicit zero
+    for ref in (build_graph(snap, beta).W, loop_weight_matrix(snap, beta)):
+        assert W.nnz == ref.nnz
+        assert np.array_equal(W.indptr, ref.indptr)
+        assert np.array_equal(W.indices, ref.indices)
+        assert np.array_equal(W.data, ref.data)
+
+
+@settings(max_examples=60, deadline=None)
 @given(snapshots())
 def test_capacity_sums_match_across_sides(snap):
     g = build_graph(snap)
     metrics = node_metrics(g)
-    total_edges = sum(g.edges.values())
+    total_edges = sum(edge_dict(g).values())
     assert metrics.port_capacity[: g.n_as].sum() == pytest.approx(total_edges, rel=1e-15)
     assert metrics.port_capacity[g.n_as :].sum() == pytest.approx(total_edges, rel=1e-15)
 
@@ -240,10 +277,13 @@ def test_balance_summary_statistics():
 
 def test_balance_isolated_ixp_reported_undefined():
     g = single_edge(TC.BALANCED, 10.0)
+    asn, ixp_id, ps = zip(*g.edge_list())
     g2 = _assemble(
         g.as_nodes,
         list(g.ixp_nodes) + [IxpRecord(ixp_id=99, name="silent", country="US")],
-        g.edges,
+        asn,
+        ixp_id,
+        ps,
         g.beta,
         g.date,
     )

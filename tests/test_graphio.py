@@ -1,6 +1,8 @@
 """Native graph JSON, matrix CSVs, exports, subset files."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from peergraph.spectral import (
     relative_change,
 )
 
-from conftest import make_snapshot
+from conftest import edge_dict, make_snapshot
 
 TC = TrafficClass
 
@@ -39,7 +41,7 @@ def test_graph_round_trip(fixture_graph, tmp_path):
     loaded = load_graph(path)
     assert loaded.as_nodes == fixture_graph.as_nodes
     assert loaded.ixp_nodes == fixture_graph.ixp_nodes
-    assert loaded.edges == fixture_graph.edges
+    assert edge_dict(loaded) == edge_dict(fixture_graph)
     assert loaded.beta == fixture_graph.beta
     assert loaded.date == fixture_graph.date
     assert (loaded.W != fixture_graph.W).nnz == 0
@@ -57,6 +59,60 @@ def test_load_rejects_foreign_json(tmp_path):
     path.write_text("{}")
     with pytest.raises(SnapshotFormatError):
         load_graph(path)
+
+
+def _first_edge(p):
+    return p["edges"][0]
+
+
+# Each case edits the saved fixture graph into one defect; the message must
+# name the record.
+LOAD_DEFECTS = {
+    "version": (lambda p: p.update(version=2), "version 2"),
+    "duplicate AS": (lambda p: p["as_nodes"].append(dict(p["as_nodes"][3])), "is listed twice"),
+    "duplicate IXP": (
+        lambda p: p["ixp_nodes"].insert(0, dict(p["ixp_nodes"][-1])), "is listed twice"
+    ),
+    "duplicate edge": (lambda p: p["edges"].append(list(_first_edge(p))), "is listed twice"),
+    "unlisted AS": (lambda p: p["edges"].append([99999, 1, 10.0]), "AS99999-IX1"),
+    "unlisted IXP": (lambda p: p["edges"].append([64500, 99, 10.0]), "AS64500-IX99"),
+    "NaN port size": (lambda p: _first_edge(p).__setitem__(2, float("nan")), "nan"),
+    "infinite port size": (lambda p: _first_edge(p).__setitem__(2, float("inf")), "inf"),
+    "zero port size": (lambda p: _first_edge(p).__setitem__(2, 0.0), "0.0"),
+    "negative port size": (lambda p: _first_edge(p).__setitem__(2, -5.0), "-5.0"),
+    "missing AS key": (lambda p: p["as_nodes"][2].pop("info_type"), "as_nodes[2]"),
+    "missing IXP key": (lambda p: p["ixp_nodes"][1].pop("country"), "ixp_nodes[1]"),
+    "missing top-level key": (lambda p: p.pop("edges"), "'edges'"),
+    "malformed edge": (lambda p: p["edges"].insert(4, [64500, "IX1", 10.0]), "edges[4]"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(LOAD_DEFECTS))
+def test_load_rejects_defective_graph(fixture_graph, tmp_path, defect):
+    edit, fragment = LOAD_DEFECTS[defect]
+    path = tmp_path / "graph.json"
+    save_graph(fixture_graph, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SnapshotFormatError) as info:
+        load_graph(path)
+    assert str(path) in str(info.value)
+    assert fragment in str(info.value)
+
+
+def test_load_sorts_unsorted_records(fixture_graph, tmp_path):
+    path = tmp_path / "graph.json"
+    save_graph(fixture_graph, path)
+    payload = json.loads(path.read_text())
+    for key in ("as_nodes", "ixp_nodes", "edges"):
+        payload[key].reverse()
+    path.write_text(json.dumps(payload))
+    loaded = load_graph(path)
+    assert loaded.as_nodes == fixture_graph.as_nodes
+    assert loaded.ixp_nodes == fixture_graph.ixp_nodes
+    assert loaded.edge_list() == fixture_graph.edge_list()
+    assert (loaded.W != fixture_graph.W).nnz == 0
 
 
 def test_reduced_csv_round_trip(fixture_graph, tmp_path):
@@ -130,7 +186,7 @@ def test_edgelist_export(fixture_graph, tmp_path):
     ]
     lines = out.read_text().splitlines()
     assert lines[0] == "asn,ixp_id,port_size,traffic_class"
-    assert len(lines) == 1 + len(fixture_graph.edges)
+    assert len(lines) == 1 + fixture_graph.n_edges
 
 
 def test_weight_csv_export(tmp_path):

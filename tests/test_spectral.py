@@ -23,7 +23,7 @@ from peergraph.spectral import (
 )
 
 from conftest import make_snapshot, random_snapshot, random_weights
-from oracles import dense_google, dense_pagerank, dense_reduction
+from oracles import dense_google, dense_pagerank, dense_reduction, sorted_rank_positions
 
 TC = TrafficClass
 
@@ -117,6 +117,33 @@ def test_nonconvergence_raises():
         pagerank(google_matrix(W), tol=1e-15, max_iter=2)
 
 
+def test_warm_start_reaches_the_same_fixed_point():
+    rng = np.random.default_rng(4)
+    W = random_weights(rng, 30)
+    G = google_matrix(W)
+    cold = pagerank(G, tol=1e-13)
+    again = pagerank(G, tol=1e-13, start=7.0 * cold.P)  # the start is normalized
+    assert again.iterations <= 2
+    assert np.abs(again.P - cold.P).max() < 1e-13
+
+    W2 = W.copy()
+    W2.data *= 1.0 + 0.05 * rng.random(W2.nnz)
+    G2 = google_matrix(W2)
+    reference = pagerank(G2, tol=1e-13)
+    warm = pagerank(G2, tol=1e-13, start=cold.P)
+    assert warm.iterations < reference.iterations
+    assert np.abs(warm.P - dense_pagerank(dense_google(W2.toarray()))).max() < 1e-11
+
+
+@pytest.mark.parametrize(
+    "start", [np.ones(5), -np.ones(6), np.zeros(6), np.full(6, np.nan), np.full(6, np.inf)]
+)
+def test_bad_start_rejected(start):
+    G = google_matrix(random_weights(np.random.default_rng(1), 6))
+    with pytest.raises(ValueError):
+        pagerank(G, start=start)
+
+
 def test_pagerank_permutation_invariance():
     rng = np.random.default_rng(7)
     n = 20
@@ -151,11 +178,22 @@ def test_rank_table_filter_reranks_contiguously():
 
 
 def test_rank_positions_match_rank_table():
-    values = np.array([0.2, 0.4, 0.4, 0.1])
-    table = rank_table(values, ["n0", "n1", "n2", "n3"])
-    positions = rank_positions(values)
-    for entry in table:
-        assert positions[int(entry.label[1:])] == entry.rank
+    rng = np.random.default_rng(3)
+    cases = [np.array([0.2, 0.4, 0.4, 0.1])]
+    # Exact ties: few distinct values, including zeros, over many nodes.
+    cases += [rng.integers(0, 4, size=n) / 8.0 for n in (1, 7, 40)]
+    for values in cases:
+        labels = [f"n{i}" for i in range(values.size)]
+        positions = rank_positions(values)
+        assert positions.tolist() == sorted_rank_positions(values).tolist()
+        for entry in rank_table(values, labels):
+            assert positions[int(entry.label[1:])] == entry.rank
+
+        keep = lambda i: i % 3 != 1
+        kept = [i for i in range(values.size) if keep(i)]
+        table = rank_table(values, labels, keep=keep)
+        assert [int(e.label[1:]) for e in table] == sorted(kept, key=lambda i: positions[i])
+        assert [e.rank for e in table] == list(range(1, len(kept) + 1))
 
 
 def test_reverse_rank_equals_forward_rank_of_inverted():
@@ -251,6 +289,17 @@ def test_restricted_pagerank_is_fixed_point():
         R = reduced_google_matrix(G, subset, pagerank_vector=pagerank(G, tol=1e-13))
         pr_norm = R.Pr / R.Pr.sum()
         assert np.abs(R.GR @ pr_norm - pr_norm).max() < 1e-8
+
+
+def test_reduction_computes_no_pagerank(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduced_google_matrix ran PageRank")
+
+    g = build_graph(random_snapshot(np.random.default_rng(2)))
+    monkeypatch.setattr("peergraph.spectral.pagerank", refuse)
+    R = reduced_google_matrix(google_matrix(g, direction="reverse"), [0, 1, g.n_as])
+    assert R.Pr is None
+    assert np.allclose(R.GR.sum(axis=0), 1.0)
 
 
 def test_reduction_rejects_bad_subsets():
