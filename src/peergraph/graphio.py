@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from datetime import date as Date
@@ -17,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .errors import SnapshotFormatError
 from .graph import BetaParams, PeeringGraph, _assemble, node_metrics
 from .ingest import IxpRecord, NetworkRecord, TrafficClass
@@ -162,32 +164,83 @@ def _edge_columns(path, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return asn, ixp_id, table[:, 2]
 
 
+# Attribute text escaped as xml.etree.ElementTree writes it.
+_XML_ATTR = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+     "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
+_GEXF_ROOT = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<gexf xmlns="http://www.gexf.net/1.2draft" '
+    'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+    'xsi:schemaLocation="http://www.gexf.net/1.2draft '
+    'http://www.gexf.net/1.2draft/gexf.xsd" version="1.2">\n'
+)
+
+_GEXF_GRAPH = (
+    '  <graph defaultedgetype="directed" mode="static" name="">\n'
+    '    <attributes mode="static" class="node">\n'
+    '      <attribute id="0" title="type" type="string" />\n'
+    '      <attribute id="1" title="country" type="string" />\n'
+    '      <attribute id="2" title="port_capacity" type="double" />\n'
+    "    </attributes>\n"
+)
+
+
+def _gexf_list(tag: str, items: list[str]) -> list[str]:
+    if not items:
+        return [f"    <{tag} />\n"]
+    return [f"    <{tag}>\n", *items, f"    </{tag}>\n"]
+
+
 def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
-    """Directed GEXF export for external viewers.
+    """Directed GEXF 1.2 export for external viewers.
 
     Node attributes: type, country, port_capacity; one directed edge per
-    nonzero weight with a ``weight`` attribute.
+    nonzero weight with a ``weight`` attribute.  Nodes are in index order
+    and edges are grouped by source in node order, targets ascending, with
+    ids counting from 0.  The header records the snapshot date and the
+    package version, so equal graphs give equal bytes.
     """
-    import networkx as nx
-
-    metrics = node_metrics(g)
-    graph = nx.DiGraph()
-    for i, label in enumerate(g.labels):
-        country = "" if g.is_as(i) else g.ixp_nodes[i - g.n_as].country
-        graph.add_node(
-            label,
-            label=g.names[i] or label,
-            type=g.kinds[i],
-            country=country,
-            port_capacity=float(metrics.port_capacity[i]),
+    labels = g.labels
+    countries = [""] * g.n_as + [r.country for r in g.ixp_nodes]
+    # float64 even for an edgeless graph, where bincount gives integers
+    capacity = node_metrics(g).port_capacity.astype(np.float64).tolist()
+    nodes = [
+        f'      <node id="{label}" label="{(name or label).translate(_XML_ATTR)}">\n'
+        "        <attvalues>\n"
+        f'          <attvalue for="0" value="{kind}" />\n'
+        f'          <attvalue for="1" value="{country.translate(_XML_ATTR)}" />\n'
+        f'          <attvalue for="2" value="{cap!r}" />\n'
+        "        </attvalues>\n"
+        "      </node>\n"
+        for label, name, kind, country, cap in zip(
+            labels, g.names, g.kinds, countries, capacity
         )
-    coo = g.W.tocoo()
-    for dst, src, weight in zip(coo.row, coo.col, coo.data):
-        graph.add_edge(g.labels[src], g.labels[dst], weight=float(weight))
-
-    buffer = io.BytesIO()
-    nx.write_gexf(graph, buffer)
-    return atomic_write_text(path, buffer.getvalue().decode("utf-8"))
+    ]
+    by_source = g.W.tocsc()  # W[target, source]; row indices stay sorted
+    sources = np.repeat(np.arange(g.n_nodes), np.diff(by_source.indptr))
+    edges = [
+        f'      <edge source="{labels[s]}" target="{labels[t]}" id="{k}" weight="{w!r}" />\n'
+        for k, (s, t, w) in enumerate(
+            zip(sources.tolist(), by_source.indices.tolist(), by_source.data.tolist())
+        )
+    ]
+    date = f' lastmodifieddate="{g.date.isoformat()}"' if g.date else ""
+    text = "".join([
+        _GEXF_ROOT,
+        f"  <meta{date}>\n    <creator>peergraph {__version__}</creator>\n  </meta>\n",
+        _GEXF_GRAPH,
+        *_gexf_list("nodes", nodes),
+        *_gexf_list("edges", edges),
+        "  </graph>\n</gexf>\n",
+    ])
+    if not text.isascii():
+        # Lone surrogates in names become character references, as
+        # ElementTree writes them.
+        text = text.encode("utf-8", "xmlcharrefreplace").decode("utf-8")
+    return atomic_write_text(path, text)
 
 
 def export_edgelist(g: PeeringGraph, path: str | Path) -> list[Path]:
@@ -289,31 +342,87 @@ def write_reduced_csv(R: ReducedGoogleMatrix, path: str | Path) -> Path:
 
 
 def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
-    """Read a reduced matrix written by :func:`write_reduced_csv`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a reduced matrix written by :func:`write_reduced_csv`.
+
+    Raises :class:`SnapshotFormatError` naming the file and the line when
+    the file is not UTF-8, the comment line holds a bad direction,
+    censoring flag, alpha or date, a label is listed twice, a row is
+    ragged or its label is not the header's label at that position, or a
+    cell is not a finite number.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SnapshotFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from exc
     meta: dict[str, str] = {}
+    skipped = 0  # lines before the header row
     if lines and lines[0].startswith("#"):
         meta = _parse_meta(lines[0])
-        lines = lines[1:]
-    reader = list(csv.reader(lines))
-    if not reader or reader[0][:1] != ["node"]:
+        lines, skipped = lines[1:], 1
+    try:
+        direction = meta.get("direction", "forward")
+        if direction not in ("forward", "reverse"):
+            raise ValueError(f"direction {direction!r} is not forward or reverse")
+        censored = meta.get("censored", "0")
+        if censored not in ("0", "1"):
+            raise ValueError(f"censored {censored!r} is not 0 or 1")
+        alpha = float(meta.get("alpha", "0.85"))
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha {alpha!r} is not in [0, 1)")
+        date_text = meta.get("date", "-")
+        date = Date.fromisoformat(date_text) if date_text not in ("-", "") else None
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: line 1: {exc}") from exc
+
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if not header or header[0] != "node":
         raise SnapshotFormatError(f"{path}: not a reduced-matrix CSV")
-    labels = tuple(reader[0][1:])
-    values = np.array(
-        [[float(cell) for cell in row[1:]] for row in reader[1:]], dtype=np.float64
-    )
-    if values.shape != (len(labels), len(labels)):
+    labels = tuple(header[1:])
+    if len(set(labels)) < len(labels):
+        twice = next(label for k, label in enumerate(labels) if label in labels[:k])
+        raise SnapshotFormatError(
+            f"{path}: line {skipped + 1}: label {twice!r} is listed twice"
+        )
+    rows: list[list[float]] = []
+    for row in reader:
+        where = f"{path}: line {skipped + reader.line_num}"
+        if len(rows) == len(labels):
+            raise SnapshotFormatError(f"{where}: more rows than labels")
+        if len(row) != len(labels) + 1:
+            raise SnapshotFormatError(
+                f"{where}: {len(row)} cells, expected {len(labels) + 1}"
+            )
+        if row[0] != labels[len(rows)]:
+            raise SnapshotFormatError(
+                f"{where}: row {row[0]!r} is not {labels[len(rows)]!r}, "
+                "the header's label at that position"
+            )
+        try:
+            values = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{where}: row {row[0]!r}: {exc}") from exc
+        bad = next((k for k, v in enumerate(values) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise SnapshotFormatError(
+                f"{where}: row {row[0]!r}, column {labels[bad]!r} is {values[bad]!r}; "
+                "cells must be finite"
+            )
+        rows.append(values)
+    if len(rows) != len(labels):
         raise SnapshotFormatError(f"{path}: matrix is not square against its labels")
-    date_text = meta.get("date", "-")
+    GR = np.array(rows, dtype=np.float64).reshape(len(labels), len(labels))
     return ReducedGoogleMatrix(
         labels=labels,
         indices=tuple(range(len(labels))),
-        GR=np.asfortranarray(values),
+        GR=np.asfortranarray(GR),
         Pr=None,
-        direction=meta.get("direction", "forward"),
-        alpha=float(meta.get("alpha", "0.85")),
-        censored=meta.get("censored", "0") == "1",
-        date=Date.fromisoformat(date_text) if date_text not in ("-", "") else None,
+        direction=direction,
+        alpha=alpha,
+        censored=censored == "1",
+        date=date,
     )
 
 

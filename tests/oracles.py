@@ -6,9 +6,10 @@ matrix via explicit block inversion, an exact inverse-CDF sampler for the
 discrete power law and exhaustive set-partition search for modularity.
 None of it shares code with the package's computational paths.
 
-Two references are the package's earlier paths, kept to check the fast
-ones that replaced them: the per-edge weight-matrix loop, and the beta
-sweep that rebuilds the graph and cold-starts PageRank at every point.
+Three references are the package's earlier paths, kept to check the fast
+ones that replaced them: the per-edge weight-matrix loop, the beta sweep
+that rebuilds the graph and cold-starts PageRank at every point, and the
+GEXF export through a networkx ``DiGraph`` and ``nx.write_gexf``.
 """
 from __future__ import annotations
 
@@ -211,3 +212,35 @@ def cold_sweep(snapshot, grid_h, grid_m, probes, beta_default, alpha, tol) -> di
             float(spread(0, 1)), float(spread(1, 1)),
         )
     return result
+
+
+def networkx_gexf(g) -> str:
+    """GEXF text of a graph written by networkx from a ``DiGraph``.
+
+    Nodes are added in index order with their label and attributes, then
+    one edge per stored entry of ``W`` in COO order.  The ``<meta>``
+    header names the day of writing and the networkx version.
+    """
+    import io
+
+    import networkx as nx
+
+    from peergraph.graph import node_metrics
+
+    metrics = node_metrics(g)
+    graph = nx.DiGraph()
+    for i, label in enumerate(g.labels):
+        country = "" if g.is_as(i) else g.ixp_nodes[i - g.n_as].country
+        graph.add_node(
+            label,
+            label=g.names[i] or label,
+            type=g.kinds[i],
+            country=country,
+            port_capacity=float(metrics.port_capacity[i]),
+        )
+    coo = g.W.tocoo()
+    for dst, src, weight in zip(coo.row, coo.col, coo.data):
+        graph.add_edge(g.labels[src], g.labels[dst], weight=float(weight))
+    buffer = io.BytesIO()
+    nx.write_gexf(graph, buffer)
+    return buffer.getvalue().decode("utf-8")

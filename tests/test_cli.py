@@ -292,3 +292,39 @@ def test_output_dir_env_override(workdir, tmp_path, monkeypatch, capsys):
         "rank", "--graph", str(workdir / "graph.json"), "--out", "relative.csv",
     ]) == 0
     assert (tmp_path / "relative.csv").exists()
+
+
+# Runs in a fresh interpreter in which ``import networkx`` fails.
+WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None
+import peergraph.cli
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "networkx" and mod]
+assert not loaded, loaded
+snapshot, out = sys.argv[1:]
+assert peergraph.cli.main([
+    "build", "--snapshot", snapshot, "--date", "2020-01-01", "--out", out + "/graph.json",
+]) == 0
+assert peergraph.cli.main([
+    "export", "--graph", out + "/graph.json", "--format", "gexf", "--out", out + "/graph.gexf",
+]) == 0
+"""
+
+
+def test_build_and_gexf_export_run_without_networkx(fixture_graph, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import peergraph
+    from peergraph.graphio import export_gexf
+
+    path = [str(Path(peergraph.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NETWORKX, str(FIXTURE_SNAPSHOT), str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = export_gexf(fixture_graph, tmp_path / "in_process.gexf")
+    assert (tmp_path / "graph.gexf").read_bytes() == expected.read_bytes()

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peergraph.errors import SnapshotFormatError
-from peergraph.graph import build_graph
+from peergraph.graph import BetaParams, _assemble, build_graph
 from peergraph.graphio import (
     export_edgelist,
     export_gexf,
@@ -30,7 +35,8 @@ from peergraph.spectral import (
     relative_change,
 )
 
-from conftest import edge_dict, make_snapshot
+from conftest import GOLDEN_DIR, edge_dict, make_snapshot, random_graph
+from oracles import networkx_gexf
 
 TC = TrafficClass
 
@@ -132,6 +138,80 @@ def test_reduced_csv_round_trip(fixture_graph, tmp_path):
     assert np.abs(loaded.GR - R.GR).max() == 0.0  # repr() round-trips exactly
 
 
+def _edit_line(n, old, new):
+    def edit(lines):
+        assert old in lines[n - 1]
+        lines[n - 1] = lines[n - 1].replace(old, new, 1)
+    return edit
+
+
+# Each case edits the reduced-matrix golden (line 1 the comment, line 2 the
+# header, line 3 the first row) into one defect; the message must name the
+# line.
+REDUCED_DEFECTS = {
+    "NaN cell": (_edit_line(4, b",0.0", b",nan"), "line 4"),
+    "infinite cell": (_edit_line(5, b",0.0", b",-inf"), "line 5"),
+    "non-numeric cell": (_edit_line(3, b",0.0", b",zero"), "line 3"),
+    "ragged row": (_edit_line(6, b",0.0", b""), "line 6"),
+    "row label mismatch": (_edit_line(4, b"AS64501,", b"AS64504,"), "line 4"),
+    "duplicate label": (
+        lambda lines: [_edit_line(n, b"AS64504", b"AS64500")(lines) for n in (2, 5)],
+        "line 2",
+    ),
+    "bad alpha": (_edit_line(1, b"alpha=0.85", b"alpha=high"), "line 1"),
+    "alpha out of range": (_edit_line(1, b"alpha=0.85", b"alpha=1.5"), "line 1"),
+    "bad date": (_edit_line(1, b"date=2020-01-01", b"date=2020-13-01"), "line 1"),
+    "bad direction": (_edit_line(1, b"direction=reverse", b"direction=up"), "line 1"),
+    "non-UTF-8 bytes": (_edit_line(4, b"AS64501", b"AS6450\xff"), "line 4"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(REDUCED_DEFECTS))
+def test_load_reduced_rejects_defective_csv(tmp_path, defect):
+    edit, fragment = REDUCED_DEFECTS[defect]
+    lines = (GOLDEN_DIR / "reduced_reverse.csv").read_bytes().splitlines()
+    edit(lines)
+    path = tmp_path / "reduced.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(SnapshotFormatError) as info:
+        load_reduced_csv(path)
+    assert str(path) in str(info.value)
+    assert fragment in str(info.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.binary(max_size=3), st.integers(0, 3)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_load_reduced_gives_matrix_or_typed_error(edits):
+    data = bytearray((GOLDEN_DIR / "reduced_reverse.csv").read_bytes())
+    for at, insert, cut in edits:
+        at %= len(data) + 1
+        data[at : at + cut] = insert
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reduced.csv"
+        path.write_bytes(bytes(data))
+        try:
+            R = load_reduced_csv(path)
+        except SnapshotFormatError:
+            return
+    assert R.GR.shape == (len(R.labels), len(R.labels))
+    assert np.isfinite(R.GR).all()
+
+
+@pytest.mark.parametrize("name", ["reduced_reverse.csv", "reduced_reverse_beta90.csv"])
+def test_reduced_goldens_load(name, tmp_path):
+    R = load_reduced_csv(GOLDEN_DIR / name)
+    assert R.direction == "reverse" and R.censored and R.alpha == 0.85
+    assert R.GR.shape == (len(R.labels), len(R.labels))
+    write_reduced_csv(R, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_change_csv_contains_nan_for_undefined(tmp_path, fixture_graph):
     G = google_matrix(fixture_graph, direction="reverse")
     subset = [fixture_graph.as_index(a) for a in (64500, 64501)]
@@ -210,3 +290,55 @@ def test_gexf_export_parses(fixture_graph, tmp_path):
     assert g.number_of_edges() == fixture_graph.W.nnz
     node = g.nodes["AS64500"]
     assert node["type"] == "AS" and node["port_capacity"] == 10_000_000.0
+
+
+def test_gexf_header_names_snapshot_date_and_package(fixture_graph, tmp_path):
+    a, b = tmp_path / "a.gexf", tmp_path / "b.gexf"
+    export_gexf(fixture_graph, a)
+    export_gexf(load_graph(save_graph(fixture_graph, tmp_path / "g.json")), b)
+    text = a.read_text()
+    assert '<meta lastmodifieddate="2020-01-01">' in text
+    assert "<creator>peergraph 0.1.0</creator>" in text
+    assert a.read_bytes() == b.read_bytes()
+
+
+def _without_meta(text: bytes) -> bytes:
+    return text[: text.index(b"  <meta")] + text[text.index(b"</meta>"):]
+
+
+def _pick(values, i, default):
+    return values[i] if i < len(values) else default
+
+
+# Names and countries drawn from the characters that need escaping, plus
+# non-ASCII text and a lone surrogate.
+AWKWARD_TEXT = st.text(st.sampled_from("&<>\"'\t\n\r aZ0éß中\U0001f600\ud800"), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([BetaParams(), BetaParams(balanced=1.0, mostly=1.0, heavy=1.0)]),
+    names=st.lists(AWKWARD_TEXT, max_size=40),
+    countries=st.lists(AWKWARD_TEXT, max_size=12),
+    date=st.one_of(st.none(), st.dates()),
+    edgeless=st.booleans(),
+)
+def test_gexf_matches_networkx_oracle(seed, beta, names, countries, date, edgeless):
+    g = random_graph(np.random.default_rng(seed), max_as=30, max_ixp=12)
+    as_nodes = [replace(r, name=_pick(names, i, r.name)) for i, r in enumerate(g.as_nodes)]
+    ixp_nodes = [
+        replace(r, name=_pick(names[::-1], i, r.name), country=_pick(countries, i, r.country))
+        for i, r in enumerate(g.ixp_nodes)
+    ]
+    edges = [] if edgeless else g.edge_list()
+    asn, ixp_id, ps = zip(*edges) if edges else ((), (), ())
+    g = _assemble(as_nodes, ixp_nodes, asn, ixp_id, ps, beta, date)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = export_gexf(g, Path(tmp) / "graph.gexf").read_bytes()
+    expected = networkx_gexf(g).encode("utf-8")
+    assert _without_meta(text) == _without_meta(expected)
+    stamp = f' lastmodifieddate="{date.isoformat()}"' if date else ""
+    assert f"  <meta{stamp}>\n    <creator>".encode() in text
+    if edgeless:
+        assert b"    <edges />\n" in text
