@@ -59,16 +59,14 @@ def classify_countries(g: PeeringGraph, rule: str = "strict") -> CountryAssignme
     """
     if rule not in ("strict", "plurality"):
         raise ValueError("rule must be 'strict' or 'plurality'")
-    country_of = [x.country for x in g.ixp_nodes]
-    votes: list[Counter] = [Counter() for _ in g.as_nodes]
+    votes: list[Counter] = [Counter() for _ in range(g.n_as)]
     for a, x in zip(g.edge_as.tolist(), g.edge_ixp.tolist()):
-        country = country_of[x - g.n_as]
+        country = g.ixp_country[x - g.n_as]
         if country:
             votes[a][country] += 1
 
     assignments: dict[int, str] = {}
-    for rec, counter in zip(g.as_nodes, votes):
-        asn = rec.asn
+    for asn, counter in zip(g.asn.tolist(), votes):
         if not counter:
             assignments[asn] = TIED
             continue
@@ -174,13 +172,14 @@ def traffic_receivers(
     """
     pr = forward_pr or pagerank(google_matrix(g, alpha, "forward"), tol=tol)
     banned = set(hypergiant_asns) | set(exclusions)
+    asns = g.asn.tolist()
     result: dict[str, RankTable] = {}
     for country in countries:
         keep = lambda i: (
             g.is_as(i)
-            and g.as_nodes[i].asn not in banned
-            and g.as_nodes[i].info_type in types
-            and assignment.assignments.get(g.as_nodes[i].asn) == country
+            and asns[i] not in banned
+            and g.as_type[i] in types
+            and assignment.assignments.get(asns[i]) == country
         )
         table = rank_table(pr, g.labels, g.kinds, g.names, keep=keep)
         result[country] = RankTable(entries=table.top(top_n))

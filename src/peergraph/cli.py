@@ -263,8 +263,8 @@ def cmd_classify(args, argv) -> int:
     g = load_graph(args.graph)
     assignment = classify_countries(g, rule=args.rule)
     rows = [["asn", "name", "country"]]
-    for rec in g.as_nodes:
-        rows.append([rec.asn, rec.name, assignment.assignments[rec.asn]])
+    for asn, name in zip(g.asn.tolist(), g.as_name):
+        rows.append([asn, name, assignment.assignments[asn]])
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     outputs = [out]

@@ -272,11 +272,11 @@ def cluster_profiles(partition: Partition, g: PeeringGraph) -> tuple[ClusterProf
         if g.is_as(i):
             as_count[c] += 1
             continue
-        rec = g.ixp_nodes[i - g.n_as]
+        country = g.ixp_country[i - g.n_as]
         ixp_count[c] += 1
         capacity[c] += float(metrics.port_capacity[i])
-        if rec.country:
-            countries[c][rec.country] += 1
+        if country:
+            countries[c][country] += 1
 
     profiles = []
     for c in range(partition.n_communities):

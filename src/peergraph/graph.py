@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateTailError, EmptyGraphError
 from .ingest import IxpRecord, NetworkRecord, RawSnapshot, TrafficClass
@@ -69,22 +68,34 @@ class PeeringGraph:
     (ascending exchange id); the ordering is part of the output contract
     for every matrix and rank table derived from the graph.
 
+    Nodes are stored as columns in that order: the read-only int64 arrays
+    ``asn`` and ``ixp_id``, the read-only int8 array ``as_class`` (each
+    AS's traffic-class code, its position in :data:`CLASSES`), and tuples
+    of strings ``as_name``, ``as_scope``, ``as_type``, ``ixp_name`` and
+    ``ixp_country``.  ``as_nodes`` and ``ixp_nodes`` are record views of
+    those columns, built on first use.
+
     The four edge columns are read-only arrays of equal length, one entry
     per aggregated (AS, IXP) edge, sorted by (asn, ixp_id):
 
     - ``edge_as``: node index of the AS (``0 <= i < n_as``);
     - ``edge_ixp``: node index of the IXP (``n_as <= i < n_nodes``);
     - ``port_size``: aggregated port size, finite and positive;
-    - ``edge_class``: traffic-class code of the AS, its position in
-      :data:`CLASSES`.
+    - ``edge_class``: traffic-class code of the AS.
 
     ``W`` is :meth:`weights` at the graph's own ``beta``.
     """
 
     date: Date | None
     beta: BetaParams
-    as_nodes: tuple[NetworkRecord, ...]
-    ixp_nodes: tuple[IxpRecord, ...]
+    asn: np.ndarray
+    as_class: np.ndarray
+    as_name: tuple[str, ...]
+    as_scope: tuple[str, ...]
+    as_type: tuple[str, ...]
+    ixp_id: np.ndarray
+    ixp_name: tuple[str, ...]
+    ixp_country: tuple[str, ...]
     edge_as: np.ndarray
     edge_ixp: np.ndarray
     port_size: np.ndarray
@@ -92,11 +103,11 @@ class PeeringGraph:
 
     @property
     def n_as(self) -> int:
-        return len(self.as_nodes)
+        return self.asn.shape[0]
 
     @property
     def n_ixp(self) -> int:
-        return len(self.ixp_nodes)
+        return self.ixp_id.shape[0]
 
     @property
     def n_nodes(self) -> int:
@@ -107,12 +118,23 @@ class PeeringGraph:
         return self.port_size.shape[0]
 
     @cached_property
+    def as_nodes(self) -> tuple[NetworkRecord, ...]:
+        return tuple(map(
+            NetworkRecord, self.asn.tolist(), self.as_name,
+            [CLASSES[c] for c in self.as_class.tolist()], self.as_scope, self.as_type,
+        ))
+
+    @cached_property
+    def ixp_nodes(self) -> tuple[IxpRecord, ...]:
+        return tuple(map(IxpRecord, self.ixp_id.tolist(), self.ixp_name, self.ixp_country))
+
+    @cached_property
     def _as_pos(self) -> dict[int, int]:
-        return {rec.asn: i for i, rec in enumerate(self.as_nodes)}
+        return dict(zip(self.asn.tolist(), range(self.n_as)))
 
     @cached_property
     def _ixp_pos(self) -> dict[int, int]:
-        return {rec.ixp_id: i for i, rec in enumerate(self.ixp_nodes)}
+        return dict(zip(self.ixp_id.tolist(), range(self.n_ixp)))
 
     def as_index(self, asn: int) -> int:
         return self._as_pos[asn]
@@ -125,8 +147,8 @@ class PeeringGraph:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        return tuple(f"AS{r.asn}" for r in self.as_nodes) + tuple(
-            f"IX{r.ixp_id}" for r in self.ixp_nodes
+        return tuple(
+            [f"AS{a}" for a in self.asn.tolist()] + [f"IX{x}" for x in self.ixp_id.tolist()]
         )
 
     @cached_property
@@ -135,21 +157,19 @@ class PeeringGraph:
 
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.as_nodes) + tuple(r.name for r in self.ixp_nodes)
+        return self.as_name + self.ixp_name
 
     def is_as(self, index: int) -> bool:
         return index < self.n_as
 
+    def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (asn, ixp_id) of each edge, in edge order."""
+        return self.asn[self.edge_as], self.ixp_id[self.edge_ixp - self.n_as]
+
     def edge_list(self) -> list[tuple[int, int, float]]:
         """The aggregated edges as (asn, ixp_id, port size), sorted."""
-        asns = [r.asn for r in self.as_nodes]
-        ixp_ids = [r.ixp_id for r in self.ixp_nodes]
-        return [
-            (asns[a], ixp_ids[x - self.n_as], ps)
-            for a, x, ps in zip(
-                self.edge_as.tolist(), self.edge_ixp.tolist(), self.port_size.tolist()
-            )
-        ]
+        asn, ixp_id = self.edge_ids()
+        return list(zip(asn.tolist(), ixp_id.tolist(), self.port_size.tolist()))
 
     def weights(self, beta: BetaParams) -> sparse.csr_matrix:
         """Directed weight matrix of this graph's edges under ``beta``.
@@ -192,63 +212,102 @@ def _positions(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pos, found
 
 
+def _sorted_nodes(kind: str, ids: Sequence[int], *columns: Sequence) -> tuple:
+    """``ids`` as a sorted int64 array, each column as a tuple in that order.
+
+    Raises ``ValueError`` naming the first id that is listed twice.
+    """
+    ids = np.array(ids, dtype=np.int64)
+    if np.any(ids[1:] < ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        columns = tuple([col[i] for i in order.tolist()] for col in columns)
+    twice = ids[1:][ids[1:] == ids[:-1]]
+    if twice.size:
+        raise ValueError(f"{kind} {twice[0]} is listed twice")
+    return (_frozen(ids), *map(tuple, columns))
+
+
+def _record_columns(
+    as_records: Sequence[NetworkRecord], ixp_records: Sequence[IxpRecord]
+) -> tuple[tuple[list, ...], tuple[list, ...]]:
+    """The node columns of records, in the form :func:`_assemble` takes."""
+    as_columns = (
+        [r.asn for r in as_records],
+        [_CODE[r.info_ratio] for r in as_records],
+        [r.name for r in as_records],
+        [r.info_scope for r in as_records],
+        [r.info_type for r in as_records],
+    )
+    ixp_columns = (
+        [r.ixp_id for r in ixp_records],
+        [r.name for r in ixp_records],
+        [r.country for r in ixp_records],
+    )
+    return as_columns, ixp_columns
+
+
 def _assemble(
-    as_records: Sequence[NetworkRecord],
-    ixp_records: Sequence[IxpRecord],
-    asn: np.ndarray,
-    ixp_id: np.ndarray,
-    port_size: np.ndarray,
+    as_columns: Sequence[Sequence],
+    ixp_columns: Sequence[Sequence],
+    edge_asn: Sequence[int],
+    edge_ixp_id: Sequence[int],
+    port_size: Sequence[float],
     beta: BetaParams,
     date: Date | None,
 ) -> PeeringGraph:
-    """Canonical graph from node records and edge columns keyed by node id.
+    """Canonical graph from node columns and edge columns keyed by node id.
 
-    Nodes are sorted by id and edges by (asn, ixp_id).  Raises
+    ``as_columns`` is (asn, traffic-class code, name, scope, type) and
+    ``ixp_columns`` is (ixp_id, name, country), one entry per node in any
+    order.  Nodes are sorted by id and edges by (asn, ixp_id).  Raises
     ``ValueError`` naming the record when a node id is listed twice, an
     edge names an unlisted node or appears twice, or a port size is not
     finite and positive.
     """
-    as_nodes = tuple(sorted(as_records, key=lambda r: r.asn))
-    ixp_nodes = tuple(sorted(ixp_records, key=lambda r: r.ixp_id))
-    as_ids = np.array([r.asn for r in as_nodes], dtype=np.int64)
-    ixp_ids = np.array([r.ixp_id for r in ixp_nodes], dtype=np.int64)
-    for kind, ids in (("AS", as_ids), ("IXP", ixp_ids)):
-        twice = ids[1:][ids[1:] == ids[:-1]]
-        if twice.size:
-            raise ValueError(f"{kind} {twice[0]} is listed twice")
+    asn, as_class, as_name, as_scope, as_type = _sorted_nodes("AS", *as_columns)
+    ixp_id, ixp_name, ixp_country = _sorted_nodes("IXP", *ixp_columns)
+    as_class = _frozen(np.array(as_class, dtype=np.int8))
 
-    asn = np.asarray(asn, dtype=np.int64)
-    ixp_id = np.asarray(ixp_id, dtype=np.int64)
+    edge_asn = np.asarray(edge_asn, dtype=np.int64)
+    edge_ixp_id = np.asarray(edge_ixp_id, dtype=np.int64)
     port_size = np.asarray(port_size, dtype=np.float64)
     bad = ~(np.isfinite(port_size) & (port_size > 0.0))
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         raise ValueError(
-            f"edge AS{asn[k]}-IX{ixp_id[k]} has port size {port_size[k]!r}; "
+            f"edge AS{edge_asn[k]}-IX{edge_ixp_id[k]} has port size {port_size[k]!r}; "
             "port sizes must be finite and positive"
         )
-    a, as_listed = _positions(as_ids, asn)
-    x, ixp_listed = _positions(ixp_ids, ixp_id)
+    a, as_listed = _positions(asn, edge_asn)
+    x, ixp_listed = _positions(ixp_id, edge_ixp_id)
     unlisted = ~(as_listed & ixp_listed)
     if unlisted.any():
         k = int(np.flatnonzero(unlisted)[0])
-        raise ValueError(f"edge AS{asn[k]}-IX{ixp_id[k]} names a node that is not listed")
+        raise ValueError(
+            f"edge AS{edge_asn[k]}-IX{edge_ixp_id[k]} names a node that is not listed"
+        )
 
     order = np.lexsort((x, a))
     a, x = a[order], x[order]
     repeated = (a[1:] == a[:-1]) & (x[1:] == x[:-1])
     if repeated.any():
         k = int(np.flatnonzero(repeated)[0])
-        raise ValueError(f"edge AS{as_ids[a[k]]}-IX{ixp_ids[x[k]]} is listed twice")
+        raise ValueError(f"edge AS{asn[a[k]]}-IX{ixp_id[x[k]]} is listed twice")
 
-    as_class = np.array([_CODE[r.info_ratio] for r in as_nodes], dtype=np.int8)
     return PeeringGraph(
         date=date,
         beta=beta,
-        as_nodes=as_nodes,
-        ixp_nodes=ixp_nodes,
+        asn=asn,
+        as_class=as_class,
+        as_name=as_name,
+        as_scope=as_scope,
+        as_type=as_type,
+        ixp_id=ixp_id,
+        ixp_name=ixp_name,
+        ixp_country=ixp_country,
         edge_as=_frozen(a),
-        edge_ixp=_frozen(len(as_nodes) + x),
+        edge_ixp=_frozen(asn.size + x),
         port_size=_frozen(port_size[order]),
         edge_class=_frozen(as_class[a]),
     )
@@ -295,7 +354,9 @@ def build_graph(
 
     as_records = [snapshot.network_by_asn[a] for a in np.unique(asn).tolist()]
     ixp_records = [snapshot.ixp_by_id[x] for x in np.unique(ixp_id).tolist()]
-    return _assemble(as_records, ixp_records, asn, ixp_id, size, beta, snapshot.date)
+    return _assemble(
+        *_record_columns(as_records, ixp_records), asn, ixp_id, size, beta, snapshot.date
+    )
 
 
 @dataclass(frozen=True)
@@ -315,12 +376,14 @@ class NodeMetrics:
 
 def node_metrics(g: PeeringGraph) -> NodeMetrics:
     n = g.n_nodes
-    w_in = np.asarray(g.W.sum(axis=1)).ravel()
-    w_out = np.asarray(g.W.sum(axis=0)).ravel()
+    w_in = np.asarray(g.W.sum(axis=1), dtype=np.float64).ravel()
+    w_out = np.asarray(g.W.sum(axis=0), dtype=np.float64).ravel()
     degree = np.bincount(g.edge_as, minlength=n) + np.bincount(g.edge_ixp, minlength=n)
     capacity = np.bincount(g.edge_as, weights=g.port_size, minlength=n) + np.bincount(
         g.edge_ixp, weights=g.port_size, minlength=n
     )
+    # bincount gives integers when there are no weights (an edgeless graph)
+    capacity = capacity.astype(np.float64, copy=False)
     return NodeMetrics(w_in=w_in, w_out=w_out, degree=degree, port_capacity=capacity)
 
 
@@ -467,6 +530,10 @@ def fit_power_law(samples: Sequence[float], xmin: int | None = None) -> PowerLaw
 
 def largest_component_fraction(g: PeeringGraph) -> float:
     """Fraction of nodes in the largest connected component (undirected sense)."""
+    # Imported here: no CLI command calls this, and csgraph pulls in
+    # scipy.sparse.linalg.
+    from scipy.sparse.csgraph import connected_components
+
     _, assignment = connected_components(g.W, directed=False)
     counts = np.bincount(assignment)
     return float(counts.max()) / g.n_nodes

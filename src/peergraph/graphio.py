@@ -13,6 +13,7 @@ import math
 import os
 import tempfile
 from datetime import date as Date
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import SnapshotFormatError
-from .graph import BetaParams, PeeringGraph, _assemble, node_metrics
-from .ingest import IxpRecord, NetworkRecord, TrafficClass
+from .graph import CLASSES, BetaParams, PeeringGraph, _assemble, node_metrics
+from .ingest import _is_utf8
 from .spectral import ChangeMatrix, RankTable, ReducedGoogleMatrix
 
 GRAPH_FORMAT = "peergraph-graph"
@@ -29,13 +30,18 @@ GRAPH_FORMAT_VERSION = 1
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write text to ``path`` via a temp file in the same directory."""
+    """Write text to ``path`` as UTF-8 via a temp file in the same directory."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Write bytes to ``path`` via a temp file in the same directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,34 +50,120 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+# Records of the graph file as json.dumps(payload, sort_keys=True, indent=1)
+# lays them out; strings are escaped by json's own ASCII encoder.
+_AS_NODE = (
+    '  {{\n   "asn": {},\n   "info_ratio": {},\n   "info_scope": {},\n'
+    '   "info_type": {},\n   "name": {}\n  }}'
+)
+_IXP_NODE = '  {{\n   "country": {},\n   "id": {},\n   "name": {}\n  }}'
+_EDGE = "  [\n   {},\n   {},\n   {}\n  ]"
+_CLASS_JSON = [_json_string(tc.value) for tc in CLASSES]
+
+
+def _json_list(key: str, items: list[str]) -> str:
+    if not items:
+        return f' "{key}": []'
+    return f' "{key}": [\n' + ",\n".join(items) + "\n ]"
+
+
 def save_graph(g: PeeringGraph, path: str | Path) -> Path:
     """Serialize a graph to the native JSON format.
 
     The file stores the aggregated edge list (asn, ixp_id, port size), the
     node metadata tables and the beta coefficients; the weight matrix is
-    rebuilt exactly on load.
+    rebuilt exactly on load.  The text is what ``json.dumps(payload,
+    sort_keys=True, indent=1)`` gives, built from the graph's columns.
     """
-    payload = {
-        "format": GRAPH_FORMAT,
-        "version": GRAPH_FORMAT_VERSION,
-        "date": g.date.isoformat() if g.date else None,
-        "beta": {"balanced": g.beta.balanced, "mostly": g.beta.mostly, "heavy": g.beta.heavy},
-        "as_nodes": [
-            {
-                "asn": r.asn,
-                "name": r.name,
-                "info_ratio": r.info_ratio.value,
-                "info_scope": r.info_scope,
-                "info_type": r.info_type,
-            }
-            for r in g.as_nodes
-        ],
-        "ixp_nodes": [
-            {"id": r.ixp_id, "name": r.name, "country": r.country} for r in g.ixp_nodes
-        ],
-        "edges": [list(edge) for edge in g.edge_list()],
-    }
-    return atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    as_nodes = list(map(
+        _AS_NODE.format,
+        g.asn.tolist(),
+        [_CLASS_JSON[c] for c in g.as_class.tolist()],
+        map(_json_string, g.as_scope),
+        map(_json_string, g.as_type),
+        map(_json_string, g.as_name),
+    ))
+    ixp_nodes = list(map(
+        _IXP_NODE.format,
+        map(_json_string, g.ixp_country),
+        g.ixp_id.tolist(),
+        map(_json_string, g.ixp_name),
+    ))
+    asn, ixp_id = g.edge_ids()
+    edges = list(map(_EDGE.format, asn.tolist(), ixp_id.tolist(), g.port_size.tolist()))
+    beta = {"balanced": g.beta.balanced, "heavy": g.beta.heavy, "mostly": g.beta.mostly}
+    fields = [
+        _json_list("as_nodes", as_nodes),
+        ' "beta": {\n'
+        + ",\n".join(f'  "{key}": {json.dumps(value)}' for key, value in beta.items())
+        + "\n }",
+        f' "date": {json.dumps(g.date.isoformat() if g.date else None)}',
+        _json_list("edges", edges),
+        f' "format": {json.dumps(GRAPH_FORMAT)}',
+        _json_list("ixp_nodes", ixp_nodes),
+        f' "version": {json.dumps(GRAPH_FORMAT_VERSION)}',
+    ]
+    return atomic_write_text(path, "{\n" + ",\n".join(fields) + "\n}\n")
+
+
+# Node fields of the graph file, in the column order _assemble takes, with
+# their JSON types.
+_NODE_FIELDS = {
+    "as_nodes": (
+        ("asn", int), ("info_ratio", str), ("name", str), ("info_scope", str),
+        ("info_type", str),
+    ),
+    "ixp_nodes": (("id", int), ("name", str), ("country", str)),
+}
+_CLASS_CODE = {tc.value: code for code, tc in enumerate(CLASSES)}
+
+
+def _node_columns(path, key: str, records) -> list[list]:
+    """One list per field of the node records in ``key``.
+
+    Every record must be an object holding each field of
+    :data:`_NODE_FIELDS` with its JSON type (an id is an integer, not a
+    boolean), with text that encodes to UTF-8; ``info_ratio`` becomes a
+    traffic-class code.
+    """
+    if not isinstance(records, list):
+        raise SnapshotFormatError(f"{path}: {key} must be a list")
+    fields = _NODE_FIELDS[key]
+    try:
+        columns = [[r[name] for r in records] for name, _ in fields]
+        typed = all(set(map(type, col)) <= {kind} for col, (_, kind) in zip(columns, fields))
+        if typed and all(_is_utf8("".join(col)) for col, (_, kind) in zip(columns, fields)
+                         if kind is str):
+            if key == "as_nodes":
+                columns[1] = [_CLASS_CODE[t] for t in columns[1]]
+            return columns
+    except (KeyError, TypeError):
+        pass
+    raise _node_error(path, key, records)
+
+
+def _node_error(path, key: str, records: list) -> SnapshotFormatError:
+    """The error naming the first record of ``key`` that is not a valid node."""
+    for i, r in enumerate(records):
+        where = f"{path}: {key}[{i}]"
+        if not isinstance(r, dict):
+            return SnapshotFormatError(f"{where}: not an object")
+        for name, kind in _NODE_FIELDS[key]:
+            if name not in r:
+                return SnapshotFormatError(f"{where}: missing key {name!r}")
+            value = r[name]
+            if type(value) is not kind:
+                what = "an integer" if kind is int else "a string"
+                return SnapshotFormatError(f"{where}: {name} {value!r} is not {what}")
+            if kind is str and not _is_utf8(value):
+                return SnapshotFormatError(
+                    f"{where}: {name} {value!r} holds a lone surrogate"
+                )
+            if name == "info_ratio" and value not in _CLASS_CODE:
+                return SnapshotFormatError(
+                    f"{where}: info_ratio {value!r} is not a traffic class"
+                )
+    return SnapshotFormatError(f"{path}: {key} is malformed")
 
 
 def load_graph(path: str | Path) -> PeeringGraph:
@@ -79,8 +171,9 @@ def load_graph(path: str | Path) -> PeeringGraph:
 
     Raises :class:`SnapshotFormatError` naming the file and the record when
     the file is not a graph of this format version, a key is missing, a
-    node id is listed twice, an edge names an unlisted node or is listed
-    twice, or a port size is not finite and positive.
+    node field has the wrong JSON type or holds a lone surrogate, a node
+    id is listed twice, an edge names an unlisted node or is listed twice,
+    or a port size is not finite and positive.
     """
     try:
         payload = json.loads(Path(path).read_bytes())
@@ -93,38 +186,21 @@ def load_graph(path: str | Path) -> PeeringGraph:
             f"{path}: format version {payload.get('version')!r} is not "
             f"{GRAPH_FORMAT_VERSION}"
         )
-    record = "the top level"
     try:
         beta = BetaParams(**payload["beta"])
-        as_records = []
-        for i, r in enumerate(payload["as_nodes"]):
-            record = f"as_nodes[{i}]"
-            as_records.append(
-                NetworkRecord(
-                    asn=int(r["asn"]),
-                    name=r["name"],
-                    info_ratio=TrafficClass(r["info_ratio"]),
-                    info_scope=r["info_scope"],
-                    info_type=r["info_type"],
-                )
-            )
-        ixp_records = []
-        for i, r in enumerate(payload["ixp_nodes"]):
-            record = f"ixp_nodes[{i}]"
-            ixp_records.append(
-                IxpRecord(ixp_id=int(r["id"]), name=r["name"], country=r["country"])
-            )
-        record = "the top level"
+        as_records, ixp_records = payload["as_nodes"], payload["ixp_nodes"]
         edges = payload["edges"]
         date = Date.fromisoformat(payload["date"]) if payload.get("date") else None
     except KeyError as exc:
-        raise SnapshotFormatError(f"{path}: {record}: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SnapshotFormatError(f"{path}: {record}: {exc}") from exc
+        raise SnapshotFormatError(f"{path}: the top level: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SnapshotFormatError(f"{path}: the top level: {exc}") from exc
 
+    as_columns = _node_columns(path, "as_nodes", as_records)
+    ixp_columns = _node_columns(path, "ixp_nodes", ixp_records)
     columns = _edge_columns(path, edges)
     try:
-        return _assemble(as_records, ixp_records, *columns, beta, date)
+        return _assemble(as_columns, ixp_columns, *columns, beta, date)
     except (ValueError, OverflowError) as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from exc
 
@@ -204,9 +280,8 @@ def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
     package version, so equal graphs give equal bytes.
     """
     labels = g.labels
-    countries = [""] * g.n_as + [r.country for r in g.ixp_nodes]
-    # float64 even for an edgeless graph, where bincount gives integers
-    capacity = node_metrics(g).port_capacity.astype(np.float64).tolist()
+    countries = ("",) * g.n_as + g.ixp_country
+    capacity = node_metrics(g).port_capacity.tolist()
     nodes = [
         f'      <node id="{label}" label="{(name or label).translate(_XML_ATTR)}">\n'
         "        <attvalues>\n"
@@ -247,36 +322,33 @@ def export_edgelist(g: PeeringGraph, path: str | Path) -> list[Path]:
     """Aggregated edge list plus the two node metadata tables.
 
     Writes ``<path>`` with rows (asn, ixp_id, ps, class) and two sibling
-    files ``<stem>_as_nodes.csv`` / ``<stem>_ixp_nodes.csv``.
+    files ``<stem>_as_nodes.csv`` / ``<stem>_ixp_nodes.csv``.  All three
+    are rendered and encoded before the first is written, so text that is
+    not UTF-8 leaves no partial export.
     """
     path = Path(path)
-    ratio = {r.asn: r.info_ratio for r in g.as_nodes}
-    metrics = node_metrics(g)
+    ratio = [tc.value for tc in CLASSES]
+    capacity = list(map(repr, node_metrics(g).port_capacity.tolist()))
+    asn, ixp_id = g.edge_ids()
 
-    edge_rows = [["asn", "ixp_id", "port_size", "traffic_class"]]
-    for asn, ixp_id, ps in g.edge_list():
-        edge_rows.append([asn, ixp_id, repr(ps), ratio[asn].value])
-
-    as_rows = [["asn", "name", "info_ratio", "info_scope", "info_type", "port_capacity"]]
-    for i, r in enumerate(g.as_nodes):
-        as_rows.append(
-            [r.asn, r.name, r.info_ratio.value, r.info_scope, r.info_type,
-             repr(float(metrics.port_capacity[i]))]
-        )
-    ixp_rows = [["ixp_id", "name", "country", "port_capacity"]]
-    for pos, r in enumerate(g.ixp_nodes):
-        ixp_rows.append(
-            [r.ixp_id, r.name, r.country, repr(float(metrics.port_capacity[g.n_as + pos]))]
-        )
-
-    written = [atomic_write_text(path, _csv_text(edge_rows))]
-    written.append(
-        atomic_write_text(path.with_name(path.stem + "_as_nodes.csv"), _csv_text(as_rows))
-    )
-    written.append(
-        atomic_write_text(path.with_name(path.stem + "_ixp_nodes.csv"), _csv_text(ixp_rows))
-    )
-    return written
+    edge_rows = [["asn", "ixp_id", "port_size", "traffic_class"], *zip(
+        asn.tolist(), ixp_id.tolist(), map(repr, g.port_size.tolist()),
+        [ratio[c] for c in g.edge_class.tolist()],
+    )]
+    as_rows = [["asn", "name", "info_ratio", "info_scope", "info_type", "port_capacity"], *zip(
+        g.asn.tolist(), g.as_name, [ratio[c] for c in g.as_class.tolist()],
+        g.as_scope, g.as_type, capacity[: g.n_as],
+    )]
+    ixp_rows = [["ixp_id", "name", "country", "port_capacity"], *zip(
+        g.ixp_id.tolist(), g.ixp_name, g.ixp_country, capacity[g.n_as :],
+    )]
+    tables = {
+        path: edge_rows,
+        path.with_name(path.stem + "_as_nodes.csv"): as_rows,
+        path.with_name(path.stem + "_ixp_nodes.csv"): ixp_rows,
+    }
+    data = {p: _csv_text(rows).encode("utf-8") for p, rows in tables.items()}
+    return [atomic_write_bytes(p, d) for p, d in data.items()]
 
 
 def export_weight_csv(g: PeeringGraph, path: str | Path) -> Path:

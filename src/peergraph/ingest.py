@@ -146,15 +146,28 @@ def _section(raw: Mapping, key: str) -> list:
     raise SnapshotFormatError(f"dump section '{key}' is neither an array nor an object with 'data'")
 
 
+def _is_utf8(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate, which UTF-8 cannot encode.
+
+    JSON can spell one (``"\\ud800"``), but no output file can hold it.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
     """Parse one dump file into a snapshot.
 
-    Field-level problems are non-fatal: malformed records (a membership
-    speed that is negative, NaN or infinite among them) are skipped and
-    counted, memberships whose AS or exchange is unknown are dropped and
-    counted.  A missing speed is kept as port size 0 (graph construction
-    discards zero-capacity memberships later).  Duplicated AS numbers or
-    exchange ids keep the last occurrence.
+    Field-level problems are non-fatal: malformed records (among them a
+    membership speed that is negative, NaN or infinite, and network or
+    exchange text holding a lone surrogate) are skipped and counted,
+    memberships whose AS or exchange is unknown are dropped and counted.
+    A missing speed is kept as port size 0 (graph construction discards
+    zero-capacity memberships later).  Duplicated AS numbers or exchange
+    ids keep the last occurrence.
     """
     try:
         raw = json.loads(Path(path).read_bytes())
@@ -177,6 +190,8 @@ def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
                 info_scope=str(rec.get("info_scope") or "Not Disclosed"),
                 info_type=str(rec.get("info_type") or "Not Disclosed"),
             )
+            if not _is_utf8(record.name + record.info_scope + record.info_type):
+                raise ValueError("text holds a lone surrogate")
         except (KeyError, TypeError, ValueError):
             invalid_networks += 1
             continue
@@ -196,6 +211,8 @@ def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
                 name=str(rec.get("name") or ""),
                 country=str(rec.get("country") or ""),
             )
+            if not _is_utf8(record.name + record.country):
+                raise ValueError("text holds a lone surrogate")
         except (KeyError, TypeError, ValueError):
             invalid_ixps += 1
             continue

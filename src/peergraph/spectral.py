@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import CensorError, ConvergenceError, SubsetMismatchError
 
@@ -280,6 +279,10 @@ def _solve_complement(
     """
     rows, cols = A_ss.nonzero()
     if np.any(on_x[rows] == on_x[cols]):
+        # Imported here: no bipartite graph takes this path, and
+        # scipy.sparse.linalg is the slowest import left in the package.
+        from scipy.sparse.linalg import splu
+
         M = sparse.identity(A_ss.shape[0], format="csc") - alpha * A_ss.tocsc()
         return splu(M).solve(rhs)
     x = np.flatnonzero(on_x)

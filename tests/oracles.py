@@ -6,10 +6,11 @@ matrix via explicit block inversion, an exact inverse-CDF sampler for the
 discrete power law and exhaustive set-partition search for modularity.
 None of it shares code with the package's computational paths.
 
-Three references are the package's earlier paths, kept to check the fast
+Four references are the package's earlier paths, kept to check the fast
 ones that replaced them: the per-edge weight-matrix loop, the beta sweep
-that rebuilds the graph and cold-starts PageRank at every point, and the
-GEXF export through a networkx ``DiGraph`` and ``nx.write_gexf``.
+that rebuilds the graph and cold-starts PageRank at every point, the GEXF
+export through a networkx ``DiGraph`` and ``nx.write_gexf``, and the graph
+file as ``json.dumps`` of a payload of node records.
 """
 from __future__ import annotations
 
@@ -244,3 +245,30 @@ def networkx_gexf(g) -> str:
     buffer = io.BytesIO()
     nx.write_gexf(graph, buffer)
     return buffer.getvalue().decode("utf-8")
+
+
+def json_graph_text(g) -> str:
+    """Graph-file text as ``json.dumps`` writes the payload of node records."""
+    import json
+
+    payload = {
+        "format": "peergraph-graph",
+        "version": 1,
+        "date": g.date.isoformat() if g.date else None,
+        "beta": {"balanced": g.beta.balanced, "mostly": g.beta.mostly, "heavy": g.beta.heavy},
+        "as_nodes": [
+            {
+                "asn": r.asn,
+                "name": r.name,
+                "info_ratio": r.info_ratio.value,
+                "info_scope": r.info_scope,
+                "info_type": r.info_type,
+            }
+            for r in g.as_nodes
+        ],
+        "ixp_nodes": [
+            {"id": r.ixp_id, "name": r.name, "country": r.country} for r in g.ixp_nodes
+        ],
+        "edges": [list(edge) for edge in g.edge_list()],
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -10,6 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -311,20 +314,58 @@ assert peergraph.cli.main([
 """
 
 
-def test_build_and_gexf_export_run_without_networkx(fixture_graph, tmp_path):
-    import os
-    import subprocess
-    import sys
-
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this package."""
     import peergraph
-    from peergraph.graphio import export_gexf
 
     path = [str(Path(peergraph.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run(
-        [sys.executable, "-c", WITHOUT_NETWORKX, str(FIXTURE_SNAPSHOT), str(tmp_path)],
-        env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
+
+
+def test_build_and_gexf_export_run_without_networkx(fixture_graph, tmp_path):
+    from peergraph.graphio import export_gexf
+
+    result = run_python(WITHOUT_NETWORKX, str(FIXTURE_SNAPSHOT), str(tmp_path))
     assert result.returncode == 0, result.stderr
     expected = export_gexf(fixture_graph, tmp_path / "in_process.gexf")
     assert (tmp_path / "graph.gexf").read_bytes() == expected.read_bytes()
+
+
+def test_cli_import_leaves_out_the_slow_scipy_modules():
+    # Only the non-bipartite complement solve, the component count and the
+    # power-law fit need these; no command on a PeeringDB graph does.
+    slow = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg", "scipy.optimize")
+    result = run_python(
+        "import sys, peergraph.cli\n"
+        f"print([m for m in {slow!r} if m in sys.modules])"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_lone_surrogate_name_is_an_invalid_network(tmp_path):
+    dump = json.loads(FIXTURE_SNAPSHOT.read_text())
+    dump["net"]["data"][1]["name"] = "\ud800bad"
+    snapshot = tmp_path / "dump.json"
+    snapshot.write_text(json.dumps(dump))
+
+    invalid = []
+    for source in (FIXTURE_SNAPSHOT, snapshot):
+        summary = tmp_path / f"{source.stem}.summary.json"
+        assert main([
+            "ingest", "--snapshot", str(source), "--date", DATE, "--out", str(summary),
+        ]) == 0
+        invalid.append(json.loads(summary.read_text())["report"]["invalid_networks"])
+    assert invalid[1] == invalid[0] + 1
+
+    graph = str(tmp_path / "graph.json")
+    assert main(["build", "--snapshot", str(snapshot), "--date", DATE, "--out", graph]) == 0
+    assert main(["classify", "--graph", graph, "--out", str(tmp_path / "c.csv")]) == 0
+    assert main([
+        "export", "--graph", graph, "--format", "edgelist", "--out", str(tmp_path / "e.csv"),
+    ]) == 0
+    for name in ("e.csv", "e_as_nodes.csv", "e_ixp_nodes.csv"):
+        assert (tmp_path / (name + ".manifest.json")).exists()

@@ -12,6 +12,7 @@ from peergraph.errors import DegenerateTailError, EmptyGraphError
 from peergraph.graph import (
     BetaParams,
     _assemble,
+    _record_columns,
     build_graph,
     degree_distribution,
     fit_breakpoint,
@@ -230,6 +231,15 @@ def test_every_node_has_a_neighbor(snap):
     assert (node_metrics(g).degree >= 1).all()
 
 
+def test_node_metrics_are_float_on_an_edgeless_graph():
+    g = single_edge(TC.HEAVY_OUTBOUND, 100.0)
+    edgeless = _assemble(*_record_columns(g.as_nodes, g.ixp_nodes), (), (), (), g.beta, g.date)
+    m = node_metrics(edgeless)
+    for values in (m.w_in, m.w_out, m.port_capacity):
+        assert values.dtype == np.float64
+        assert values.tolist() == [0.0, 0.0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(snapshots())
 def test_directional_metric_identities(snap):
@@ -279,8 +289,10 @@ def test_balance_isolated_ixp_reported_undefined():
     g = single_edge(TC.BALANCED, 10.0)
     asn, ixp_id, ps = zip(*g.edge_list())
     g2 = _assemble(
-        g.as_nodes,
-        list(g.ixp_nodes) + [IxpRecord(ixp_id=99, name="silent", country="US")],
+        *_record_columns(
+            g.as_nodes,
+            list(g.ixp_nodes) + [IxpRecord(ixp_id=99, name="silent", country="US")],
+        ),
         asn,
         ixp_id,
         ps,

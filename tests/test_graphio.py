@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peergraph.errors import SnapshotFormatError
-from peergraph.graph import BetaParams, _assemble, build_graph
+from peergraph.graph import BetaParams, _assemble, _record_columns, build_graph
 from peergraph.graphio import (
     export_edgelist,
     export_gexf,
@@ -36,7 +36,7 @@ from peergraph.spectral import (
 )
 
 from conftest import GOLDEN_DIR, edge_dict, make_snapshot, random_graph
-from oracles import networkx_gexf
+from oracles import json_graph_text, networkx_gexf
 
 TC = TrafficClass
 
@@ -119,6 +119,53 @@ def test_load_sorts_unsorted_records(fixture_graph, tmp_path):
     assert loaded.ixp_nodes == fixture_graph.ixp_nodes
     assert loaded.edge_list() == fixture_graph.edge_list()
     assert (loaded.W != fixture_graph.W).nnz == 0
+
+
+# Each case gives one node field of the saved fixture graph the wrong JSON
+# type or a lone surrogate; the message must name the record.
+NODE_DEFECTS = {
+    "fractional asn": (lambda p: p["as_nodes"][3].update(asn=64503.7), "as_nodes[3]"),
+    "string asn": (lambda p: p["as_nodes"][3].update(asn="64503"), "as_nodes[3]"),
+    "boolean asn": (lambda p: p["as_nodes"][3].update(asn=True), "as_nodes[3]"),
+    "fractional IXP id": (lambda p: p["ixp_nodes"][1].update(id=2.0), "ixp_nodes[1]"),
+    "numeric AS name": (lambda p: p["as_nodes"][2].update(name=7), "as_nodes[2]"),
+    "null scope": (lambda p: p["as_nodes"][2].update(info_scope=None), "as_nodes[2]"),
+    "numeric type": (lambda p: p["as_nodes"][5].update(info_type=1.5), "as_nodes[5]"),
+    "numeric IXP name": (lambda p: p["ixp_nodes"][0].update(name=3), "ixp_nodes[0]"),
+    "list country": (lambda p: p["ixp_nodes"][1].update(country=["DE"]), "ixp_nodes[1]"),
+    "lone surrogate in AS name": (
+        lambda p: p["as_nodes"][4].update(name="\ud800bad"), "as_nodes[4]"
+    ),
+    "lone surrogate in country": (
+        lambda p: p["ixp_nodes"][2].update(country="D\udc00"), "ixp_nodes[2]"
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(NODE_DEFECTS))
+def test_load_rejects_mistyped_node_field(fixture_graph, tmp_path, defect):
+    edit, fragment = NODE_DEFECTS[defect]
+    path = tmp_path / "graph.json"
+    save_graph(fixture_graph, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SnapshotFormatError) as info:
+        load_graph(path)
+    assert str(path) in str(info.value)
+    assert fragment in str(info.value)
+
+
+def test_edgelist_export_writes_nothing_for_text_utf8_cannot_hold(fixture_graph, tmp_path):
+    ixp_nodes = [replace(r, name="\ud800bad") if i == 2 else r
+                 for i, r in enumerate(fixture_graph.ixp_nodes)]
+    g = _assemble(
+        *_record_columns(fixture_graph.as_nodes, ixp_nodes),
+        *zip(*fixture_graph.edge_list()), fixture_graph.beta, fixture_graph.date,
+    )
+    with pytest.raises(UnicodeEncodeError):
+        export_edgelist(g, tmp_path / "e.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reduced_csv_round_trip(fixture_graph, tmp_path):
@@ -313,27 +360,41 @@ def _pick(values, i, default):
 # Names and countries drawn from the characters that need escaping, plus
 # non-ASCII text and a lone surrogate.
 AWKWARD_TEXT = st.text(st.sampled_from("&<>\"'\t\n\r aZ0éß中\U0001f600\ud800"), max_size=6)
+# The same for JSON: quotes, backslashes and control characters.
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\t\n aZ0é中\U0001f600\ud800'), max_size=6)
+# Text a graph file can hold: no lone surrogate.
+FILE_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\t\n aZ0é中\U0001f600'), max_size=6)
+BETAS = st.sampled_from([BetaParams(), BetaParams(balanced=1.0, mostly=1.0, heavy=1.0)])
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    beta=st.sampled_from([BetaParams(), BetaParams(balanced=1.0, mostly=1.0, heavy=1.0)]),
-    names=st.lists(AWKWARD_TEXT, max_size=40),
-    countries=st.lists(AWKWARD_TEXT, max_size=12),
-    date=st.one_of(st.none(), st.dates()),
-    edgeless=st.booleans(),
-)
-def test_gexf_matches_networkx_oracle(seed, beta, names, countries, date, edgeless):
+def relabelled_graph(seed, beta, names, countries, date, edgeless):
+    """A random graph whose node text is taken from ``names`` and ``countries``."""
     g = random_graph(np.random.default_rng(seed), max_as=30, max_ixp=12)
-    as_nodes = [replace(r, name=_pick(names, i, r.name)) for i, r in enumerate(g.as_nodes)]
+    as_nodes = [
+        replace(r, name=_pick(names, i, r.name), info_scope=_pick(names[1:], i, r.info_scope),
+                info_type=_pick(countries[1:], i, r.info_type))
+        for i, r in enumerate(g.as_nodes)
+    ]
     ixp_nodes = [
         replace(r, name=_pick(names[::-1], i, r.name), country=_pick(countries, i, r.country))
         for i, r in enumerate(g.ixp_nodes)
     ]
     edges = [] if edgeless else g.edge_list()
     asn, ixp_id, ps = zip(*edges) if edges else ((), (), ())
-    g = _assemble(as_nodes, ixp_nodes, asn, ixp_id, ps, beta, date)
+    return _assemble(*_record_columns(as_nodes, ixp_nodes), asn, ixp_id, ps, beta, date)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=BETAS,
+    names=st.lists(AWKWARD_TEXT, max_size=40),
+    countries=st.lists(AWKWARD_TEXT, max_size=12),
+    date=st.one_of(st.none(), st.dates()),
+    edgeless=st.booleans(),
+)
+def test_gexf_matches_networkx_oracle(seed, beta, names, countries, date, edgeless):
+    g = relabelled_graph(seed, beta, names, countries, date, edgeless)
     with tempfile.TemporaryDirectory() as tmp:
         text = export_gexf(g, Path(tmp) / "graph.gexf").read_bytes()
     expected = networkx_gexf(g).encode("utf-8")
@@ -342,3 +403,51 @@ def test_gexf_matches_networkx_oracle(seed, beta, names, countries, date, edgele
     assert f"  <meta{stamp}>\n    <creator>".encode() in text
     if edgeless:
         assert b"    <edges />\n" in text
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=BETAS,
+    names=st.lists(JSON_TEXT, max_size=40),
+    countries=st.lists(JSON_TEXT, max_size=12),
+    date=st.one_of(st.none(), st.dates()),
+    edgeless=st.booleans(),
+)
+def test_save_graph_matches_json_dumps(seed, beta, names, countries, date, edgeless):
+    g = relabelled_graph(seed, beta, names, countries, date, edgeless)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = save_graph(g, Path(tmp) / "graph.json").read_bytes()
+    assert text == json_graph_text(g).encode("ascii")
+
+
+NODE_COLUMNS = ("asn", "as_class", "as_name", "as_scope", "as_type",
+                "ixp_id", "ixp_name", "ixp_country")
+EDGE_COLUMNS = ("edge_as", "edge_ixp", "port_size", "edge_class")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=BETAS,
+    names=st.lists(FILE_TEXT, max_size=40),
+    countries=st.lists(FILE_TEXT, max_size=12),
+    date=st.one_of(st.none(), st.dates()),
+    edgeless=st.booleans(),
+)
+def test_graph_file_round_trip_keeps_every_column(seed, beta, names, countries, date, edgeless):
+    g = relabelled_graph(seed, beta, names, countries, date, edgeless)
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_graph(save_graph(g, Path(tmp) / "graph.json"))
+    for column in NODE_COLUMNS + EDGE_COLUMNS:
+        got, want = getattr(loaded, column), getattr(g, column)
+        assert type(got) is type(want), column
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), column
+            assert not got.flags.writeable, column
+        else:
+            assert got == want, column
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(loaded.W, part), getattr(g.W, part)), part
+    assert loaded.as_nodes == g.as_nodes and loaded.ixp_nodes == g.ixp_nodes
+    assert loaded.beta == g.beta and loaded.date == g.date
