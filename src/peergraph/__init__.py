@@ -25,16 +25,10 @@ from .clustering import (
 from .graph import (
     BetaParams,
     BreakpointFit,
-    IxpBalance,
     NodeMetrics,
     PeeringGraph,
-    PowerLawFit,
     build_graph,
-    degree_distribution,
     fit_breakpoint,
-    fit_power_law,
-    ixp_balance,
-    largest_component_fraction,
     node_metrics,
 )
 from .ingest import (

@@ -19,7 +19,6 @@ from .ingest import GroundTruth, RawSnapshot, TrafficClass
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_TOL,
-    PageRankVector,
     RankTable,
     google_matrix,
     pagerank,
@@ -35,6 +34,8 @@ TYPE_NSP = "NSP"
 TYPE_CONTENT = "Content"
 TYPE_NOT_DISCLOSED = "Not Disclosed"
 DEFAULT_RECEIVER_TYPES = frozenset({TYPE_ISP, TYPE_NOT_DISCLOSED})
+RECEIVERS_PER_COUNTRY = 4
+PROBES_PER_CLASS = 4
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,13 @@ def top_hypergiants(
     k: int = 20,
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
-    reverse_pr: PageRankVector | None = None,
 ) -> RankTable:
     """Top-k ASes by reverse PageRank (IXPs excluded, ranks re-numbered)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > g.n_as:
         raise ValueError(f"k={k} exceeds the number of AS nodes ({g.n_as})")
-    pr = reverse_pr or pagerank(google_matrix(g, alpha, "reverse"), tol=tol)
+    pr = pagerank(google_matrix(g, alpha, "reverse"), tol=tol)
     table = rank_table(pr, g.labels, g.kinds, g.names, keep=g.is_as)
     return RankTable(entries=table.top(k))
 
@@ -159,18 +159,17 @@ def traffic_receivers(
     hypergiant_asns: Iterable[int],
     exclusions: Iterable[int] = (),
     types: frozenset[str] | set[str] = DEFAULT_RECEIVER_TYPES,
-    top_n: int = 4,
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
-    forward_pr: PageRankVector | None = None,
 ) -> dict[str, RankTable]:
     """Top traffic-receiving access networks per country by forward PageRank.
 
     Candidates are the ASes assigned to the country whose business type is
     in ``types``; hypergiants and the manual exclusion list never qualify.
-    Countries without a qualifying AS map to an empty table.
+    Each table keeps the top :data:`RECEIVERS_PER_COUNTRY`; countries
+    without a qualifying AS map to an empty table.
     """
-    pr = forward_pr or pagerank(google_matrix(g, alpha, "forward"), tol=tol)
+    pr = pagerank(google_matrix(g, alpha, "forward"), tol=tol)
     banned = set(hypergiant_asns) | set(exclusions)
     asns = g.asn.tolist()
     result: dict[str, RankTable] = {}
@@ -182,7 +181,7 @@ def traffic_receivers(
             and assignment.assignments.get(asns[i]) == country
         )
         table = rank_table(pr, g.labels, g.kinds, g.names, keep=keep)
-        result[country] = RankTable(entries=table.top(top_n))
+        result[country] = RankTable(entries=table.top(RECEIVERS_PER_COUNTRY))
     return result
 
 
@@ -254,15 +253,15 @@ class StabilityReport:
     beta_default: BetaParams
 
 
-def default_probes(g: PeeringGraph, per_class: int = 4) -> tuple[int, ...]:
-    """The best-provisioned ASes per traffic class (by port capacity)."""
+def default_probes(g: PeeringGraph) -> tuple[int, ...]:
+    """The :data:`PROBES_PER_CLASS` best-provisioned ASes of each traffic class."""
     metrics = node_metrics(g)
     by_class: dict[TrafficClass, list[tuple[float, int]]] = {tc: [] for tc in TrafficClass}
     for i, rec in enumerate(g.as_nodes):
         by_class[rec.info_ratio].append((-metrics.port_capacity[i], rec.asn))
     probes: list[int] = []
     for tc in TrafficClass:
-        for _, asn in sorted(by_class[tc])[:per_class]:
+        for _, asn in sorted(by_class[tc])[:PROBES_PER_CLASS]:
             probes.append(asn)
     return tuple(probes)
 

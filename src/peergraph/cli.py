@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    DEFAULT_RECEIVER_TYPES,
     TYPE_ISP,
     TYPE_NOT_DISCLOSED,
     TYPE_NSP,
@@ -27,12 +26,11 @@ from .analysis import (
     classification_metrics,
     classify_countries,
     eums_coverage,
-    info_ratio_summary,
     top_hypergiants,
     traffic_receivers,
 )
 from .clustering import cluster_profiles, louvain_bipartite, symmetrize
-from .errors import PeergraphError
+from .errors import PeergraphError, SnapshotFormatError
 from .graph import BetaParams, build_graph, fit_breakpoint
 from .graphio import (
     atomic_write_text,
@@ -102,10 +100,14 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
 
 def _read_asn_list(path: str) -> list[int]:
     asns = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         token = line.split("#", 1)[0].strip()
         if token:
-            asns.append(int(token.upper().removeprefix("AS")))
+            try:
+                asns.append(int(token.upper().removeprefix("AS")))
+            except ValueError as exc:
+                message = f"{path}: line {n}: {token!r} is not an AS number"
+                raise SnapshotFormatError(message) from exc
     return asns
 
 
@@ -247,7 +249,7 @@ def cmd_diff(args, argv) -> int:
     cap = tuple(args.cap) if args.cap else None
     change = relative_change(earlier, later, cap=cap)
     out = _resolve_out(args.out)
-    write_change_csv(change, out, capped=cap is not None)
+    write_change_csv(change, out)
     undefined = int(change.undefined.sum())
     print(f"diffed {len(change.labels)}x{len(change.labels)} cells ({undefined} undefined) -> {out}")
     _write_manifests(

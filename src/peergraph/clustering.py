@@ -186,7 +186,6 @@ def louvain_bipartite(
     sym: SymmetrizedGraph,
     seed: int = 0,
     shuffle: bool = False,
-    max_levels: int | None = None,
 ) -> Partition:
     """Greedy Louvain with bipartite modularity.
 
@@ -209,9 +208,7 @@ def louvain_bipartite(
     history: list[float] = []
     final = node_of.copy()
     init_comm = np.arange(A.shape[0])
-    level = 0
     while True:
-        level += 1
         k = np.asarray(A.sum(axis=1)).ravel()
         order = list(range(A.shape[0]))
         if shuffle:
@@ -226,7 +223,7 @@ def louvain_bipartite(
 
         final = comm[node_of]
         history.append(modularity(sym, final))
-        if not moved or (max_levels is not None and level >= max_levels):
+        if not moved:
             break
         A, side, node_map, init_comm = _aggregate(A, side, comm)
         node_of = node_map[node_of]

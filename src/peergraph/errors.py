@@ -28,6 +28,3 @@ class CensorError(PeergraphError):
 class SubsetMismatchError(PeergraphError):
     """Two reduced matrices do not share the same node subset/ordering."""
 
-
-class DegenerateTailError(PeergraphError):
-    """Sample tail is too small or too uniform for a distribution fit."""

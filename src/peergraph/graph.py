@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateTailError, EmptyGraphError
+from .errors import EmptyGraphError
 from .ingest import IxpRecord, NetworkRecord, RawSnapshot, TrafficClass
 
 # Traffic-class code of an edge: the class's position in this tuple.
@@ -385,158 +385,6 @@ def node_metrics(g: PeeringGraph) -> NodeMetrics:
     # bincount gives integers when there are no weights (an edgeless graph)
     capacity = capacity.astype(np.float64, copy=False)
     return NodeMetrics(w_in=w_in, w_out=w_out, degree=degree, port_capacity=capacity)
-
-
-@dataclass(frozen=True)
-class IxpBalance:
-    """Normalized traffic balance per IXP: (w_out - w_in) / (w_out + w_in).
-
-    Values lie in [-1, 1]; 0 means a perfectly balanced exchange.  IXPs
-    whose total weight is zero are reported separately as undefined and
-    excluded from the summary statistics.
-    """
-
-    balance: dict[int, float]  # ixp_id -> B
-    undefined: tuple[int, ...]
-    mean: float
-    std: float
-    quartiles: tuple[float, float, float]
-
-
-def ixp_balance(g: PeeringGraph) -> IxpBalance:
-    metrics = node_metrics(g)
-    values: dict[int, float] = {}
-    undefined: list[int] = []
-    for pos, rec in enumerate(g.ixp_nodes):
-        i = g.n_as + pos
-        total = metrics.w_in[i] + metrics.w_out[i]
-        if total <= 0.0:
-            undefined.append(rec.ixp_id)
-            continue
-        values[rec.ixp_id] = (metrics.w_out[i] - metrics.w_in[i]) / total
-    arr = np.array(list(values.values()), dtype=np.float64)
-    if arr.size:
-        q1, q2, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-        mean, std = float(arr.mean()), float(arr.std())
-    else:
-        q1 = q2 = q3 = mean = std = float("nan")
-    return IxpBalance(
-        balance=values,
-        undefined=tuple(undefined),
-        mean=mean,
-        std=std,
-        quartiles=(float(q1), float(q2), float(q3)),
-    )
-
-
-def degree_distribution(g: PeeringGraph, side: str = "as") -> dict[int, float]:
-    """Empirical distribution of the undirected node degree on one side.
-
-    ``side`` is "as" or "ixp".  The returned histogram sums to 1.
-    """
-    metrics = node_metrics(g)
-    if side == "as":
-        degrees = metrics.degree[: g.n_as]
-    elif side == "ixp":
-        degrees = metrics.degree[g.n_as :]
-    else:
-        raise ValueError("side must be 'as' or 'ixp'")
-    if degrees.size == 0:
-        raise ValueError(f"graph has no {side} nodes")
-    values, counts = np.unique(degrees, return_counts=True)
-    total = counts.sum()
-    return {int(v): float(c) / total for v, c in zip(values, counts)}
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    gamma: float
-    xmin: int
-    n_tail: int
-    ks_distance: float
-
-
-def _gamma_mle(tail: np.ndarray, xmin: int) -> float:
-    # Imported here, not at module level: no CLI command fits a power law,
-    # and scipy.optimize is the slowest import of the package.
-    from scipy.optimize import minimize_scalar
-    from scipy.special import zeta
-
-    # Discrete maximum likelihood: maximize -gamma*sum(log x) - n*log(zeta(gamma, xmin)).
-    log_sum = float(np.log(tail).sum())
-    n = tail.size
-
-    def negative_loglik(gamma: float) -> float:
-        return gamma * log_sum + n * float(np.log(zeta(gamma, xmin)))
-
-    result = minimize_scalar(
-        negative_loglik, bounds=(1.0 + 1e-6, 25.0), method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(result.x)
-
-
-def _ks_distance(tail: np.ndarray, gamma: float, xmin: int) -> float:
-    from scipy.special import zeta
-
-    # Compare empirical and fitted CDFs at the observed tail values.
-    xs = np.unique(tail)
-    ecdf = np.searchsorted(np.sort(tail), xs, side="right") / tail.size
-    fitted = 1.0 - zeta(gamma, xs + 1) / zeta(gamma, xmin)
-    return float(np.max(np.abs(ecdf - fitted)))
-
-
-def fit_power_law(samples: Sequence[float], xmin: int | None = None) -> PowerLawFit:
-    """Fit a discrete power-law exponent by maximum likelihood.
-
-    When ``xmin`` is not given it is selected among the observed values by
-    minimizing the Kolmogorov-Smirnov distance between the sample tail and
-    the fitted distribution.  At least 10 samples must lie in the tail and
-    the tail must contain more than one distinct value.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise DegenerateTailError("no samples")
-    if np.any(arr < 1) or np.any(arr != np.floor(arr)):
-        raise ValueError("samples must be integers >= 1")
-    arr = arr.astype(np.int64)
-
-    def fit_at(candidate: int) -> PowerLawFit | None:
-        tail = arr[arr >= candidate]
-        if tail.size < 10 or np.unique(tail).size < 2:
-            return None
-        gamma = _gamma_mle(tail, candidate)
-        return PowerLawFit(
-            gamma=gamma,
-            xmin=candidate,
-            n_tail=int(tail.size),
-            ks_distance=_ks_distance(tail, gamma, candidate),
-        )
-
-    if xmin is not None:
-        fit = fit_at(int(xmin))
-        if fit is None:
-            raise DegenerateTailError(
-                f"tail above xmin={xmin} needs >= 10 samples and >= 2 distinct values"
-            )
-        return fit
-
-    candidates = np.unique(arr)[:-1]  # the largest value leaves an empty tail
-    fits = [f for f in (fit_at(int(c)) for c in candidates) if f is not None]
-    if not fits:
-        raise DegenerateTailError("no candidate cutoff leaves a usable tail")
-    return min(fits, key=lambda f: (f.ks_distance, f.xmin))
-
-
-def largest_component_fraction(g: PeeringGraph) -> float:
-    """Fraction of nodes in the largest connected component (undirected sense)."""
-    # Imported here: no CLI command calls this, and csgraph pulls in
-    # scipy.sparse.linalg.
-    from scipy.sparse.csgraph import connected_components
-
-    _, assignment = connected_components(g.W, directed=False)
-    counts = np.bincount(assignment)
-    return float(counts.max()) / g.n_nodes
 
 
 @dataclass(frozen=True)

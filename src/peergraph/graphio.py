@@ -107,7 +107,7 @@ def save_graph(g: PeeringGraph, path: str | Path) -> Path:
 
 
 # Node fields of the graph file, in the column order _assemble takes, with
-# their JSON types.
+# their JSON types.  The first field is the node id, 1 <= id < 2**63.
 _NODE_FIELDS = {
     "as_nodes": (
         ("asn", int), ("info_ratio", str), ("name", str), ("info_scope", str),
@@ -123,8 +123,8 @@ def _node_columns(path, key: str, records) -> list[list]:
 
     Every record must be an object holding each field of
     :data:`_NODE_FIELDS` with its JSON type (an id is an integer, not a
-    boolean), with text that encodes to UTF-8; ``info_ratio`` becomes a
-    traffic-class code.
+    boolean, that int64 holds and that is positive), with text that
+    encodes to UTF-8; ``info_ratio`` becomes a traffic-class code.
     """
     if not isinstance(records, list):
         raise SnapshotFormatError(f"{path}: {key} must be a list")
@@ -132,7 +132,8 @@ def _node_columns(path, key: str, records) -> list[list]:
     try:
         columns = [[r[name] for r in records] for name, _ in fields]
         typed = all(set(map(type, col)) <= {kind} for col, (_, kind) in zip(columns, fields))
-        if typed and all(_is_utf8("".join(col)) for col, (_, kind) in zip(columns, fields)
+        valid = typed and 0 < min(columns[0], default=1) and max(columns[0], default=1) < 2**63
+        if valid and all(_is_utf8("".join(col)) for col, (_, kind) in zip(columns, fields)
                          if kind is str):
             if key == "as_nodes":
                 columns[1] = [_CLASS_CODE[t] for t in columns[1]]
@@ -155,6 +156,8 @@ def _node_error(path, key: str, records: list) -> SnapshotFormatError:
             if type(value) is not kind:
                 what = "an integer" if kind is int else "a string"
                 return SnapshotFormatError(f"{where}: {name} {value!r} is not {what}")
+            if kind is int and not 0 < value < 2**63:
+                return SnapshotFormatError(f"{where}: {name} {value} is not in [1, 2**63)")
             if kind is str and not _is_utf8(value):
                 return SnapshotFormatError(
                     f"{where}: {name} {value!r} holds a lone surrogate"
@@ -488,9 +491,7 @@ def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
     GR = np.array(rows, dtype=np.float64).reshape(len(labels), len(labels))
     return ReducedGoogleMatrix(
         labels=labels,
-        indices=tuple(range(len(labels))),
         GR=np.asfortranarray(GR),
-        Pr=None,
         direction=direction,
         alpha=alpha,
         censored=censored == "1",
@@ -498,8 +499,8 @@ def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
     )
 
 
-def write_change_csv(change: ChangeMatrix, path: str | Path, capped: bool = True) -> Path:
-    """Relative-change matrix; undefined cells are written as ``nan``."""
+def write_change_csv(change: ChangeMatrix, path: str | Path) -> Path:
+    """Relative-change matrix clamped to its display cap; undefined cells are ``nan``."""
     d1, d2 = change.dates
     meta = _meta_line(
         {
@@ -509,7 +510,7 @@ def write_change_csv(change: ChangeMatrix, path: str | Path, capped: bool = True
             "cap": f"{change.cap[0]}:{change.cap[1]}" if change.cap else "-",
         }
     )
-    values = change.capped() if capped else change.delta
+    values = change.capped()
     rows = [["node", *change.labels]]
     for i, label in enumerate(change.labels):
         rows.append([label, *(repr(float(v)) for v in values[i, :])])

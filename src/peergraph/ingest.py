@@ -331,12 +331,12 @@ class GroundTruth:
     report: GroundTruthReport = field(default_factory=GroundTruthReport)
 
 
-def _rows(path: str | Path, delimiter: str) -> Iterable[list[str]]:
+def _rows(path: str | Path) -> Iterable[list[str]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GroundTruthFormatError(f"{path}: {exc}") from exc
-    for row in csv.reader(text.splitlines(), delimiter=delimiter):
+    for row in csv.reader(text.splitlines()):
         if not row or row[0].lstrip().startswith("#"):
             continue
         yield [cell.strip() for cell in row]
@@ -345,7 +345,6 @@ def _rows(path: str | Path, delimiter: str) -> Iterable[list[str]]:
 def load_ground_truth(
     asorg_path: str | Path | None = None,
     apnic_paths: Sequence[str | Path] = (),
-    delimiter: str = ",",
 ) -> GroundTruth:
     """Load AS-to-country rows and per-country end-user market share tables.
 
@@ -356,7 +355,7 @@ def load_ground_truth(
     as_country: dict[int, str] = {}
     malformed_asorg = duplicate_asorg = 0
     if asorg_path is not None:
-        for row in _rows(asorg_path, delimiter):
+        for row in _rows(asorg_path):
             try:
                 if len(row) < 2 or not row[1]:
                     raise ValueError("need (asn, country)")
@@ -371,7 +370,7 @@ def load_ground_truth(
     eums: dict[tuple[int, str], EumsEntry] = {}
     malformed_apnic = duplicate_apnic = 0
     for path in apnic_paths:
-        for row in _rows(path, delimiter):
+        for row in _rows(path):
             try:
                 if len(row) < 4 or not row[1]:
                     raise ValueError("need (asn, country, eums, rank)")

@@ -17,8 +17,8 @@ sparse matrix ``I - alpha * A_ss`` minus a rank-one teleport/dangling
 term, so one solve of the sparse part plus a Sherman-Morrison correction
 handles all right-hand sides at once.  On the bipartite AS-IXP graph
 ``A_ss`` links only ASes to IXPs, so eliminating the AS side leaves one
-dense system over the complement's IXPs; other graphs fall back to a
-sparse LU factorization.
+dense system over the complement's IXPs; any other sparsity pattern is
+solved densely.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ class GoogleMatrix:
         direction: str = "forward",
         labels: Sequence[str] | None = None,
         kinds: Sequence[str] | None = None,
-        names: Sequence[str] | None = None,
     ) -> None:
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -78,7 +77,6 @@ class GoogleMatrix:
         self.direction = direction
         self.labels = tuple(labels) if labels is not None else tuple(map(str, range(n)))
         self.kinds = tuple(kinds) if kinds is not None else ("",) * n
-        self.names = tuple(names) if names is not None else ("",) * n
         if len(self.labels) != n:
             raise ValueError("labels length must match the node count")
 
@@ -93,22 +91,6 @@ class GoogleMatrix:
         lost = self.alpha * float(v[self.dangling].sum()) + (1.0 - self.alpha) * float(v.sum())
         return y + lost / self.N
 
-    def column(self, j: int) -> np.ndarray:
-        """Dense column ``G[:, j]``."""
-        col = np.full(self.N, (1.0 - self.alpha) / self.N)
-        if self.dangling[j]:
-            col += self.alpha / self.N
-        else:
-            col += self.alpha * self._A[:, [j]].toarray().ravel()
-        return col
-
-    def dense(self) -> np.ndarray:
-        """Full dense ``G``; only sensible for small graphs."""
-        D = self.alpha * self._A.toarray()
-        D[:, self.dangling] = self.alpha / self.N
-        D += (1.0 - self.alpha) / self.N
-        return D
-
 
 def google_matrix(
     graph_or_weights,
@@ -119,9 +101,7 @@ def google_matrix(
     if sparse.issparse(graph_or_weights) or isinstance(graph_or_weights, np.ndarray):
         return GoogleMatrix(sparse.csc_matrix(graph_or_weights), alpha, direction)
     g = graph_or_weights
-    return GoogleMatrix(
-        g.W, alpha, direction, labels=g.labels, kinds=g.kinds, names=g.names
-    )
+    return GoogleMatrix(g.W, alpha, direction, labels=g.labels, kinds=g.kinds)
 
 
 @dataclass(frozen=True)
@@ -231,16 +211,12 @@ class ReducedGoogleMatrix:
 
     ``GR[i, j]`` is the reduced transition probability toward subset node
     ``i`` from subset node ``j`` (direct plus every indirect path through
-    the censored complement).  ``Pr`` is the unnormalized PageRank slice
-    of the subset nodes, ``GR @ (Pr / ||Pr||_1) = Pr / ||Pr||_1``, when the
-    PageRank vector was given to :func:`reduced_google_matrix`; otherwise
-    it is ``None``.
+    the censored complement).  The PageRank of the subset nodes,
+    L1-normalized, is a fixed point of ``GR``.
     """
 
     labels: tuple[str, ...]
-    indices: tuple[int, ...]
     GR: np.ndarray
-    Pr: np.ndarray | None
     direction: str
     alpha: float
     censored: bool = False
@@ -275,16 +251,12 @@ def _solve_complement(
 
     Columns of ``A`` sum to at most 1, so ``K = I - alpha^2 A_xa A_ax`` is
     strictly column diagonally dominant with ``||K^-1||_1 <= 1 / (1 - alpha^2)``.
-    Any other sparsity pattern is factorized by sparse LU.
+    Any other sparsity pattern is solved densely; only graphs without node
+    kinds, which no command builds, take that path.
     """
     rows, cols = A_ss.nonzero()
     if np.any(on_x[rows] == on_x[cols]):
-        # Imported here: no bipartite graph takes this path, and
-        # scipy.sparse.linalg is the slowest import left in the package.
-        from scipy.sparse.linalg import splu
-
-        M = sparse.identity(A_ss.shape[0], format="csc") - alpha * A_ss.tocsc()
-        return splu(M).solve(rhs)
+        return np.linalg.solve(np.eye(A_ss.shape[0]) - alpha * A_ss.toarray(), rhs)
     x = np.flatnonzero(on_x)
     a = np.flatnonzero(~on_x)
     A_xa = A_ss[x][:, a]
@@ -300,7 +272,6 @@ def reduced_google_matrix(
     G: GoogleMatrix,
     subset: Sequence[int],
     tol: float = DEFAULT_TOL,
-    pagerank_vector: PageRankVector | None = None,
 ) -> ReducedGoogleMatrix:
     """Stochastic complement of ``G`` onto ``subset`` (order preserved).
 
@@ -309,11 +280,9 @@ def reduced_google_matrix(
     the Sherman-Morrison correction for the rank-one term.  On a bipartite
     AS-IXP graph (node kinds ``"AS"``/``"IXP"``) that solve eliminates the
     complement's ASes exactly and solves one dense system over its IXPs;
-    otherwise ``M`` is LU-factorized.  The residual of every column is
+    otherwise ``M`` is solved densely.  The residual of every column is
     checked against ``tol``.  With an empty complement the result is ``G``
-    itself restricted to the requested ordering.  ``Pr`` is sliced from
-    ``pagerank_vector`` when one is given and is ``None`` otherwise; no
-    PageRank is computed here.
+    itself restricted to the requested ordering.
     """
     r = np.asarray(list(subset), dtype=np.int64)
     if r.size == 0:
@@ -369,9 +338,7 @@ def reduced_google_matrix(
 
     return ReducedGoogleMatrix(
         labels=tuple(G.labels[i] for i in r),
-        indices=tuple(int(i) for i in r),
         GR=np.asfortranarray(GR),
-        Pr=pagerank_vector.P[r].copy() if pagerank_vector is not None else None,
         direction=G.direction,
         alpha=alpha,
     )

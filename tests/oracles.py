@@ -2,9 +2,9 @@
 
 Everything here is deliberately brute force and dense: a Google matrix
 assembled entry by entry, PageRank via a dense linear solve, the reduced
-matrix via explicit block inversion, an exact inverse-CDF sampler for the
-discrete power law and exhaustive set-partition search for modularity.
-None of it shares code with the package's computational paths.
+matrix via explicit block inversion and exhaustive set-partition search
+for modularity.  None of it shares code with the package's computational
+paths.
 
 Four references are the package's earlier paths, kept to check the fast
 ones that replaced them: the per-edge weight-matrix loop, the beta sweep
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.special import zeta
 
 
 def dense_google(W: np.ndarray, alpha: float = 0.85) -> np.ndarray:
@@ -55,37 +54,6 @@ def dense_reduction(G: np.ndarray, subset: list[int]) -> np.ndarray:
     G_sr = G[np.ix_(s, r)]
     G_ss = G[np.ix_(s, s)]
     return G_rr + G_rs @ np.linalg.solve(np.eye(len(s)) - G_ss, G_sr)
-
-
-def sample_discrete_power_law(
-    rng: np.random.Generator, n: int, gamma: float, xmin: int = 1,
-    table_max: int = 100_000,
-) -> np.ndarray:
-    """Exact sampler for P(X = x) proportional to x**-gamma, x >= xmin.
-
-    Inverse-CDF over a precomputed table; the rare draws beyond the table
-    fall back to a binary search on the Hurwitz-zeta tail function.
-    """
-    norm = zeta(gamma, xmin)
-    xs = np.arange(xmin, table_max + 1, dtype=np.float64)
-    cdf = np.cumsum(xs ** -gamma) / norm
-    u = rng.random(n)
-    out = xmin + np.searchsorted(cdf, u, side="left")
-    beyond = u > cdf[-1]
-    for idx in np.flatnonzero(beyond):
-        # P(X >= x) = zeta(gamma, x) / norm; find the smallest x with CDF >= u
-        target = 1.0 - u[idx]
-        lo, hi = table_max, table_max * 2
-        while zeta(gamma, hi + 1) / norm > target:
-            lo, hi = hi, hi * 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if zeta(gamma, mid + 1) / norm <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        out[idx] = lo
-    return out.astype(np.int64)
 
 
 def set_partitions(items: list):

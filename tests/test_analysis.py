@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from peergraph.analysis import (
+    PROBES_PER_CLASS,
     TIED,
     beta_stability_sweep,
     classification_metrics,
@@ -420,6 +421,6 @@ def test_sweep_matches_cold_reference_on_random_snapshots(seed, beta_default):
 
 
 def test_default_probes_pick_top_capacity_per_class(fixture_graph):
-    probes = default_probes(fixture_graph, per_class=4)
+    probes = default_probes(fixture_graph)
     assert 64500 in probes  # the dominant outbound network
-    assert len(probes) == len(set(probes)) <= 4 * len(TC)
+    assert len(probes) == len(set(probes)) <= PROBES_PER_CLASS * len(TC)

@@ -170,7 +170,7 @@ def test_shuffled_order_still_valid(fixture_graph):
 
 def test_single_community_gets_all_shares(fixture_graph):
     sym = symmetrize(fixture_graph)
-    partition = louvain_bipartite(sym, max_levels=None)
+    partition = louvain_bipartite(sym)
     # force everything into one community
     from peergraph.clustering import Partition
 

@@ -8,23 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peergraph.errors import DegenerateTailError, EmptyGraphError
+from peergraph.errors import EmptyGraphError
 from peergraph.graph import (
     BetaParams,
     _assemble,
     _record_columns,
     build_graph,
-    degree_distribution,
     fit_breakpoint,
-    fit_power_law,
-    ixp_balance,
-    largest_component_fraction,
     node_metrics,
 )
-from peergraph.ingest import IxpRecord, TrafficClass
+from peergraph.ingest import TrafficClass
 
 from conftest import ALL_CLASSES, edge_dict, make_snapshot, random_snapshot
-from oracles import loop_weight_matrix, sample_discrete_power_law
+from oracles import loop_weight_matrix
 
 TC = TrafficClass
 
@@ -253,150 +249,6 @@ def test_directional_metric_identities(snap):
         )
         assert major == pc  # integer port sizes: sums are exact
         assert minor == pytest.approx((1.0 - b) * pc, rel=1e-14, abs=0.0)
-
-
-# --- IXP balance ---
-
-
-def test_balance_zero_for_all_balanced():
-    snap = make_snapshot(
-        [(10, TC.BALANCED), (20, TC.BALANCED)],
-        [(1, "DE")],
-        [(10, 1, 123.0), (20, 1, 77.0)],
-    )
-    report = ixp_balance(build_graph(snap))
-    assert report.balance[1] == 0.0
-
-
-def test_balance_single_heavy_outbound_member():
-    report = ixp_balance(single_edge(TC.HEAVY_OUTBOUND, 100.0))
-    # IXP receives 100 in, forwards 5 out
-    assert report.balance[1] == pytest.approx((5.0 - 100.0) / 105.0, abs=1e-12)
-
-
-def test_balance_summary_statistics():
-    snap = make_snapshot(
-        [(10, TC.BALANCED), (20, TC.BALANCED)],
-        [(1, "DE"), (2, "US")],
-        [(10, 1, 10.0), (20, 2, 20.0)],
-    )
-    report = ixp_balance(build_graph(snap))
-    assert report.mean == 0.0 and report.std == 0.0
-    assert report.quartiles == (0.0, 0.0, 0.0)
-
-
-def test_balance_isolated_ixp_reported_undefined():
-    g = single_edge(TC.BALANCED, 10.0)
-    asn, ixp_id, ps = zip(*g.edge_list())
-    g2 = _assemble(
-        *_record_columns(
-            g.as_nodes,
-            list(g.ixp_nodes) + [IxpRecord(ixp_id=99, name="silent", country="US")],
-        ),
-        asn,
-        ixp_id,
-        ps,
-        g.beta,
-        g.date,
-    )
-    report = ixp_balance(g2)
-    assert report.undefined == (99,)
-    assert set(report.balance) == {1}
-
-
-@settings(max_examples=40, deadline=None)
-@given(snapshots())
-def test_balance_in_range(snap):
-    report = ixp_balance(build_graph(snap))
-    for value in report.balance.values():
-        assert -1.0 <= value <= 1.0
-
-
-# --- degree distribution ---
-
-
-def test_degree_distribution_counts():
-    snap = make_snapshot(
-        [(10, TC.BALANCED), (20, TC.BALANCED), (30, TC.BALANCED)],
-        [(1, "DE"), (2, "US")],
-        [(10, 1, 1.0), (20, 1, 1.0), (30, 1, 1.0), (30, 2, 1.0)],
-    )
-    dist = degree_distribution(build_graph(snap), "as")
-    assert dist == {1: pytest.approx(2 / 3), 2: pytest.approx(1 / 3)}
-
-
-def test_star_ixp_degree():
-    k = 7
-    snap = make_snapshot(
-        [(10 + i, TC.BALANCED) for i in range(k)],
-        [(1, "DE")],
-        [(10 + i, 1, 1.0) for i in range(k)],
-    )
-    dist = degree_distribution(build_graph(snap), "ixp")
-    assert dist == {k: 1.0}
-
-
-@settings(max_examples=30, deadline=None)
-@given(snapshots())
-def test_degree_distribution_sums_to_one(snap):
-    g = build_graph(snap)
-    for side in ("as", "ixp"):
-        assert sum(degree_distribution(g, side).values()) == pytest.approx(1.0)
-
-
-# --- power-law fit ---
-
-
-def test_power_law_recovery_fixed_xmin():
-    rng = np.random.default_rng(7)
-    samples = sample_discrete_power_law(rng, 10_000, gamma=2.5, xmin=1)
-    fit = fit_power_law(samples, xmin=1)
-    assert 2.4 <= fit.gamma <= 2.6
-    assert fit.xmin == 1 and fit.n_tail == 10_000
-
-
-def test_power_law_auto_xmin():
-    rng = np.random.default_rng(11)
-    samples = sample_discrete_power_law(rng, 10_000, gamma=2.5, xmin=1)
-    fit = fit_power_law(samples)
-    assert 2.35 <= fit.gamma <= 2.65
-    assert fit.gamma > 1.0
-
-
-def test_power_law_rejects_degenerate_tail():
-    with pytest.raises(DegenerateTailError):
-        fit_power_law([3.0] * 50, xmin=3)
-
-
-def test_power_law_rejects_small_tail():
-    with pytest.raises(DegenerateTailError):
-        fit_power_law([1, 2, 3, 4, 5], xmin=1)
-
-
-def test_power_law_rejects_non_integers():
-    with pytest.raises(ValueError):
-        fit_power_law([1.5] * 20)
-
-
-# --- connected components ---
-
-
-def test_connected_graph_fraction_one():
-    snap = make_snapshot(
-        [(10, TC.BALANCED), (20, TC.BALANCED)],
-        [(1, "DE")],
-        [(10, 1, 1.0), (20, 1, 1.0)],
-    )
-    assert largest_component_fraction(build_graph(snap)) == 1.0
-
-
-def test_two_equal_halves_fraction_half():
-    snap = make_snapshot(
-        [(10, TC.BALANCED), (20, TC.BALANCED), (30, TC.BALANCED), (40, TC.BALANCED)],
-        [(1, "DE"), (2, "US")],
-        [(10, 1, 1.0), (20, 1, 1.0), (30, 2, 1.0), (40, 2, 1.0)],
-    )
-    assert largest_component_fraction(build_graph(snap)) == 0.5
 
 
 # --- breakpoint fit ---

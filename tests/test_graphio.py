@@ -90,6 +90,9 @@ LOAD_DEFECTS = {
     "missing IXP key": (lambda p: p["ixp_nodes"][1].pop("country"), "ixp_nodes[1]"),
     "missing top-level key": (lambda p: p.pop("edges"), "'edges'"),
     "malformed edge": (lambda p: p["edges"].insert(4, [64500, "IX1", 10.0]), "edges[4]"),
+    "AS id beyond int64": (lambda p: p["as_nodes"][3].update(asn=2**70), "as_nodes[3]"),
+    "AS id zero": (lambda p: p["as_nodes"][0].update(asn=0), "as_nodes[0]"),
+    "negative IXP id": (lambda p: p["ixp_nodes"][0].update(id=-1), "ixp_nodes[0]"),
 }
 
 
@@ -269,7 +272,7 @@ def test_change_csv_contains_nan_for_undefined(tmp_path, fixture_graph):
     R2.GR[0, 1] = 0.0  # vanish one link; diagonal zeros become 0/0
     change = relative_change(R1, R2)
     path = tmp_path / "diff.csv"
-    write_change_csv(change, path, capped=False)
+    write_change_csv(change, path)
     text = path.read_text()
     assert "nan" in text
     assert "-1.0" in text
