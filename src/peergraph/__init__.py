@@ -33,9 +33,6 @@ from .graph import (
 )
 from .ingest import (
     GroundTruth,
-    IxpRecord,
-    MembershipRecord,
-    NetworkRecord,
     RawSnapshot,
     TrafficClass,
     capacity_timeseries,

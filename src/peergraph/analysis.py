@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import BetaParams, PeeringGraph, build_graph, node_metrics
-from .ingest import GroundTruth, RawSnapshot, TrafficClass
+from .ingest import CLASSES, GroundTruth, RawSnapshot, TrafficClass
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_TOL,
@@ -213,20 +213,17 @@ class ClassShares:
 
 def info_ratio_summary(g: PeeringGraph) -> dict[TrafficClass, ClassShares]:
     """Share of the AS population and of the total port capacity per traffic class."""
-    metrics = node_metrics(g)
-    counts: Counter = Counter()
-    capacity: dict[TrafficClass, float] = {tc: 0.0 for tc in TrafficClass}
-    for i, rec in enumerate(g.as_nodes):
-        counts[rec.info_ratio] += 1
-        capacity[rec.info_ratio] += metrics.port_capacity[i]
-    total_count = sum(counts.values())
-    total_capacity = sum(capacity.values())
+    capacity_per_as = node_metrics(g).port_capacity[: g.n_as]
+    counts = np.bincount(g.as_class, minlength=len(CLASSES)).tolist()
+    capacity = np.bincount(g.as_class, weights=capacity_per_as, minlength=len(CLASSES)).tolist()
+    total_count = sum(counts)
+    total_capacity = sum(capacity)
     return {
         tc: ClassShares(
-            count_pct=100.0 * counts.get(tc, 0) / total_count,
-            capacity_pct=100.0 * capacity[tc] / total_capacity,
+            count_pct=100.0 * counts[code] / total_count,
+            capacity_pct=100.0 * capacity[code] / total_capacity,
         )
-        for tc in TrafficClass
+        for code, tc in enumerate(CLASSES)
     }
 
 
@@ -255,14 +252,13 @@ class StabilityReport:
 
 def default_probes(g: PeeringGraph) -> tuple[int, ...]:
     """The :data:`PROBES_PER_CLASS` best-provisioned ASes of each traffic class."""
-    metrics = node_metrics(g)
-    by_class: dict[TrafficClass, list[tuple[float, int]]] = {tc: [] for tc in TrafficClass}
-    for i, rec in enumerate(g.as_nodes):
-        by_class[rec.info_ratio].append((-metrics.port_capacity[i], rec.asn))
+    capacity = node_metrics(g).port_capacity[: g.n_as]
+    # By class, then descending capacity, then ascending AS number.
+    order = np.lexsort((g.asn, -capacity, g.as_class))
     probes: list[int] = []
-    for tc in TrafficClass:
-        for _, asn in sorted(by_class[tc])[:PROBES_PER_CLASS]:
-            probes.append(asn)
+    for code in range(len(CLASSES)):
+        best = order[g.as_class[order] == code][:PROBES_PER_CLASS]
+        probes.extend(g.asn[best].tolist())
     return tuple(probes)
 
 
@@ -320,12 +316,12 @@ def beta_stability_sweep(
 
     rows = []
     for j, asn in enumerate(probe_asns):
-        rec = snapshot.network_by_asn[asn]
+        i = int(idx[j])
         rows.append(
             StabilityRow(
                 asn=asn,
-                name=rec.name,
-                traffic_class=rec.info_ratio,
+                name=g.as_name[i],
+                traffic_class=CLASSES[g.as_class[i]],
                 pr_value=float(pr_vals[0, j]),
                 pr_rank=int(pr_ranks[0, j]),
                 rpr_value=float(rpr_vals[0, j]),

@@ -51,6 +51,7 @@ from .ingest import (
     capacity_timeseries,
     load_ground_truth,
     parse_snapshot,
+    read_lines,
     validate_snapshot,
 )
 from .spectral import google_matrix, pagerank, rank_table, reduced_google_matrix, relative_change
@@ -100,7 +101,7 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
 
 def _read_asn_list(path: str) -> list[int]:
     asns = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for n, line in enumerate(read_lines(path, SnapshotFormatError), start=1):
         token = line.split("#", 1)[0].strip()
         if token:
             try:
@@ -158,7 +159,7 @@ def cmd_ingest(args, argv) -> int:
             "memberships": rep.memberships,
             "dropped_total": dropped,
             "report": rep.__dict__,
-            "total_capacity_mbit": sum(m.port_size for m in snapshot.memberships),
+            "total_capacity_mbit": sum(snapshot.port_size.tolist()),
             "outliers": [
                 {"asn": o.asn, "name": o.name, "total_capacity": o.total_capacity}
                 for o in outliers
@@ -263,6 +264,7 @@ def cmd_diff(args, argv) -> int:
 
 def cmd_classify(args, argv) -> int:
     g = load_graph(args.graph)
+    truth = load_ground_truth(asorg_path=args.truth) if args.truth else None
     assignment = classify_countries(g, rule=args.rule)
     rows = [["asn", "name", "country"]]
     for asn, name in zip(g.asn.tolist(), g.as_name):
@@ -274,8 +276,7 @@ def cmd_classify(args, argv) -> int:
     print(f"classified {g.n_as} ASes ({tied} tied) -> {out}")
 
     inputs = [Path(args.graph)]
-    if args.truth:
-        truth = load_ground_truth(asorg_path=args.truth)
+    if truth is not None:
         countries = args.countries.split(",") if args.countries else sorted(
             assignment.countries()
         )
@@ -316,6 +317,7 @@ def cmd_receivers(args, argv) -> int:
         _TYPE_SHORTHAND.get(t.strip().upper(), t.strip()) for t in args.types.split(",")
     )
     exclusions = _read_asn_list(args.exclude) if args.exclude else []
+    truth = load_ground_truth(apnic_paths=args.apnic) if args.apnic else None
     assignment = classify_countries(g, rule=args.rule)
     giants = top_hypergiants(g, k=args.hypergiants_k, alpha=args.alpha, tol=args.tol)
     giant_asns = [int(e.label.removeprefix("AS")) for e in giants]
@@ -339,8 +341,7 @@ def cmd_receivers(args, argv) -> int:
     inputs = [Path(args.graph)] + ([Path(args.exclude)] if args.exclude else [])
     print(f"traffic receivers for {len(countries)} countries -> {out}")
 
-    if args.apnic:
-        truth = load_ground_truth(apnic_paths=args.apnic)
+    if truth is not None:
         coverage = eums_coverage(receivers, truth)
         cov_rows = [["country", "eums_pct"]]
         cov_rows.extend([c, repr(coverage[c])] for c in countries)
@@ -626,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, ["peergraph", *argv])
-    except (PeergraphError, OSError, KeyError, ValueError) as exc:
+    except (PeergraphError, OSError, ValueError) as exc:
         message = str(exc).strip() or exc.__class__.__name__
         print(f"peergraph: {message.splitlines()[0]}", file=sys.stderr)
         return 1

@@ -26,11 +26,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyGraphError
-from .ingest import IxpRecord, NetworkRecord, RawSnapshot, TrafficClass
+from .ingest import CLASSES, RawSnapshot, TrafficClass, _frozen
 
-# Traffic-class code of an edge: the class's position in this tuple.
-CLASSES = tuple(TrafficClass)
-_CODE = {tc: code for code, tc in enumerate(CLASSES)}
 _OUTBOUND = np.array([tc.is_outbound for tc in CLASSES])
 
 
@@ -70,10 +67,11 @@ class PeeringGraph:
 
     Nodes are stored as columns in that order: the read-only int64 arrays
     ``asn`` and ``ixp_id``, the read-only int8 array ``as_class`` (each
-    AS's traffic-class code, its position in :data:`CLASSES`), and tuples
-    of strings ``as_name``, ``as_scope``, ``as_type``, ``ixp_name`` and
-    ``ixp_country``.  ``as_nodes`` and ``ixp_nodes`` are record views of
-    those columns, built on first use.
+    AS's traffic-class code, its position in
+    :data:`~peergraph.ingest.CLASSES`), and tuples of strings ``as_name``,
+    ``as_scope``, ``as_type``, ``ixp_name`` and ``ixp_country``: the
+    layout of a :class:`~peergraph.ingest.RawSnapshot`, restricted to the
+    nodes with an edge.
 
     The four edge columns are read-only arrays of equal length, one entry
     per aggregated (AS, IXP) edge, sorted by (asn, ixp_id):
@@ -116,17 +114,6 @@ class PeeringGraph:
     @property
     def n_edges(self) -> int:
         return self.port_size.shape[0]
-
-    @cached_property
-    def as_nodes(self) -> tuple[NetworkRecord, ...]:
-        return tuple(map(
-            NetworkRecord, self.asn.tolist(), self.as_name,
-            [CLASSES[c] for c in self.as_class.tolist()], self.as_scope, self.as_type,
-        ))
-
-    @cached_property
-    def ixp_nodes(self) -> tuple[IxpRecord, ...]:
-        return tuple(map(IxpRecord, self.ixp_id.tolist(), self.ixp_name, self.ixp_country))
 
     @cached_property
     def _as_pos(self) -> dict[int, int]:
@@ -198,11 +185,6 @@ class PeeringGraph:
         return self.weights(self.beta)
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
-
-
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of ``wanted`` in the sorted ``ids``, and which are present."""
     pos = np.searchsorted(ids, wanted)
@@ -226,25 +208,6 @@ def _sorted_nodes(kind: str, ids: Sequence[int], *columns: Sequence) -> tuple:
     if twice.size:
         raise ValueError(f"{kind} {twice[0]} is listed twice")
     return (_frozen(ids), *map(tuple, columns))
-
-
-def _record_columns(
-    as_records: Sequence[NetworkRecord], ixp_records: Sequence[IxpRecord]
-) -> tuple[tuple[list, ...], tuple[list, ...]]:
-    """The node columns of records, in the form :func:`_assemble` takes."""
-    as_columns = (
-        [r.asn for r in as_records],
-        [_CODE[r.info_ratio] for r in as_records],
-        [r.name for r in as_records],
-        [r.info_scope for r in as_records],
-        [r.info_type for r in as_records],
-    )
-    ixp_columns = (
-        [r.ixp_id for r in ixp_records],
-        [r.name for r in ixp_records],
-        [r.country for r in ixp_records],
-    )
-    return as_columns, ixp_columns
 
 
 def _assemble(
@@ -327,13 +290,10 @@ def build_graph(
     member).
     """
     beta = beta or BetaParams()
-    ports = snapshot.memberships
-    m = len(ports)
-    asn = np.fromiter((p.asn for p in ports), dtype=np.int64, count=m)
-    ixp_id = np.fromiter((p.ixp_id for p in ports), dtype=np.int64, count=m)
-    size = np.fromiter((p.port_size for p in ports), dtype=np.float64, count=m)
-    positive = size > 0.0
-    asn, ixp_id, size = asn[positive], ixp_id[positive], size[positive]
+    positive = snapshot.port_size > 0.0
+    asn = snapshot.port_asn[positive]
+    ixp_id = snapshot.port_ixp_id[positive]
+    size = snapshot.port_size[positive]
 
     # Group the ports of each (asn, ixp_id) pair; the stable sort keeps them
     # in membership order, and bincount adds them in that order.
@@ -352,11 +312,13 @@ def build_graph(
     if size.size == 0:
         raise EmptyGraphError("snapshot has no positive-capacity membership")
 
-    as_records = [snapshot.network_by_asn[a] for a in np.unique(asn).tolist()]
-    ixp_records = [snapshot.ixp_by_id[x] for x in np.unique(ixp_id).tolist()]
-    return _assemble(
-        *_record_columns(as_records, ixp_records), asn, ixp_id, size, beta, snapshot.date
-    )
+    a = np.searchsorted(snapshot.asn, np.unique(asn)).tolist()
+    x = np.searchsorted(snapshot.ixp_id, np.unique(ixp_id)).tolist()
+    as_text = (snapshot.as_name, snapshot.as_scope, snapshot.as_type)
+    as_columns = (snapshot.asn[a], snapshot.as_class[a], *([c[i] for i in a] for c in as_text))
+    ixp_text = (snapshot.ixp_name, snapshot.ixp_country)
+    ixp_columns = (snapshot.ixp_id[x], *([c[i] for i in x] for c in ixp_text))
+    return _assemble(as_columns, ixp_columns, asn, ixp_id, size, beta, snapshot.date)
 
 
 @dataclass(frozen=True)

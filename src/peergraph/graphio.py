@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import SnapshotFormatError
-from .graph import CLASSES, BetaParams, PeeringGraph, _assemble, node_metrics
-from .ingest import _is_utf8
+from .graph import BetaParams, PeeringGraph, _assemble, node_metrics
+from .ingest import CLASSES, _is_utf8, read_lines
 from .spectral import ChangeMatrix, RankTable, ReducedGoogleMatrix
 
 GRAPH_FORMAT = "peergraph-graph"
@@ -425,12 +425,7 @@ def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
     ragged or its label is not the header's label at that position, or a
     cell is not a finite number.
     """
-    raw = Path(path).read_bytes()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise SnapshotFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from exc
+    lines = read_lines(path, SnapshotFormatError)
     meta: dict[str, str] = {}
     skipped = 0  # lines before the header row
     if lines and lines[0].startswith("#"):
@@ -521,11 +516,12 @@ def read_subset_file(path: str | Path, g: PeeringGraph) -> list[int]:
     """Node indices for a subset file of AS numbers or AS/IX labels.
 
     One entry per line; blank lines and ``#`` comments are skipped.  The
-    file order defines the subset order of the reduced matrix.
+    file order defines the subset order of the reduced matrix.  Raises
+    :class:`SnapshotFormatError` naming the file and the line of the first
+    entry that is not a node of ``g``, or of a byte that is not UTF-8.
     """
     indices: list[int] = []
-    unknown: list[str] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(read_lines(path, SnapshotFormatError), start=1):
         token = line.split("#", 1)[0].strip()
         if not token:
             continue
@@ -536,8 +532,7 @@ def read_subset_file(path: str | Path, g: PeeringGraph) -> list[int]:
                 indices.append(g.ixp_index(int(token[2:])))
             else:
                 indices.append(g.as_index(int(token)))
-        except (KeyError, ValueError):
-            unknown.append(token)
-    if unknown:
-        raise KeyError(f"subset entries not present in the graph: {', '.join(unknown)}")
+        except (KeyError, ValueError) as exc:
+            message = f"{path}: line {n}: {token!r} is not a node of the graph"
+            raise SnapshotFormatError(message) from exc
     return indices

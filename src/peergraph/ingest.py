@@ -5,21 +5,25 @@ families: "net" (ASes), "ix" (exchanges) and "netixlan" (one row per
 router port an AS has at an exchange).  Each family may be either a bare
 array or an object with a "data" array, which covers both hand-written
 fixtures and the daily dump files published for the community.
+
+A parsed dump is a :class:`RawSnapshot` of columns: the node columns of
+:class:`~peergraph.graph.PeeringGraph` plus one column per membership
+field, so graph construction reads the arrays as they are.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import GroundTruthFormatError, SnapshotFormatError
+import numpy as np
+
+from .errors import GroundTruthFormatError, PeergraphError, SnapshotFormatError
 
 
 class TrafficClass(Enum):
@@ -67,27 +71,9 @@ _RATIO_SHORT = {
 }
 
 
-@dataclass(frozen=True)
-class NetworkRecord:
-    asn: int
-    name: str
-    info_ratio: TrafficClass
-    info_scope: str
-    info_type: str
-
-
-@dataclass(frozen=True)
-class IxpRecord:
-    ixp_id: int
-    name: str
-    country: str  # ISO-3166 alpha-2 or ""
-
-
-@dataclass(frozen=True)
-class MembershipRecord:
-    asn: int
-    ixp_id: int
-    port_size: float  # Mbit/s, one record per router port
+# Traffic-class code of an AS or an edge: the class's position in this tuple.
+CLASSES = tuple(TrafficClass)
+_CODE = {tc: code for code, tc in enumerate(CLASSES)}
 
 
 @dataclass(frozen=True)
@@ -107,43 +93,73 @@ class ParseReport:
 
 @dataclass(frozen=True, eq=False)
 class RawSnapshot:
-    """One parsed dump.  Every membership resolves inside the same snapshot."""
+    """One parsed dump, stored as columns.
+
+    The node columns have the layout of :class:`~peergraph.graph.PeeringGraph`:
+    the read-only int64 arrays ``asn`` and ``ixp_id``, ascending and
+    without repeats; the read-only int8 array ``as_class`` (each AS's
+    traffic-class code, its position in :data:`CLASSES`); and tuples of
+    strings ``as_name``, ``as_scope``, ``as_type``, ``ixp_name`` and
+    ``ixp_country``.
+
+    The membership columns hold one entry per router port, in dump order:
+    the read-only int64 arrays ``port_asn`` and ``port_ixp_id`` and the
+    read-only float64 array ``port_size`` (Mbit/s, finite and
+    non-negative).  Every membership names an AS and an exchange listed in
+    the same snapshot.
+    """
 
     date: Date
-    networks: tuple[NetworkRecord, ...]
-    ixps: tuple[IxpRecord, ...]
-    memberships: tuple[MembershipRecord, ...]
+    asn: np.ndarray
+    as_class: np.ndarray
+    as_name: tuple[str, ...]
+    as_scope: tuple[str, ...]
+    as_type: tuple[str, ...]
+    ixp_id: np.ndarray
+    ixp_name: tuple[str, ...]
+    ixp_country: tuple[str, ...]
+    port_asn: np.ndarray
+    port_ixp_id: np.ndarray
+    port_size: np.ndarray
     report: ParseReport = field(default_factory=ParseReport)
 
-    @cached_property
-    def network_by_asn(self) -> dict[int, NetworkRecord]:
-        return {n.asn: n for n in self.networks}
 
-    @cached_property
-    def ixp_by_id(self) -> dict[int, IxpRecord]:
-        return {x.ixp_id: x for x in self.ixps}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RawSnapshot):
-            return NotImplemented
-        return (
-            self.date == other.date
-            and self.networks == other.networks
-            and self.ixps == other.ixps
-            and self.memberships == other.memberships
-        )
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
-def _section(raw: Mapping, key: str) -> list:
+def _not_utf8(error: type[PeergraphError], path, data: bytes, exc: UnicodeDecodeError):
+    """``error`` naming the file and the line of the first byte that is not UTF-8."""
+    line = data.count(b"\n", 0, exc.start) + 1
+    return error(f"{path}: line {line}: not UTF-8 ({exc.reason})")
+
+
+def read_lines(path: str | Path, error: type[PeergraphError]) -> list[str]:
+    """The lines of a UTF-8 text file.
+
+    Raises ``error`` naming the file and the line when the file holds a
+    byte sequence that is not UTF-8.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(error, path, data, exc) from exc
+
+
+def _section(path, raw: Mapping, key: str) -> list:
     """Return the record array for one dump family ("net", "ix", "netixlan")."""
     if key not in raw:
-        raise SnapshotFormatError(f"dump is missing the '{key}' section")
+        raise SnapshotFormatError(f"{path}: dump is missing the '{key}' section")
     value = raw[key]
     if isinstance(value, Mapping) and isinstance(value.get("data"), list):
         return value["data"]
     if isinstance(value, list):
         return value
-    raise SnapshotFormatError(f"dump section '{key}' is neither an array nor an object with 'data'")
+    raise SnapshotFormatError(
+        f"{path}: dump section '{key}' is neither an array nor an object with 'data'"
+    )
 
 
 def _is_utf8(text: str) -> bool:
@@ -158,90 +174,102 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
+def _node_id(value: object) -> int:
+    """``int(value)``, which must lie in [1, 2**63) as a node id."""
+    node_id = int(value)
+    if not 0 < node_id < 2**63:
+        raise ValueError("a node id must be in [1, 2**63)")
+    return node_id
+
+
+# What converting the fields of one malformed row can raise.
+_BAD_ROW = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
     """Parse one dump file into a snapshot.
 
     Field-level problems are non-fatal: malformed records (among them a
-    membership speed that is negative, NaN or infinite, and network or
-    exchange text holding a lone surrogate) are skipped and counted,
-    memberships whose AS or exchange is unknown are dropped and counted.
-    A missing speed is kept as port size 0 (graph construction discards
-    zero-capacity memberships later).  Duplicated AS numbers or exchange
-    ids keep the last occurrence.
+    network or exchange id outside [1, 2**63), a number too large to
+    convert, a membership speed that is negative, NaN or infinite, and
+    network or exchange text holding a lone surrogate) are skipped and
+    counted, memberships whose AS or exchange is unknown are dropped and
+    counted.  A missing speed is kept as port size 0 (graph construction
+    discards zero-capacity memberships later).  Duplicated AS numbers or
+    exchange ids keep the last occurrence.  A file that is not UTF-8 JSON
+    with the three sections raises :class:`SnapshotFormatError`.
     """
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(Path(path).read_bytes())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(SnapshotFormatError, path, data, exc) from exc
+    except (ValueError, RecursionError) as exc:
         raise SnapshotFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, Mapping):
         raise SnapshotFormatError(f"{path}: top-level value must be an object")
 
     invalid_networks = duplicate_networks = 0
-    nets: dict[int, NetworkRecord] = {}
-    for rec in _section(raw, "net"):
+    nets: dict[int, tuple[int, str, str, str]] = {}  # asn -> (class code, name, scope, type)
+    for rec in _section(path, raw, "net"):
         try:
-            asn = int(rec["asn"])
-            if asn <= 0:
-                raise ValueError("asn must be positive")
-            record = NetworkRecord(
-                asn=asn,
-                name=str(rec.get("name") or ""),
-                info_ratio=TrafficClass.from_text(rec.get("info_ratio")),
-                info_scope=str(rec.get("info_scope") or "Not Disclosed"),
-                info_type=str(rec.get("info_type") or "Not Disclosed"),
+            asn = _node_id(rec["asn"])
+            row = (
+                _CODE[TrafficClass.from_text(rec.get("info_ratio"))],
+                str(rec.get("name") or ""),
+                str(rec.get("info_scope") or "Not Disclosed"),
+                str(rec.get("info_type") or "Not Disclosed"),
             )
-            if not _is_utf8(record.name + record.info_scope + record.info_type):
+            if not _is_utf8(row[1] + row[2] + row[3]):
                 raise ValueError("text holds a lone surrogate")
-        except (KeyError, TypeError, ValueError):
+        except _BAD_ROW:
             invalid_networks += 1
             continue
         if asn in nets:
             duplicate_networks += 1
-        nets[asn] = record
+        nets[asn] = row
 
     invalid_ixps = duplicate_ixps = 0
-    ixps: dict[int, IxpRecord] = {}
-    for rec in _section(raw, "ix"):
+    ixps: dict[int, tuple[str, str]] = {}  # ixp_id -> (name, country)
+    for rec in _section(path, raw, "ix"):
         try:
-            ixp_id = int(rec["id"])
-            if ixp_id <= 0:
-                raise ValueError("id must be positive")
-            record = IxpRecord(
-                ixp_id=ixp_id,
-                name=str(rec.get("name") or ""),
-                country=str(rec.get("country") or ""),
-            )
-            if not _is_utf8(record.name + record.country):
+            ixp_id = _node_id(rec["id"])
+            row = (str(rec.get("name") or ""), str(rec.get("country") or ""))
+            if not _is_utf8(row[0] + row[1]):
                 raise ValueError("text holds a lone surrogate")
-        except (KeyError, TypeError, ValueError):
+        except _BAD_ROW:
             invalid_ixps += 1
             continue
         if ixp_id in ixps:
             duplicate_ixps += 1
-        ixps[ixp_id] = record
+        ixps[ixp_id] = row
 
     invalid_memberships = unresolved = 0
-    memberships: list[MembershipRecord] = []
-    for rec in _section(raw, "netixlan"):
+    port_asn: list[int] = []
+    port_ixp_id: list[int] = []
+    port_size: list[float] = []
+    for rec in _section(path, raw, "netixlan"):
         try:
             asn = int(rec["asn"])
             ixp_id = int(rec["ix_id"])
             speed = rec.get("speed")
-            port_size = 0.0 if speed is None else float(speed)
-            if not (math.isfinite(port_size) and port_size >= 0):
+            size = 0.0 if speed is None else float(speed)
+            if not (math.isfinite(size) and size >= 0):
                 raise ValueError("speed must be finite and non-negative")
-        except (KeyError, TypeError, ValueError):
+        except _BAD_ROW:
             invalid_memberships += 1
             continue
         if asn not in nets or ixp_id not in ixps:
             unresolved += 1
             continue
-        memberships.append(MembershipRecord(asn=asn, ixp_id=ixp_id, port_size=port_size))
+        port_asn.append(asn)
+        port_ixp_id.append(ixp_id)
+        port_size.append(size)
 
     report = ParseReport(
         networks=len(nets),
         ixps=len(ixps),
-        memberships=len(memberships),
+        memberships=len(port_size),
         invalid_networks=invalid_networks,
         invalid_ixps=invalid_ixps,
         invalid_memberships=invalid_memberships,
@@ -249,21 +277,31 @@ def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
         duplicate_ixps=duplicate_ixps,
         unresolved_memberships=unresolved,
     )
+    asn_ids, ixp_ids = sorted(nets), sorted(ixps)
+    as_class, as_name, as_scope, as_type = zip(*[nets[a] for a in asn_ids]) if nets else ((),) * 4
+    ixp_name, ixp_country = zip(*[ixps[x] for x in ixp_ids]) if ixps else ((),) * 2
     return RawSnapshot(
         date=date,
-        networks=tuple(sorted(nets.values(), key=lambda n: n.asn)),
-        ixps=tuple(sorted(ixps.values(), key=lambda x: x.ixp_id)),
-        memberships=tuple(memberships),
+        asn=_frozen(np.array(asn_ids, dtype=np.int64)),
+        as_class=_frozen(np.array(as_class, dtype=np.int8)),
+        as_name=as_name,
+        as_scope=as_scope,
+        as_type=as_type,
+        ixp_id=_frozen(np.array(ixp_ids, dtype=np.int64)),
+        ixp_name=ixp_name,
+        ixp_country=ixp_country,
+        port_asn=_frozen(np.array(port_asn, dtype=np.int64)),
+        port_ixp_id=_frozen(np.array(port_ixp_id, dtype=np.int64)),
+        port_size=_frozen(np.array(port_size, dtype=np.float64)),
         report=report,
     )
 
 
 def as_port_capacity(snapshot: RawSnapshot) -> dict[int, float]:
-    """Total declared port capacity per AS (sum over all its router ports)."""
-    totals: dict[int, float] = defaultdict(float)
-    for m in snapshot.memberships:
-        totals[m.asn] += m.port_size
-    return dict(totals)
+    """Total declared port capacity per AS with a membership, summed in membership order."""
+    asn, where = np.unique(snapshot.port_asn, return_inverse=True)
+    totals = np.bincount(where, weights=snapshot.port_size, minlength=asn.size)
+    return dict(zip(asn.tolist(), totals.tolist()))
 
 
 @dataclass(frozen=True)
@@ -292,17 +330,20 @@ def validate_snapshot(
         raise ValueError("factor must be positive")
     threshold = factor * reference_capacity
     totals = as_port_capacity(snapshot)
-    details: dict[int, list[tuple[int, float]]] = {
+    ports: dict[int, list[tuple[int, float]]] = {
         asn: [] for asn, total in totals.items() if total > threshold
     }
-    for m in snapshot.memberships:
-        if m.asn in details:
-            details[m.asn].append((m.ixp_id, m.port_size))
+    for asn, ixp_id, size in zip(
+        snapshot.port_asn.tolist(), snapshot.port_ixp_id.tolist(), snapshot.port_size.tolist()
+    ):
+        if asn in ports:
+            ports[asn].append((ixp_id, size))
+    names = snapshot.as_name
     flagged = [
         OutlierReport(
-            asn, snapshot.network_by_asn[asn].name, totals[asn], threshold, tuple(ports)
+            asn, names[np.searchsorted(snapshot.asn, asn)], totals[asn], threshold, tuple(p)
         )
-        for asn, ports in details.items()
+        for asn, p in ports.items()
     ]
     flagged.sort(key=lambda r: (-r.total_capacity, r.asn))
     return tuple(flagged)
@@ -333,10 +374,10 @@ class GroundTruth:
 
 def _rows(path: str | Path) -> Iterable[list[str]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = read_lines(path, GroundTruthFormatError)
     except OSError as exc:
         raise GroundTruthFormatError(f"{path}: {exc}") from exc
-    for row in csv.reader(text.splitlines()):
+    for row in csv.reader(lines):
         if not row or row[0].lstrip().startswith("#"):
             continue
         yield [cell.strip() for cell in row]
@@ -403,6 +444,4 @@ def capacity_timeseries(
     """Per-date total of all membership port sizes, in input order."""
     if not snapshots:
         raise ValueError("need at least one snapshot")
-    return tuple(
-        (s.date, float(sum(m.port_size for m in s.memberships))) for s in snapshots
-    )
+    return tuple((s.date, float(sum(s.port_size.tolist()))) for s in snapshots)

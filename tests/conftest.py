@@ -9,13 +9,7 @@ import pytest
 from scipy import sparse
 
 from peergraph.graph import BetaParams, build_graph
-from peergraph.ingest import (
-    IxpRecord,
-    MembershipRecord,
-    NetworkRecord,
-    RawSnapshot,
-    TrafficClass,
-)
+from peergraph.ingest import RawSnapshot, TrafficClass
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -25,6 +19,12 @@ FIXTURE_DATE = Date(2020, 1, 1)
 ALL_CLASSES = tuple(TrafficClass)
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def make_snapshot(
     networks: list[tuple[int, TrafficClass]],
     ixps: list[tuple[int, str]],
@@ -32,24 +32,55 @@ def make_snapshot(
     date: Date = Date(2020, 1, 1),
     info_types: dict[int, str] | None = None,
 ) -> RawSnapshot:
-    """Snapshot from terse tuples; names are synthesized from the ids."""
+    """Snapshot from terse tuples; names are synthesized from the ids.
+
+    Nodes may come in any order; memberships keep theirs.
+    """
     info_types = info_types or {}
+    networks = sorted(networks, key=lambda n: n[0])
+    ixps = sorted(ixps, key=lambda x: x[0])
+    asn = [a for a, _ in networks]
     return RawSnapshot(
         date=date,
-        networks=tuple(
-            NetworkRecord(
-                asn=asn,
-                name=f"net-{asn}",
-                info_ratio=tc,
-                info_scope="Regional",
-                info_type=info_types.get(asn, "NSP"),
-            )
-            for asn, tc in networks
-        ),
-        ixps=tuple(IxpRecord(ixp_id=i, name=f"ix-{i}", country=c) for i, c in ixps),
-        memberships=tuple(
-            MembershipRecord(asn=a, ixp_id=i, port_size=s) for a, i, s in memberships
-        ),
+        asn=_frozen(asn, np.int64),
+        as_class=_frozen([ALL_CLASSES.index(tc) for _, tc in networks], np.int8),
+        as_name=tuple(f"net-{a}" for a in asn),
+        as_scope=("Regional",) * len(asn),
+        as_type=tuple(info_types.get(a, "NSP") for a in asn),
+        ixp_id=_frozen([i for i, _ in ixps], np.int64),
+        ixp_name=tuple(f"ix-{i}" for i, _ in ixps),
+        ixp_country=tuple(c for _, c in ixps),
+        port_asn=_frozen([a for a, _, _ in memberships], np.int64),
+        port_ixp_id=_frozen([i for _, i, _ in memberships], np.int64),
+        port_size=_frozen([s for _, _, s in memberships], np.float64),
+    )
+
+
+# The node columns that snapshots and graphs share, and those of a snapshot.
+NODE_COLUMNS = ("asn", "as_class", "as_name", "as_scope", "as_type",
+                "ixp_id", "ixp_name", "ixp_country")
+SNAPSHOT_COLUMNS = NODE_COLUMNS + ("port_asn", "port_ixp_id", "port_size")
+
+
+def column_values(source, names: tuple[str, ...]) -> dict:
+    """The named columns of a snapshot or graph as plain values that ``==`` compares."""
+    values = {}
+    for name in names:
+        value = getattr(source, name)
+        values[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return values
+
+
+def snapshot_fields(snapshot: RawSnapshot) -> dict:
+    """Date, report and columns of a snapshot, for comparisons."""
+    fields = column_values(snapshot, SNAPSHOT_COLUMNS)
+    return fields | {"date": snapshot.date, "report": snapshot.report}
+
+
+def node_columns(g) -> tuple[tuple, tuple]:
+    """The AS and IXP node columns of a graph, in the form ``_assemble`` takes."""
+    return (g.asn, g.as_class, g.as_name, g.as_scope, g.as_type), (
+        g.ixp_id, g.ixp_name, g.ixp_country,
     )
 
 

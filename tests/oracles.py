@@ -6,16 +6,24 @@ matrix via explicit block inversion and exhaustive set-partition search
 for modularity.  None of it shares code with the package's computational
 paths.
 
-Four references are the package's earlier paths, kept to check the fast
+Five references are the package's earlier paths, kept to check the fast
 ones that replaced them: the per-edge weight-matrix loop, the beta sweep
 that rebuilds the graph and cold-starts PageRank at every point, the GEXF
-export through a networkx ``DiGraph`` and ``nx.write_gexf``, and the graph
-file as ``json.dumps`` of a payload of node records.
+export through a networkx ``DiGraph`` and ``nx.write_gexf``, the graph
+file as ``json.dumps`` of a payload of node records, and the dump parser
+that makes one frozen record per row (:func:`record_parse`).
 """
 from __future__ import annotations
 
+import json
+import math
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 from scipy import sparse
+
+from peergraph.ingest import ParseReport, TrafficClass
 
 
 def dense_google(W: np.ndarray, alpha: float = 0.85) -> np.ndarray:
@@ -109,10 +117,18 @@ def loop_weight_matrix(snapshot, beta) -> sparse.csr_matrix:
     Nodes are ordered ASes (ascending) then IXPs (ascending);
     ``W[i, j]`` is the weight of ``j -> i`` and zero weights are left out.
     """
+    classes = tuple(TrafficClass)
+    class_of = {
+        asn: classes[code]
+        for asn, code in zip(snapshot.asn.tolist(), snapshot.as_class.tolist())
+    }
     agg: dict[tuple[int, int], float] = {}
-    for m in snapshot.memberships:
-        if m.port_size > 0.0:
-            agg[(m.asn, m.ixp_id)] = agg.get((m.asn, m.ixp_id), 0.0) + m.port_size
+    ports = zip(
+        snapshot.port_asn.tolist(), snapshot.port_ixp_id.tolist(), snapshot.port_size.tolist()
+    )
+    for asn, ixp_id, ps in ports:
+        if ps > 0.0:
+            agg[(asn, ixp_id)] = agg.get((asn, ixp_id), 0.0) + ps
     as_ids = sorted({a for a, _ in agg})
     ixp_ids = sorted({x for _, x in agg})
     as_pos = {a: i for i, a in enumerate(as_ids)}
@@ -120,7 +136,7 @@ def loop_weight_matrix(snapshot, beta) -> sparse.csr_matrix:
     n = len(as_ids) + len(ixp_ids)
     rows, cols, data = [], [], []
     for (asn, ixp_id), ps in sorted(agg.items()):
-        tc = snapshot.network_by_asn[asn].info_ratio
+        tc = class_of[asn]
         minor = (1.0 - beta.for_class(tc)) * ps
         to_as, to_ixp = (minor, ps) if tc.is_outbound else (ps, minor)
         a, x = as_pos[asn], ixp_pos[ixp_id]
@@ -199,7 +215,7 @@ def networkx_gexf(g) -> str:
     metrics = node_metrics(g)
     graph = nx.DiGraph()
     for i, label in enumerate(g.labels):
-        country = "" if g.is_as(i) else g.ixp_nodes[i - g.n_as].country
+        country = "" if g.is_as(i) else g.ixp_country[i - g.n_as]
         graph.add_node(
             label,
             label=g.names[i] or label,
@@ -217,8 +233,7 @@ def networkx_gexf(g) -> str:
 
 def json_graph_text(g) -> str:
     """Graph-file text as ``json.dumps`` writes the payload of node records."""
-    import json
-
+    classes = tuple(TrafficClass)
     payload = {
         "format": "peergraph-graph",
         "version": 1,
@@ -226,17 +241,157 @@ def json_graph_text(g) -> str:
         "beta": {"balanced": g.beta.balanced, "mostly": g.beta.mostly, "heavy": g.beta.heavy},
         "as_nodes": [
             {
-                "asn": r.asn,
-                "name": r.name,
-                "info_ratio": r.info_ratio.value,
-                "info_scope": r.info_scope,
-                "info_type": r.info_type,
+                "asn": asn,
+                "name": name,
+                "info_ratio": classes[code].value,
+                "info_scope": scope,
+                "info_type": kind,
             }
-            for r in g.as_nodes
+            for asn, code, name, scope, kind in zip(
+                g.asn.tolist(), g.as_class.tolist(), g.as_name, g.as_scope, g.as_type
+            )
         ],
         "ixp_nodes": [
-            {"id": r.ixp_id, "name": r.name, "country": r.country} for r in g.ixp_nodes
+            {"id": ixp_id, "name": name, "country": country}
+            for ixp_id, name, country in zip(g.ixp_id.tolist(), g.ixp_name, g.ixp_country)
         ],
         "edges": [list(edge) for edge in g.edge_list()],
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+@dataclass(frozen=True)
+class NetworkRecord:
+    asn: int
+    name: str
+    info_ratio: TrafficClass
+    info_scope: str
+    info_type: str
+
+
+@dataclass(frozen=True)
+class IxpRecord:
+    ixp_id: int
+    name: str
+    country: str
+
+
+@dataclass(frozen=True)
+class MembershipRecord:
+    asn: int
+    ixp_id: int
+    port_size: float
+
+
+@dataclass(frozen=True)
+class RecordSnapshot:
+    networks: tuple[NetworkRecord, ...]  # ascending asn
+    ixps: tuple[IxpRecord, ...]  # ascending ixp_id
+    memberships: tuple[MembershipRecord, ...]  # dump order
+    report: ParseReport
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _valid_id(value) -> int:
+    node_id = int(value)
+    if not 1 <= node_id < 2**63:
+        raise ValueError("id out of range")
+    return node_id
+
+
+def record_parse(path) -> RecordSnapshot:
+    """A well-formed dump parsed into one frozen record per kept row.
+
+    The drop rules are those of ``parse_snapshot``: rows whose id is not
+    an integer in [1, 2**63), whose numbers overflow, whose speed is
+    negative, NaN or infinite, or whose text holds a lone surrogate are
+    invalid; the last duplicate id wins; memberships naming an unknown AS
+    or exchange are unresolved; a missing speed is 0.
+    """
+    raw = json.loads(Path(path).read_bytes())
+
+    def section(key):
+        value = raw[key]
+        return value["data"] if isinstance(value, dict) else value
+
+    bad_row = (KeyError, TypeError, ValueError, OverflowError)
+    invalid_networks = duplicate_networks = 0
+    nets: dict[int, NetworkRecord] = {}
+    for rec in section("net"):
+        try:
+            record = NetworkRecord(
+                asn=_valid_id(rec["asn"]),
+                name=str(rec.get("name") or ""),
+                info_ratio=TrafficClass.from_text(rec.get("info_ratio")),
+                info_scope=str(rec.get("info_scope") or "Not Disclosed"),
+                info_type=str(rec.get("info_type") or "Not Disclosed"),
+            )
+            if not _encodes(record.name + record.info_scope + record.info_type):
+                raise ValueError("text holds a lone surrogate")
+        except bad_row:
+            invalid_networks += 1
+            continue
+        if record.asn in nets:
+            duplicate_networks += 1
+        nets[record.asn] = record
+
+    invalid_ixps = duplicate_ixps = 0
+    ixps: dict[int, IxpRecord] = {}
+    for rec in section("ix"):
+        try:
+            record = IxpRecord(
+                ixp_id=_valid_id(rec["id"]),
+                name=str(rec.get("name") or ""),
+                country=str(rec.get("country") or ""),
+            )
+            if not _encodes(record.name + record.country):
+                raise ValueError("text holds a lone surrogate")
+        except bad_row:
+            invalid_ixps += 1
+            continue
+        if record.ixp_id in ixps:
+            duplicate_ixps += 1
+        ixps[record.ixp_id] = record
+
+    invalid_memberships = unresolved = 0
+    memberships: list[MembershipRecord] = []
+    for rec in section("netixlan"):
+        try:
+            asn = int(rec["asn"])
+            ixp_id = int(rec["ix_id"])
+            speed = rec.get("speed")
+            port_size = 0.0 if speed is None else float(speed)
+            if not (math.isfinite(port_size) and port_size >= 0):
+                raise ValueError("speed must be finite and non-negative")
+        except bad_row:
+            invalid_memberships += 1
+            continue
+        if asn not in nets or ixp_id not in ixps:
+            unresolved += 1
+            continue
+        memberships.append(MembershipRecord(asn=asn, ixp_id=ixp_id, port_size=port_size))
+
+    report = ParseReport(
+        networks=len(nets),
+        ixps=len(ixps),
+        memberships=len(memberships),
+        invalid_networks=invalid_networks,
+        invalid_ixps=invalid_ixps,
+        invalid_memberships=invalid_memberships,
+        duplicate_networks=duplicate_networks,
+        duplicate_ixps=duplicate_ixps,
+        unresolved_memberships=unresolved,
+    )
+    return RecordSnapshot(
+        networks=tuple(sorted(nets.values(), key=lambda n: n.asn)),
+        ixps=tuple(sorted(ixps.values(), key=lambda x: x.ixp_id)),
+        memberships=tuple(memberships),
+        report=report,
+    )

@@ -335,8 +335,8 @@ def test_build_and_gexf_export_run_without_networkx(fixture_graph, tmp_path):
 
 
 def test_cli_import_leaves_out_the_slow_scipy_modules():
-    # Only the non-bipartite complement solve, the component count and the
-    # power-law fit need these; no command on a PeeringDB graph does.
+    # The package needs only scipy.sparse; no command uses these modules, and
+    # importing them would add to the start-up time of every command.
     slow = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg", "scipy.optimize")
     result = run_python(
         "import sys, peergraph.cli\n"

@@ -12,17 +12,21 @@ from peergraph.errors import EmptyGraphError
 from peergraph.graph import (
     BetaParams,
     _assemble,
-    _record_columns,
     build_graph,
     fit_breakpoint,
     node_metrics,
 )
 from peergraph.ingest import TrafficClass
 
-from conftest import ALL_CLASSES, edge_dict, make_snapshot, random_snapshot
+from conftest import ALL_CLASSES, edge_dict, make_snapshot, node_columns, random_snapshot
 from oracles import loop_weight_matrix
 
 TC = TrafficClass
+
+
+def as_classes(source) -> list[TrafficClass]:
+    """The traffic class of each AS of a snapshot or graph, in node order."""
+    return [ALL_CLASSES[c] for c in source.as_class.tolist()]
 
 
 @st.composite
@@ -95,7 +99,7 @@ def test_zero_capacity_memberships_dropped():
         [(10, 1, 10.0), (20, 1, 0.0)],
     )
     g = build_graph(snap)
-    assert g.n_as == 1 and (20 not in {r.asn for r in g.as_nodes})
+    assert g.n_as == 1 and (20 not in g.asn.tolist())
 
 
 def test_empty_graph_is_an_error():
@@ -111,8 +115,8 @@ def test_min_members_filter():
         [(10, 1, 5.0), (20, 1, 5.0), (20, 2, 5.0)],
     )
     g = build_graph(snap, min_members=2)
-    assert [r.ixp_id for r in g.ixp_nodes] == [1]
-    assert {r.asn for r in g.as_nodes} == {10, 20}
+    assert g.ixp_id.tolist() == [1]
+    assert g.asn.tolist() == [10, 20]
 
 
 def test_node_ordering_deterministic():
@@ -122,8 +126,8 @@ def test_node_ordering_deterministic():
         [(30, 7, 1.0), (10, 2, 1.0)],
     )
     g = build_graph(snap)
-    assert [r.asn for r in g.as_nodes] == [10, 30]
-    assert [r.ixp_id for r in g.ixp_nodes] == [2, 7]
+    assert g.asn.tolist() == [10, 30]
+    assert g.ixp_id.tolist() == [2, 7]
     assert g.labels == ("AS10", "AS30", "IX2", "IX7")
 
 
@@ -139,14 +143,17 @@ def test_weight_construction_invariants(snap):
     beta = g.beta
     # independent re-aggregation of the port sizes
     expected: dict[tuple[int, int], float] = {}
-    for m in snap.memberships:
-        if m.port_size > 0:
-            expected[(m.asn, m.ixp_id)] = expected.get((m.asn, m.ixp_id), 0.0) + m.port_size
+    for asn, ixp_id, ps in zip(
+        snap.port_asn.tolist(), snap.port_ixp_id.tolist(), snap.port_size.tolist()
+    ):
+        if ps > 0:
+            expected[(asn, ixp_id)] = expected.get((asn, ixp_id), 0.0) + ps
     assert edge_dict(g) == expected
+    class_of = dict(zip(snap.asn.tolist(), as_classes(snap)))
 
     for (asn, ixp_id), ps in edge_dict(g).items():
         a, x = g.as_index(asn), g.ixp_index(ixp_id)
-        tc = snap.network_by_asn[asn].info_ratio
+        tc = class_of[asn]
         b = beta.for_class(tc)
         w_pair = (g.W[a, x], g.W[x, a])
         assert max(w_pair) == ps
@@ -229,7 +236,7 @@ def test_every_node_has_a_neighbor(snap):
 
 def test_node_metrics_are_float_on_an_edgeless_graph():
     g = single_edge(TC.HEAVY_OUTBOUND, 100.0)
-    edgeless = _assemble(*_record_columns(g.as_nodes, g.ixp_nodes), (), (), (), g.beta, g.date)
+    edgeless = _assemble(*node_columns(g), (), (), (), g.beta, g.date)
     m = node_metrics(edgeless)
     for values in (m.w_in, m.w_out, m.port_capacity):
         assert values.dtype == np.float64
@@ -241,10 +248,10 @@ def test_node_metrics_are_float_on_an_edgeless_graph():
 def test_directional_metric_identities(snap):
     g = build_graph(snap)
     m = node_metrics(g)
-    for i, rec in enumerate(g.as_nodes):
-        b = g.beta.for_class(rec.info_ratio)
+    for i, tc in enumerate(as_classes(g)):
+        b = g.beta.for_class(tc)
         pc = m.port_capacity[i]
-        major, minor = (m.w_out[i], m.w_in[i]) if rec.info_ratio.is_outbound else (
+        major, minor = (m.w_out[i], m.w_in[i]) if tc.is_outbound else (
             m.w_in[i], m.w_out[i]
         )
         assert major == pc  # integer port sizes: sums are exact

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peergraph.errors import SnapshotFormatError
-from peergraph.graph import BetaParams, _assemble, _record_columns, build_graph
+from peergraph.graph import BetaParams, _assemble, build_graph
 from peergraph.graphio import (
     export_edgelist,
     export_gexf,
@@ -35,7 +34,15 @@ from peergraph.spectral import (
     relative_change,
 )
 
-from conftest import GOLDEN_DIR, edge_dict, make_snapshot, random_graph
+from conftest import (
+    GOLDEN_DIR,
+    NODE_COLUMNS,
+    column_values,
+    edge_dict,
+    make_snapshot,
+    node_columns,
+    random_graph,
+)
 from oracles import json_graph_text, networkx_gexf
 
 TC = TrafficClass
@@ -45,8 +52,7 @@ def test_graph_round_trip(fixture_graph, tmp_path):
     path = tmp_path / "graph.json"
     save_graph(fixture_graph, path)
     loaded = load_graph(path)
-    assert loaded.as_nodes == fixture_graph.as_nodes
-    assert loaded.ixp_nodes == fixture_graph.ixp_nodes
+    assert column_values(loaded, NODE_COLUMNS) == column_values(fixture_graph, NODE_COLUMNS)
     assert edge_dict(loaded) == edge_dict(fixture_graph)
     assert loaded.beta == fixture_graph.beta
     assert loaded.date == fixture_graph.date
@@ -118,8 +124,7 @@ def test_load_sorts_unsorted_records(fixture_graph, tmp_path):
         payload[key].reverse()
     path.write_text(json.dumps(payload))
     loaded = load_graph(path)
-    assert loaded.as_nodes == fixture_graph.as_nodes
-    assert loaded.ixp_nodes == fixture_graph.ixp_nodes
+    assert column_values(loaded, NODE_COLUMNS) == column_values(fixture_graph, NODE_COLUMNS)
     assert loaded.edge_list() == fixture_graph.edge_list()
     assert (loaded.W != fixture_graph.W).nnz == 0
 
@@ -160,10 +165,10 @@ def test_load_rejects_mistyped_node_field(fixture_graph, tmp_path, defect):
 
 
 def test_edgelist_export_writes_nothing_for_text_utf8_cannot_hold(fixture_graph, tmp_path):
-    ixp_nodes = [replace(r, name="\ud800bad") if i == 2 else r
-                 for i, r in enumerate(fixture_graph.ixp_nodes)]
+    as_columns, (ixp_id, ixp_name, ixp_country) = node_columns(fixture_graph)
+    ixp_name = tuple("\ud800bad" if i == 2 else name for i, name in enumerate(ixp_name))
     g = _assemble(
-        *_record_columns(fixture_graph.as_nodes, ixp_nodes),
+        as_columns, (ixp_id, ixp_name, ixp_country),
         *zip(*fixture_graph.edge_list()), fixture_graph.beta, fixture_graph.date,
     )
     with pytest.raises(UnicodeEncodeError):
@@ -302,8 +307,9 @@ def test_subset_file_accepts_asns_and_labels(fixture_graph, tmp_path):
 def test_subset_file_unknown_entries(fixture_graph, tmp_path):
     path = tmp_path / "subset.txt"
     path.write_text("64500\n99999\n")
-    with pytest.raises(KeyError):
+    with pytest.raises(SnapshotFormatError) as info:
         read_subset_file(path, fixture_graph)
+    assert str(info.value) == f"{path}: line 2: '99999' is not a node of the graph"
 
 
 def test_edgelist_export(fixture_graph, tmp_path):
@@ -373,18 +379,21 @@ BETAS = st.sampled_from([BetaParams(), BetaParams(balanced=1.0, mostly=1.0, heav
 def relabelled_graph(seed, beta, names, countries, date, edgeless):
     """A random graph whose node text is taken from ``names`` and ``countries``."""
     g = random_graph(np.random.default_rng(seed), max_as=30, max_ixp=12)
-    as_nodes = [
-        replace(r, name=_pick(names, i, r.name), info_scope=_pick(names[1:], i, r.info_scope),
-                info_type=_pick(countries[1:], i, r.info_type))
-        for i, r in enumerate(g.as_nodes)
-    ]
-    ixp_nodes = [
-        replace(r, name=_pick(names[::-1], i, r.name), country=_pick(countries, i, r.country))
-        for i, r in enumerate(g.ixp_nodes)
-    ]
+    as_columns = (
+        g.asn,
+        g.as_class,
+        [_pick(names, i, name) for i, name in enumerate(g.as_name)],
+        [_pick(names[1:], i, scope) for i, scope in enumerate(g.as_scope)],
+        [_pick(countries[1:], i, kind) for i, kind in enumerate(g.as_type)],
+    )
+    ixp_columns = (
+        g.ixp_id,
+        [_pick(names[::-1], i, name) for i, name in enumerate(g.ixp_name)],
+        [_pick(countries, i, country) for i, country in enumerate(g.ixp_country)],
+    )
     edges = [] if edgeless else g.edge_list()
     asn, ixp_id, ps = zip(*edges) if edges else ((), (), ())
-    return _assemble(*_record_columns(as_nodes, ixp_nodes), asn, ixp_id, ps, beta, date)
+    return _assemble(as_columns, ixp_columns, asn, ixp_id, ps, beta, date)
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,8 +433,6 @@ def test_save_graph_matches_json_dumps(seed, beta, names, countries, date, edgel
     assert text == json_graph_text(g).encode("ascii")
 
 
-NODE_COLUMNS = ("asn", "as_class", "as_name", "as_scope", "as_type",
-                "ixp_id", "ixp_name", "ixp_country")
 EDGE_COLUMNS = ("edge_as", "edge_ixp", "port_size", "edge_class")
 
 
@@ -452,5 +459,4 @@ def test_graph_file_round_trip_keeps_every_column(seed, beta, names, countries, 
             assert got == want, column
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(loaded.W, part), getattr(g.W, part)), part
-    assert loaded.as_nodes == g.as_nodes and loaded.ixp_nodes == g.ixp_nodes
     assert loaded.beta == g.beta and loaded.date == g.date

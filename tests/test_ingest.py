@@ -1,15 +1,20 @@
 """Snapshot and ground-truth parsing."""
 from __future__ import annotations
 
+import copy
 import json
+import tempfile
 from datetime import date as Date
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peergraph.errors import GroundTruthFormatError, SnapshotFormatError
+from peergraph.errors import GroundTruthFormatError, PeergraphError, SnapshotFormatError
 from peergraph.ingest import (
+    CLASSES,
     TrafficClass,
     as_port_capacity,
     capacity_timeseries,
@@ -18,7 +23,8 @@ from peergraph.ingest import (
     validate_snapshot,
 )
 
-from conftest import make_snapshot
+from conftest import FIXTURE_SNAPSHOT, SNAPSHOT_COLUMNS, make_snapshot, snapshot_fields
+from oracles import record_parse
 
 D = Date(2020, 1, 1)
 
@@ -46,7 +52,7 @@ BASIC_NETIXLAN = [
 def test_parse_counts(tmp_path):
     path = write_dump(tmp_path, BASIC_NET, BASIC_IX, BASIC_NETIXLAN)
     snap = parse_snapshot(path, D)
-    assert (len(snap.networks), len(snap.ixps), len(snap.memberships)) == (2, 1, 2)
+    assert (snap.asn.size, snap.ixp_id.size, snap.port_size.size) == (2, 1, 2)
     assert snap.report.networks == 2
 
 
@@ -55,14 +61,14 @@ def test_parse_accepts_wrapped_sections(tmp_path):
     wrapped = parse_snapshot(
         write_dump(tmp_path, BASIC_NET, BASIC_IX, BASIC_NETIXLAN, name="w.json", wrap=True), D
     )
-    assert bare == wrapped
+    assert snapshot_fields(bare) == snapshot_fields(wrapped)
 
 
 def test_missing_info_ratio_maps_to_not_disclosed(tmp_path):
     net = [{"asn": 10, "name": "a"}]
     snap = parse_snapshot(write_dump(tmp_path, net, BASIC_IX, []), D)
-    assert snap.network_by_asn[10].info_ratio is TrafficClass.NOT_DISCLOSED
-    assert snap.network_by_asn[10].info_type == "Not Disclosed"
+    assert snap.as_class.tolist() == [CLASSES.index(TrafficClass.NOT_DISCLOSED)]
+    assert snap.as_type == ("Not Disclosed",)
 
 
 def test_unknown_ratio_text_maps_to_not_disclosed():
@@ -74,7 +80,7 @@ def test_unknown_ratio_text_maps_to_not_disclosed():
 def test_membership_to_unknown_ixp_dropped(tmp_path):
     bad = BASIC_NETIXLAN + [{"asn": 10, "ix_id": 99, "speed": 500}]
     snap = parse_snapshot(write_dump(tmp_path, BASIC_NET, BASIC_IX, bad), D)
-    assert len(snap.memberships) == 2
+    assert snap.port_size.size == 2
     assert snap.report.unresolved_memberships == 1
 
 
@@ -84,7 +90,7 @@ def test_malformed_rows_counted_not_fatal(tmp_path):
     snap = parse_snapshot(write_dump(tmp_path, net, BASIC_IX, netixlan), D)
     assert snap.report.invalid_networks == 2
     assert snap.report.invalid_memberships == 2
-    assert len(snap.memberships) == 2
+    assert snap.port_size.size == 2
 
 
 def test_non_finite_speeds_counted_invalid(tmp_path):
@@ -96,19 +102,20 @@ def test_non_finite_speeds_counted_invalid(tmp_path):
     ]
     snap = parse_snapshot(write_dump(tmp_path, BASIC_NET, BASIC_IX, netixlan), D)
     assert snap.report.invalid_memberships == 3
-    assert [m.port_size for m in snap.memberships] == [1000.0, 2000.0]
+    assert snap.port_size.tolist() == [1000.0, 2000.0]
 
 
 def test_missing_speed_kept_as_zero(tmp_path):
     netixlan = [{"asn": 10, "ix_id": 1}, {"asn": 10, "ix_id": 1, "speed": None}]
     snap = parse_snapshot(write_dump(tmp_path, BASIC_NET, BASIC_IX, netixlan), D)
-    assert [m.port_size for m in snap.memberships] == [0.0, 0.0]
+    assert snap.port_size.tolist() == [0.0, 0.0]
 
 
 def test_duplicate_asn_last_wins(tmp_path):
     net = BASIC_NET + [{"asn": 10, "name": "newer", "info_ratio": "Mostly Inbound"}]
     snap = parse_snapshot(write_dump(tmp_path, net, BASIC_IX, []), D)
-    assert snap.network_by_asn[10].name == "newer"
+    assert snap.asn.tolist() == [10, 20]
+    assert snap.as_name[0] == "newer"
     assert snap.report.duplicate_networks == 1
 
 
@@ -124,15 +131,194 @@ def test_malformed_top_level_fatal(tmp_path):
 
 def test_parse_is_deterministic(tmp_path):
     path = write_dump(tmp_path, BASIC_NET, BASIC_IX, BASIC_NETIXLAN)
-    assert parse_snapshot(path, D) == parse_snapshot(path, D)
+    assert snapshot_fields(parse_snapshot(path, D)) == snapshot_fields(parse_snapshot(path, D))
 
 
 def test_every_membership_resolves(tmp_path):
     bad = BASIC_NETIXLAN + [{"asn": 999, "ix_id": 1, "speed": 10}]
     snap = parse_snapshot(write_dump(tmp_path, BASIC_NET, BASIC_IX, bad), D)
-    for m in snap.memberships:
-        assert m.asn in snap.network_by_asn
-        assert m.ixp_id in snap.ixp_by_id
+    assert set(snap.port_asn.tolist()) <= set(snap.asn.tolist())
+    assert set(snap.port_ixp_id.tolist()) <= set(snap.ixp_id.tolist())
+
+
+def _set(section: str, row: int, key: str, value):
+    return lambda dump: dump[section][row].__setitem__(key, value)
+
+
+# Each case puts one number into a row of the basic dump that int64 or a
+# float cannot hold; the row counts as invalid, and a membership of a
+# dropped node as unresolved.
+ROW_DEFECTS = {
+    "AS number beyond int64": (
+        _set("net", 1, "asn", 2**70), {"invalid_networks": 1, "unresolved_memberships": 1}
+    ),
+    "infinite AS number": (
+        _set("net", 1, "asn", float("inf")), {"invalid_networks": 1, "unresolved_memberships": 1}
+    ),
+    "exchange id of 2**63": (
+        _set("ix", 0, "id", 2**63), {"invalid_ixps": 1, "unresolved_memberships": 2}
+    ),
+    "400-digit speed": (_set("netixlan", 1, "speed", 10**400), {"invalid_memberships": 1}),
+    "infinite membership AS number": (
+        _set("netixlan", 0, "asn", float("-inf")), {"invalid_memberships": 1}
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ROW_DEFECTS))
+def test_unrepresentable_numbers_count_as_invalid_rows(tmp_path, defect):
+    edit, dropped = ROW_DEFECTS[defect]
+    dump = copy.deepcopy({"net": BASIC_NET, "ix": BASIC_IX, "netixlan": BASIC_NETIXLAN})
+    edit(dump)
+    report = parse_snapshot(write_dump(tmp_path, **dump), D).report
+    drops = ("invalid_", "duplicate_", "unresolved_")
+    assert {key: n for key, n in vars(report).items() if key.startswith(drops) and n} == dropped
+
+
+def _not_utf8_name(data: bytes) -> bytes:
+    return data.replace(b"Fixture-AS64502", b"Fixture-AS6450\xff", 1)
+
+
+# Each case turns the fixture dump into a file that is not a dump; the
+# message must name the file and what is wrong.
+DUMP_DEFECTS = {
+    "non-UTF-8 bytes": (_not_utf8_name, "line 20: not UTF-8"),
+    "nesting past the recursion limit": (lambda data: b"[" * 100_000, "not valid JSON"),
+    "integer past the digit limit": (
+        lambda data: b'{"net": [{"asn": ' + b"7" * 5000 + b'}], "ix": [], "netixlan": []}',
+        "not valid JSON",
+    ),
+    "missing section": (
+        lambda data: b'{"net": [], "ix": []}', "dump is missing the 'netixlan' section"
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DUMP_DEFECTS))
+def test_defective_dump_names_file(tmp_path, defect):
+    edit, fragment = DUMP_DEFECTS[defect]
+    path = tmp_path / "dump.json"
+    path.write_bytes(edit(FIXTURE_SNAPSHOT.read_bytes()))
+    with pytest.raises(SnapshotFormatError) as info:
+        parse_snapshot(path, D)
+    assert str(info.value).startswith(f"{path}: ")
+    assert fragment in str(info.value)
+
+
+def _check_snapshot(snap) -> None:
+    """The column invariants a parsed snapshot promises."""
+    for name in SNAPSHOT_COLUMNS:
+        column = getattr(snap, name)
+        if isinstance(column, np.ndarray):
+            assert not column.flags.writeable, name
+    assert snap.asn.dtype == snap.ixp_id.dtype == np.int64
+    assert snap.as_class.dtype == np.int8 and snap.port_size.dtype == np.float64
+    assert (np.diff(snap.asn) > 0).all() and (np.diff(snap.ixp_id) > 0).all()
+    assert len(snap.as_name) == len(snap.as_scope) == len(snap.as_type) == snap.asn.size
+    assert len(snap.ixp_name) == len(snap.ixp_country) == snap.ixp_id.size
+    assert np.isin(snap.port_asn, snap.asn).all()
+    assert np.isin(snap.port_ixp_id, snap.ixp_id).all()
+    assert (np.isfinite(snap.port_size) & (snap.port_size >= 0)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.binary(max_size=3), st.integers(0, 3)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_parse_gives_snapshot_or_typed_error(edits):
+    data = bytearray(FIXTURE_SNAPSHOT.read_bytes())
+    for at, insert, cut in edits:
+        at %= len(data) + 1
+        data[at : at + cut] = insert
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.json"
+        path.write_bytes(bytes(data))
+        try:
+            snap = parse_snapshot(path, D)
+        except PeergraphError:
+            return
+    _check_snapshot(snap)
+
+
+def record_fields(parsed) -> dict:
+    """What :func:`snapshot_fields` gives, from the records of ``record_parse``."""
+    nets, ixps, ports = parsed.networks, parsed.ixps, parsed.memberships
+    return {
+        "date": D,
+        "report": parsed.report,
+        "asn": [n.asn for n in nets],
+        "as_class": [list(TrafficClass).index(n.info_ratio) for n in nets],
+        "as_name": tuple(n.name for n in nets),
+        "as_scope": tuple(n.info_scope for n in nets),
+        "as_type": tuple(n.info_type for n in nets),
+        "ixp_id": [x.ixp_id for x in ixps],
+        "ixp_name": tuple(x.name for x in ixps),
+        "ixp_country": tuple(x.country for x in ixps),
+        "port_asn": [m.asn for m in ports],
+        "port_ixp_id": [m.ixp_id for m in ports],
+        "port_size": [m.port_size for m in ports],
+    }
+
+
+# For each field: the values of a well-formed row, and values that are not.
+# Ids come from a small pool, so that they repeat and memberships miss.
+ID = (
+    st.integers(1, 4),
+    st.sampled_from([0, -3, 2**63 - 1, 2**63, 2**70, 10**400, 3.0, 4.5, True, "2", " 3 ", "x",
+                     "", None, [1], {"id": 1}, float("nan"), float("inf"), float("-inf")]),
+)
+TEXT = (
+    st.text(st.sampled_from("aZ é中"), max_size=4),
+    st.one_of(
+        st.text(st.sampled_from("a\ud800\udc00"), max_size=3),
+        st.sampled_from([None, 0, 7, 1.5, ["x"]]),
+    ),
+)
+RATIO = (st.sampled_from([tc.value for tc in TrafficClass]), TEXT[0] | TEXT[1] | st.just("???"))
+SPEED = (
+    st.integers(0, 10**6),
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([None, -1, 10**400, "100", "fast", True, [10]]),
+    ),
+)
+
+
+def rows(required: dict, optional: dict):
+    """A section whose rows are well formed in about three of four draws.
+
+    The others may miss any key, hold any value or not be objects.
+    """
+    good = st.fixed_dictionaries(
+        {key: usual for key, (usual, _) in required.items()},
+        optional={key: usual for key, (usual, _) in optional.items()},
+    )
+    either = {key: usual | unusual for key, (usual, unusual) in (required | optional).items()}
+    odd = st.fixed_dictionaries({}, optional=either)
+    not_rows = st.sampled_from([None, 3, "row", [1, 2]])
+    row = st.sampled_from([good, good, good, odd, not_rows]).flatmap(lambda strategy: strategy)
+    return st.lists(row, max_size=12).flatmap(lambda r: st.sampled_from([r, {"data": r}]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    net=rows({"asn": ID}, {"name": TEXT, "info_ratio": RATIO, "info_scope": TEXT,
+                           "info_type": TEXT}),
+    ix=rows({"id": ID}, {"name": TEXT, "country": TEXT}),
+    netixlan=rows({"asn": ID, "ix_id": ID}, {"speed": SPEED}),
+)
+def test_column_parser_matches_record_parser(net, ix, netixlan):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.json"
+        path.write_text(json.dumps({"net": net, "ix": ix, "netixlan": netixlan}))
+        snap = parse_snapshot(path, D)
+        expected = record_fields(record_parse(path))
+    _check_snapshot(snap)
+    assert snapshot_fields(snap) == expected
 
 
 # --- outlier screening ---
