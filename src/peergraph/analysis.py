@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import UnknownProbeError
 from .graph import BetaParams, PeeringGraph, build_graph, node_metrics
 from .ingest import CLASSES, GroundTruth, RawSnapshot, TrafficClass
 from .spectral import (
@@ -142,14 +143,16 @@ def top_hypergiants(
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
 ) -> RankTable:
-    """Top-k ASes by reverse PageRank (IXPs excluded, ranks re-numbered)."""
+    """Top-k ASes by reverse PageRank (IXPs excluded, ranks re-numbered).
+
+    ``g.asn[table.index]`` are their AS numbers.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > g.n_as:
         raise ValueError(f"k={k} exceeds the number of AS nodes ({g.n_as})")
     pr = pagerank(google_matrix(g, alpha, "reverse"), tol=tol)
-    table = rank_table(pr, g.labels, g.kinds, g.names, keep=g.is_as)
-    return RankTable(entries=table.top(k))
+    return rank_table(pr, keep=np.arange(g.n_nodes) < g.n_as).top(k)
 
 
 def traffic_receivers(
@@ -166,38 +169,37 @@ def traffic_receivers(
 
     Candidates are the ASes assigned to the country whose business type is
     in ``types``; hypergiants and the manual exclusion list never qualify.
-    Each table keeps the top :data:`RECEIVERS_PER_COUNTRY`; countries
-    without a qualifying AS map to an empty table.
+    One candidate mask over the nodes is ANDed with each country's
+    assignment, and each table keeps the top :data:`RECEIVERS_PER_COUNTRY`
+    AS node indices; countries without a qualifying AS map to an empty
+    table.
     """
     pr = pagerank(google_matrix(g, alpha, "forward"), tol=tol)
-    banned = set(hypergiant_asns) | set(exclusions)
-    asns = g.asn.tolist()
-    result: dict[str, RankTable] = {}
-    for country in countries:
-        keep = lambda i: (
-            g.is_as(i)
-            and asns[i] not in banned
-            and g.as_type[i] in types
-            and assignment.assignments.get(asns[i]) == country
-        )
-        table = rank_table(pr, g.labels, g.kinds, g.names, keep=keep)
-        result[country] = RankTable(entries=table.top(RECEIVERS_PER_COUNTRY))
-    return result
+    banned = np.isin(g.asn, [*hypergiant_asns, *exclusions])
+    candidate = np.zeros(g.n_nodes, dtype=bool)
+    candidate[: g.n_as] = ~banned & np.isin(np.array(g.as_type, dtype=object), list(types))
+    assigned = np.full(g.n_nodes, None, dtype=object)
+    assigned[: g.n_as] = [assignment.assignments.get(asn) for asn in g.asn.tolist()]
+    return {
+        country: rank_table(pr, keep=candidate & (assigned == country)).top(RECEIVERS_PER_COUNTRY)
+        for country in countries
+    }
 
 
 def eums_coverage(
+    g: PeeringGraph,
     receivers: Mapping[str, RankTable],
     truth: GroundTruth,
 ) -> dict[str, float]:
     """Aggregated end-user market share of the identified receivers per country.
 
-    An AS missing from the market-share table contributes zero.
+    The tables hold AS node indices of ``g``; an AS missing from the
+    market-share table contributes zero.
     """
     coverage: dict[str, float] = {}
     for country, table in receivers.items():
         total = 0.0
-        for entry in table:
-            asn = int(entry.label.removeprefix("AS"))
+        for asn in g.asn[table.index].tolist():
             record = truth.eums.get((asn, country))
             if record is not None:
                 total += record.share
@@ -280,7 +282,8 @@ def beta_stability_sweep(
     default parameters plus the maximum rank variation (and, for
     diagnostics, the maximum value variation) over the whole grid.
     ``beta_heavy = 1`` is excluded: it silences heavy-outbound ASes
-    entirely.
+    entirely.  The first probe that is not an AS of the graph raises
+    :class:`~peergraph.errors.UnknownProbeError`.
     """
     grid_h = tuple(b for b in grid_heavy if b < 1.0)
     grid_m = tuple(grid_mostly)
@@ -290,9 +293,9 @@ def beta_stability_sweep(
 
     g = build_graph(snapshot, beta_default)
     probe_asns = tuple(probes) if probes is not None else default_probes(g)
-    missing = [asn for asn in probe_asns if not g.contains_as(asn)]
-    if missing:
-        raise ValueError(f"probe ASes not in graph: {missing}")
+    missing = next((asn for asn in probe_asns if not g.contains_as(asn)), None)
+    if missing is not None:
+        raise UnknownProbeError(missing)
     idx = np.array([g.as_index(asn) for asn in probe_asns], dtype=np.int64)
 
     # Row 0 of each table is the default point, the other rows the grid.

@@ -30,7 +30,7 @@ from .analysis import (
     traffic_receivers,
 )
 from .clustering import cluster_profiles, louvain_bipartite, symmetrize
-from .errors import PeergraphError, SnapshotFormatError
+from .errors import PeergraphError, SnapshotFormatError, UnknownProbeError
 from .graph import BetaParams, build_graph, fit_breakpoint
 from .graphio import (
     atomic_write_text,
@@ -87,25 +87,35 @@ def _write_manifests(argv: list[str], params: dict, inputs: list[Path], outputs:
         atomic_write_text(Path(str(out) + ".manifest.json"), text)
 
 
-def _parse_date(text: str) -> Date:
-    return Date.fromisoformat(text)
+def _parse_date(flag: str, text: str) -> Date:
+    try:
+        return Date.fromisoformat(text)
+    except ValueError as exc:
+        raise PeergraphError(f"{flag} {text!r} is not a YYYY-MM-DD date ({exc})") from exc
 
 
-def _parse_grid(spec: str) -> tuple[float, ...]:
-    """Grid spec ``start:stop:count`` (inclusive linspace) or a single value."""
-    if ":" in spec:
+def _parse_grid(flag: str, spec: str) -> tuple[float, ...]:
+    """Grid spec ``start:stop:count`` (inclusive linspace, count >= 1) or a single value."""
+    try:
+        if ":" not in spec:
+            return (float(spec),)
         start, stop, count = spec.split(":")
+        if int(count) < 1:
+            raise ValueError(f"count {count} is below 1")
         return tuple(float(v) for v in np.linspace(float(start), float(stop), int(count)))
-    return (float(spec),)
+    except ValueError as exc:
+        message = f"{flag} {spec!r} is not start:stop:count or a number ({exc})"
+        raise PeergraphError(message) from exc
 
 
-def _read_asn_list(path: str) -> list[int]:
-    asns = []
+def _read_asns(path: str) -> dict[int, int]:
+    """Line number -> AS number of each entry of a probe or exclusion file."""
+    asns = {}
     for n, line in enumerate(read_lines(path, SnapshotFormatError), start=1):
         token = line.split("#", 1)[0].strip()
         if token:
             try:
-                asns.append(int(token.upper().removeprefix("AS")))
+                asns[n] = int(token[2:] if token[:2].upper() == "AS" else token)
             except ValueError as exc:
                 message = f"{path}: line {n}: {token!r} is not an AS number"
                 raise SnapshotFormatError(message) from exc
@@ -117,7 +127,7 @@ def _beta_from_args(args) -> BetaParams:
 
 
 def cmd_ingest(args, argv) -> int:
-    snapshot = parse_snapshot(args.snapshot, _parse_date(args.date))
+    snapshot = parse_snapshot(args.snapshot, _parse_date("--date", args.date))
     rep = snapshot.report
     print(
         f"parsed {args.snapshot}: {rep.networks} networks, {rep.ixps} ixps, "
@@ -176,7 +186,7 @@ def cmd_ingest(args, argv) -> int:
 
 
 def cmd_build(args, argv) -> int:
-    snapshot = parse_snapshot(args.snapshot, _parse_date(args.date))
+    snapshot = parse_snapshot(args.snapshot, _parse_date("--date", args.date))
     g = build_graph(snapshot, _beta_from_args(args), min_members=args.min_members)
     out = _resolve_out(args.out)
     save_graph(g, out)
@@ -198,12 +208,10 @@ def cmd_rank(args, argv) -> int:
     g = load_graph(args.graph)
     G = google_matrix(g, alpha=args.alpha, direction=args.direction)
     pr = pagerank(G, tol=args.tol)
-    keep = None
-    if args.only:
-        keep = (lambda i: g.kinds[i] == args.only)
-    table = rank_table(pr, g.labels, g.kinds, g.names, keep=keep)
+    keep = np.array(g.kinds) == args.only if args.only else None
+    table = rank_table(pr, keep=keep)
     out = _resolve_out(args.out)
-    write_rank_csv(table, out)
+    write_rank_csv(g, table, out)
     print(f"ranked {len(table)} nodes ({args.direction}) in {pr.iterations} iterations -> {out}")
     _write_manifests(
         argv,
@@ -296,11 +304,18 @@ def cmd_classify(args, argv) -> int:
     return 0
 
 
+def _ranked_nodes(g, table) -> list[list]:
+    """(rank, label, name, value) rows of a rank table over ``g``'s nodes."""
+    return [
+        [rank, g.labels[i], g.names[i], repr(value)]
+        for rank, (i, value) in enumerate(zip(table.index.tolist(), table.value.tolist()), 1)
+    ]
+
+
 def cmd_hypergiants(args, argv) -> int:
     g = load_graph(args.graph)
     table = top_hypergiants(g, k=args.k, alpha=args.alpha, tol=args.tol)
-    rows = [["rank", "node", "name", "value"]]
-    rows.extend([e.rank, e.label, e.name, repr(e.value)] for e in table)
+    rows = [["rank", "node", "name", "value"], *_ranked_nodes(g, table)]
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     print(f"top {args.k} diffusive ASes -> {out}")
@@ -316,16 +331,15 @@ def cmd_receivers(args, argv) -> int:
     types = frozenset(
         _TYPE_SHORTHAND.get(t.strip().upper(), t.strip()) for t in args.types.split(",")
     )
-    exclusions = _read_asn_list(args.exclude) if args.exclude else []
+    exclusions = list(_read_asns(args.exclude).values()) if args.exclude else []
     truth = load_ground_truth(apnic_paths=args.apnic) if args.apnic else None
     assignment = classify_countries(g, rule=args.rule)
     giants = top_hypergiants(g, k=args.hypergiants_k, alpha=args.alpha, tol=args.tol)
-    giant_asns = [int(e.label.removeprefix("AS")) for e in giants]
     receivers = traffic_receivers(
         g,
         assignment,
         countries,
-        hypergiant_asns=giant_asns,
+        hypergiant_asns=g.asn[giants.index],
         exclusions=exclusions,
         types=types,
         alpha=args.alpha,
@@ -333,8 +347,7 @@ def cmd_receivers(args, argv) -> int:
     )
     rows = [["country", "rank", "node", "name", "value"]]
     for country in countries:
-        for e in receivers[country]:
-            rows.append([country, e.rank, e.label, e.name, repr(e.value)])
+        rows.extend([country, *row] for row in _ranked_nodes(g, receivers[country]))
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     outputs = [out]
@@ -342,7 +355,7 @@ def cmd_receivers(args, argv) -> int:
     print(f"traffic receivers for {len(countries)} countries -> {out}")
 
     if truth is not None:
-        coverage = eums_coverage(receivers, truth)
+        coverage = eums_coverage(g, receivers, truth)
         cov_rows = [["country", "eums_pct"]]
         cov_rows.extend([c, repr(coverage[c])] for c in countries)
         coverage_out = _resolve_out(args.coverage_out or (str(out) + ".coverage.csv"))
@@ -368,17 +381,24 @@ def cmd_receivers(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
-    snapshot = parse_snapshot(args.snapshot, _parse_date(args.date))
-    probes = _read_asn_list(args.probes) if args.probes else None
-    report = beta_stability_sweep(
-        snapshot,
-        grid_heavy=_parse_grid(args.grid_h),
-        grid_mostly=_parse_grid(args.grid_m),
-        probes=probes,
-        beta_default=BetaParams(balanced=args.beta_b, mostly=args.beta_m, heavy=args.beta_h),
-        alpha=args.alpha,
-        tol=args.tol,
-    )
+    date = _parse_date("--date", args.date)
+    grid_h, grid_m = _parse_grid("--grid-h", args.grid_h), _parse_grid("--grid-m", args.grid_m)
+    probes = _read_asns(args.probes) if args.probes else None
+    snapshot = parse_snapshot(args.snapshot, date)
+    try:
+        report = beta_stability_sweep(
+            snapshot,
+            grid_heavy=grid_h,
+            grid_mostly=grid_m,
+            probes=None if probes is None else list(probes.values()),
+            beta_default=BetaParams(balanced=args.beta_b, mostly=args.beta_m, heavy=args.beta_h),
+            alpha=args.alpha,
+            tol=args.tol,
+        )
+    except UnknownProbeError as exc:
+        line = next(n for n, asn in probes.items() if asn == exc.asn)
+        message = f"{args.probes}: line {line}: AS{exc.asn} is not a node of the graph"
+        raise SnapshotFormatError(message) from exc
     rows = [[
         "asn", "name", "class", "pr_value", "pr_rank", "delta_pr_rank",
         "rpr_value", "rpr_rank", "delta_rpr_rank", "delta_pr_value", "delta_rpr_value",
@@ -463,7 +483,7 @@ def cmd_export(args, argv) -> int:
 
 def cmd_timeseries(args, argv) -> int:
     pairs = sorted(
-        ((Path(path), _parse_date(date)) for path, date in args.snapshot),
+        ((Path(path), _parse_date("--snapshot DATE", date)) for path, date in args.snapshot),
         key=lambda item: item[1],
     )
     snapshots = [parse_snapshot(path, date) for path, date in pairs]

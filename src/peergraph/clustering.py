@@ -266,7 +266,7 @@ def cluster_profiles(partition: Partition, g: PeeringGraph) -> tuple[ClusterProf
     as_count: dict[int, int] = defaultdict(int)
     for i in range(g.n_nodes):
         c = int(partition.communities[i])
-        if g.is_as(i):
+        if i < g.n_as:
             as_count[c] += 1
             continue
         country = g.ixp_country[i - g.n_as]

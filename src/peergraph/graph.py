@@ -146,9 +146,6 @@ class PeeringGraph:
     def names(self) -> tuple[str, ...]:
         return self.as_name + self.ixp_name
 
-    def is_as(self, index: int) -> bool:
-        return index < self.n_as
-
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """The (asn, ixp_id) of each edge, in edge order."""
         return self.asn[self.edge_as], self.ixp_id[self.edge_ixp - self.n_as]

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import SnapshotFormatError
 from .graph import BetaParams, PeeringGraph, _assemble, node_metrics
-from .ingest import CLASSES, _is_utf8, read_lines
+from .ingest import CLASSES, _is_utf8, _not_utf8, read_lines
 from .spectral import ChangeMatrix, RankTable, ReducedGoogleMatrix
 
 GRAPH_FORMAT = "peergraph-graph"
@@ -173,14 +173,19 @@ def load_graph(path: str | Path) -> PeeringGraph:
     """Load a graph produced by :func:`save_graph`.
 
     Raises :class:`SnapshotFormatError` naming the file and the record when
-    the file is not a graph of this format version, a key is missing, a
-    node field has the wrong JSON type or holds a lone surrogate, a node
-    id is listed twice, an edge names an unlisted node or is listed twice,
-    or a port size is not finite and positive.
+    the file is not UTF-8 JSON (the line of the first byte that is not
+    UTF-8, nesting past the recursion limit or an integer past Python's
+    digit limit among it), is not a graph of this format version, a key
+    is missing, a node field has the wrong JSON type or holds a lone
+    surrogate, a node id is listed twice, an edge names an unlisted node
+    or is listed twice, or a port size is not finite and positive.
     """
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(Path(path).read_bytes())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(SnapshotFormatError, path, data, exc) from exc
+    except (ValueError, RecursionError) as exc:
         raise SnapshotFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != GRAPH_FORMAT:
         raise SnapshotFormatError(f"{path}: not a {GRAPH_FORMAT} file")
@@ -374,10 +379,13 @@ def _csv_text(rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def write_rank_csv(table: RankTable, path: str | Path) -> Path:
-    """Rank table as (node, type, value, rank) rows."""
+def write_rank_csv(g: PeeringGraph, table: RankTable, path: str | Path) -> Path:
+    """Rank table of ``g``'s nodes as (node, type, value, rank) rows."""
     rows = [["node", "type", "value", "rank"]]
-    rows.extend([e.label, e.kind, repr(e.value), e.rank] for e in table)
+    rows.extend(
+        [g.labels[i], g.kinds[i], repr(value), rank]
+        for rank, (i, value) in enumerate(zip(table.index.tolist(), table.value.tolist()), 1)
+    )
     return atomic_write_text(path, _csv_text(rows))
 
 
@@ -517,8 +525,9 @@ def read_subset_file(path: str | Path, g: PeeringGraph) -> list[int]:
 
     One entry per line; blank lines and ``#`` comments are skipped.  The
     file order defines the subset order of the reduced matrix.  Raises
-    :class:`SnapshotFormatError` naming the file and the line of the first
-    entry that is not a node of ``g``, or of a byte that is not UTF-8.
+    :class:`SnapshotFormatError` naming the file, and the line of the first
+    entry that is not a node of ``g`` or repeats one, or of a byte that is
+    not UTF-8; or naming the file when it lists no node.
     """
     indices: list[int] = []
     for n, line in enumerate(read_lines(path, SnapshotFormatError), start=1):
@@ -527,12 +536,18 @@ def read_subset_file(path: str | Path, g: PeeringGraph) -> list[int]:
             continue
         try:
             if token.upper().startswith("AS"):
-                indices.append(g.as_index(int(token[2:])))
+                index = g.as_index(int(token[2:]))
             elif token.upper().startswith("IX"):
-                indices.append(g.ixp_index(int(token[2:])))
+                index = g.ixp_index(int(token[2:]))
             else:
-                indices.append(g.as_index(int(token)))
+                index = g.as_index(int(token))
         except (KeyError, ValueError) as exc:
             message = f"{path}: line {n}: {token!r} is not a node of the graph"
             raise SnapshotFormatError(message) from exc
+        if index in indices:
+            message = f"{path}: line {n}: {token!r} repeats node {g.labels[index]}"
+            raise SnapshotFormatError(message)
+        indices.append(index)
+    if not indices:
+        raise SnapshotFormatError(f"{path}: the subset lists no node")
     return indices

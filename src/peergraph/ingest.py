@@ -174,12 +174,18 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
+def _json_int(value: object) -> int:
+    """``value`` itself, which must be a JSON integer (not a boolean)."""
+    if type(value) is not int:
+        raise TypeError("an id must be a JSON integer")
+    return value
+
+
 def _node_id(value: object) -> int:
-    """``int(value)``, which must lie in [1, 2**63) as a node id."""
-    node_id = int(value)
-    if not 0 < node_id < 2**63:
+    """A JSON integer in [1, 2**63), as a node id."""
+    if not 0 < _json_int(value) < 2**63:
         raise ValueError("a node id must be in [1, 2**63)")
-    return node_id
+    return value
 
 
 # What converting the fields of one malformed row can raise.
@@ -189,12 +195,13 @@ _BAD_ROW = (KeyError, TypeError, ValueError, OverflowError)
 def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
     """Parse one dump file into a snapshot.
 
-    Field-level problems are non-fatal: malformed records (among them a
-    network or exchange id outside [1, 2**63), a number too large to
-    convert, a membership speed that is negative, NaN or infinite, and
-    network or exchange text holding a lone surrogate) are skipped and
-    counted, memberships whose AS or exchange is unknown are dropped and
-    counted.  A missing speed is kept as port size 0 (graph construction
+    Field-level problems are non-fatal: malformed records (among them an
+    id that is not a JSON integer, a network or exchange id outside
+    [1, 2**63), a number too large to convert, a membership speed that is
+    not a JSON number or is negative, NaN or infinite, and network or
+    exchange text holding a lone surrogate) are skipped and counted,
+    memberships whose AS or exchange is unknown are dropped and counted.
+    A missing speed is kept as port size 0 (graph construction
     discards zero-capacity memberships later).  Duplicated AS numbers or
     exchange ids keep the last occurrence.  A file that is not UTF-8 JSON
     with the three sections raises :class:`SnapshotFormatError`.
@@ -250,9 +257,11 @@ def parse_snapshot(path: str | Path, date: Date) -> RawSnapshot:
     port_size: list[float] = []
     for rec in _section(path, raw, "netixlan"):
         try:
-            asn = int(rec["asn"])
-            ixp_id = int(rec["ix_id"])
+            asn = _json_int(rec["asn"])
+            ixp_id = _json_int(rec["ix_id"])
             speed = rec.get("speed")
+            if speed is not None and type(speed) not in (int, float):
+                raise TypeError("a speed must be a JSON number")
             size = 0.0 if speed is None else float(speed)
             if not (math.isfinite(size) and size >= 0):
                 raise ValueError("speed must be finite and non-negative")

@@ -1,4 +1,7 @@
-"""Google matrix machinery: PageRank, stochastic complementation, temporal diffs.
+"""Google matrix machinery: PageRank, rank tables, stochastic complementation, temporal diffs.
+
+A rank table is two columns, node indices in rank order and their values;
+every ranking here orders by descending value, then by lower node index.
 
 The Google matrix of a weighted directed graph with ``N`` nodes is
 ``G = alpha * S + (1 - alpha) / N`` where ``S`` column-normalizes the
@@ -24,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date as Date
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import CensorError, ConvergenceError, SubsetMismatchError
+from .ingest import _frozen
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-10
@@ -144,27 +148,24 @@ def pagerank(
     )
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    label: str
-    kind: str
-    name: str
-    value: float
-    rank: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankTable:
-    entries: tuple[RankEntry, ...]
+    """Nodes in rank order, as two read-only columns of equal length.
 
-    def __iter__(self):
-        return iter(self.entries)
+    ``index`` holds node indices (int64) and ``value`` their values
+    (float64); the node at position ``k`` has rank ``k + 1``.  Labels,
+    kinds, names and AS numbers are read from the graph by index.
+    """
+
+    index: np.ndarray
+    value: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.index.shape[0]
 
-    def top(self, k: int) -> tuple[RankEntry, ...]:
-        return self.entries[:k]
+    def top(self, k: int) -> RankTable:
+        """The first ``k`` rows."""
+        return RankTable(index=self.index[:k], value=self.value[:k])
 
 
 def _rank_order(values: np.ndarray) -> np.ndarray:
@@ -172,29 +173,18 @@ def _rank_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(values.shape[0]), -values))
 
 
-def rank_table(
-    values: np.ndarray | PageRankVector,
-    labels: Sequence[str],
-    kinds: Sequence[str] | None = None,
-    names: Sequence[str] | None = None,
-    keep: Callable[[int], bool] | None = None,
-) -> RankTable:
+def rank_table(values: np.ndarray | PageRankVector, keep: np.ndarray | None = None) -> RankTable:
     """Order nodes by descending value; ties break toward the lower node index.
 
-    ``keep`` optionally filters node indices before ranking, which
-    re-ranks the survivors contiguously from 1.
+    ``keep`` optionally is a boolean mask over the nodes; only the nodes it
+    marks are ranked, contiguously from 1.
     """
-    vec = values.P if isinstance(values, PageRankVector) else np.asarray(values)
-    if len(labels) != vec.shape[0]:
-        raise ValueError("labels length must match the value vector")
-    kinds = kinds if kinds is not None else ("",) * len(labels)
-    names = names if names is not None else ("",) * len(labels)
-    indices = [i for i in _rank_order(vec).tolist() if keep is None or keep(i)]
-    entries = tuple(
-        RankEntry(label=labels[i], kind=kinds[i], name=names[i], value=float(vec[i]), rank=r)
-        for r, i in enumerate(indices, start=1)
-    )
-    return RankTable(entries=entries)
+    vec = np.asarray(values.P if isinstance(values, PageRankVector) else values, dtype=np.float64)
+    if keep is not None and np.shape(keep) != vec.shape:
+        raise ValueError("keep must be a mask over the value vector")
+    index = np.arange(vec.shape[0]) if keep is None else np.flatnonzero(keep)
+    index = index[_rank_order(vec[index])]
+    return RankTable(index=_frozen(index), value=_frozen(vec[index]))
 
 
 def rank_positions(values: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ matrix via explicit block inversion and exhaustive set-partition search
 for modularity.  None of it shares code with the package's computational
 paths.
 
-Five references are the package's earlier paths, kept to check the fast
-ones that replaced them: the per-edge weight-matrix loop, the beta sweep
-that rebuilds the graph and cold-starts PageRank at every point, the GEXF
-export through a networkx ``DiGraph`` and ``nx.write_gexf``, the graph
-file as ``json.dumps`` of a payload of node records, and the dump parser
-that makes one frozen record per row (:func:`record_parse`).
+Six references are the package's earlier paths, kept to check the fast
+ones that replaced them: the per-edge weight-matrix loop, the rank table
+of one frozen row per node filtered by a per-node callable
+(:func:`row_rank_table`), the beta sweep that rebuilds the graph and
+cold-starts PageRank at every point, the GEXF export through a networkx
+``DiGraph`` and ``nx.write_gexf``, the graph file as ``json.dumps`` of a
+payload of node records, and the dump parser that makes one frozen record
+per row (:func:`record_parse`).
 """
 from __future__ import annotations
 
@@ -159,6 +161,31 @@ def sorted_rank_positions(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+@dataclass(frozen=True)
+class RankEntry:
+    label: str
+    kind: str
+    name: str
+    value: float
+    rank: int
+
+
+def row_rank_table(values, labels, kinds=None, names=None, keep=None) -> tuple[RankEntry, ...]:
+    """One frozen row per kept node, by descending value, ties to the lower index.
+
+    ``keep`` is a callable on node indices; the survivors are re-ranked
+    contiguously from 1.
+    """
+    kinds = kinds if kinds is not None else ("",) * len(labels)
+    names = names if names is not None else ("",) * len(labels)
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    indices = [i for i in order if keep is None or keep(i)]
+    return tuple(
+        RankEntry(label=labels[i], kind=kinds[i], name=names[i], value=float(values[i]), rank=r)
+        for r, i in enumerate(indices, start=1)
+    )
+
+
 def cold_sweep(snapshot, grid_h, grid_m, probes, beta_default, alpha, tol) -> dict:
     """Beta sweep that rebuilds the graph and starts PageRank uniform at each point.
 
@@ -215,7 +242,7 @@ def networkx_gexf(g) -> str:
     metrics = node_metrics(g)
     graph = nx.DiGraph()
     for i, label in enumerate(g.labels):
-        country = "" if g.is_as(i) else g.ixp_country[i - g.n_as]
+        country = "" if i < g.n_as else g.ixp_country[i - g.n_as]
         graph.add_node(
             label,
             label=g.names[i] or label,
@@ -299,8 +326,14 @@ def _encodes(text: str) -> bool:
     return True
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not a JSON integer")
+    return value
+
+
 def _valid_id(value) -> int:
-    node_id = int(value)
+    node_id = _integer(value)
     if not 1 <= node_id < 2**63:
         raise ValueError("id out of range")
     return node_id
@@ -310,9 +343,10 @@ def record_parse(path) -> RecordSnapshot:
     """A well-formed dump parsed into one frozen record per kept row.
 
     The drop rules are those of ``parse_snapshot``: rows whose id is not
-    an integer in [1, 2**63), whose numbers overflow, whose speed is
-    negative, NaN or infinite, or whose text holds a lone surrogate are
-    invalid; the last duplicate id wins; memberships naming an unknown AS
+    a JSON integer (a membership's) or one in [1, 2**63) (a network's or
+    exchange's), whose numbers overflow, whose speed is not a JSON number
+    or is negative, NaN or infinite, or whose text holds a lone surrogate
+    are invalid; the last duplicate id wins; memberships naming an unknown AS
     or exchange are unresolved; a missing speed is 0.
     """
     raw = json.loads(Path(path).read_bytes())
@@ -364,9 +398,11 @@ def record_parse(path) -> RecordSnapshot:
     memberships: list[MembershipRecord] = []
     for rec in section("netixlan"):
         try:
-            asn = int(rec["asn"])
-            ixp_id = int(rec["ix_id"])
+            asn = _integer(rec["asn"])
+            ixp_id = _integer(rec["ix_id"])
             speed = rec.get("speed")
+            if isinstance(speed, bool) or not isinstance(speed, (int, float, type(None))):
+                raise TypeError("speed is not a JSON number")
             port_size = 0.0 if speed is None else float(speed)
             if not (math.isfinite(port_size) and port_size >= 0):
                 raise ValueError("speed must be finite and non-negative")

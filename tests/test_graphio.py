@@ -1,6 +1,7 @@
 """Native graph JSON, matrix CSVs, exports, subset files."""
 from __future__ import annotations
 
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peergraph.errors import SnapshotFormatError
+from peergraph.errors import PeergraphError, SnapshotFormatError
 from peergraph.graph import BetaParams, _assemble, build_graph
 from peergraph.graphio import (
     export_edgelist,
@@ -24,7 +25,7 @@ from peergraph.graphio import (
     write_rank_csv,
     write_reduced_csv,
 )
-from peergraph.ingest import TrafficClass
+from peergraph.ingest import TrafficClass, parse_snapshot
 from peergraph.spectral import (
     censor_diagonal,
     google_matrix,
@@ -35,6 +36,8 @@ from peergraph.spectral import (
 )
 
 from conftest import (
+    FIXTURE_DATE,
+    FIXTURE_SNAPSHOT,
     GOLDEN_DIR,
     NODE_COLUMNS,
     column_values,
@@ -71,6 +74,69 @@ def test_load_rejects_foreign_json(tmp_path):
     path.write_text("{}")
     with pytest.raises(SnapshotFormatError):
         load_graph(path)
+
+
+@functools.cache
+def _saved_fixture() -> bytes:
+    """The fixture graph as :func:`save_graph` writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        save_graph(build_graph(parse_snapshot(FIXTURE_SNAPSHOT, FIXTURE_DATE)), path)
+        return path.read_bytes()
+
+
+# Each case turns the saved fixture graph into bytes that are not JSON text;
+# the message must name the file and what is wrong.
+GRAPH_TEXT_DEFECTS = {
+    "non-UTF-8 bytes": (
+        lambda data: data.replace(b"Fixture-AS64502", b"Fixture-AS6450\xff", 1),
+        "line 22: not UTF-8",
+    ),
+    "nesting past the recursion limit": (lambda data: b"[" * 100_000, "not valid JSON"),
+    "integer past the digit limit": (
+        lambda data: data.replace(b'"asn": 64500', b'"asn": ' + b"7" * 5000, 1),
+        "not valid JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(GRAPH_TEXT_DEFECTS))
+def test_load_names_file_of_undecodable_graph(tmp_path, defect):
+    edit, fragment = GRAPH_TEXT_DEFECTS[defect]
+    path = tmp_path / "graph.json"
+    path.write_bytes(edit(_saved_fixture()))
+    with pytest.raises(SnapshotFormatError) as info:
+        load_graph(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert fragment in str(info.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.binary(max_size=3), st.integers(0, 3)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_load_gives_graph_or_typed_error(edits):
+    data = bytearray(_saved_fixture())
+    for at, insert, cut in edits:
+        at %= len(data) + 1
+        data[at : at + cut] = insert
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_bytes(bytes(data))
+        try:
+            g = load_graph(path)
+        except PeergraphError:
+            return
+        save_graph(g, path)  # every loaded graph can be written back
+    assert (np.diff(g.asn) > 0).all() and (np.diff(g.ixp_id) > 0).all()
+    assert ((0 <= g.edge_as) & (g.edge_as < g.n_as)).all()
+    assert ((g.n_as <= g.edge_ixp) & (g.edge_ixp < g.n_nodes)).all()
+    assert (np.isfinite(g.port_size) & (g.port_size > 0)).all()
+    assert np.isfinite(g.W.data).all()
 
 
 def _first_edge(p):
@@ -285,9 +351,9 @@ def test_change_csv_contains_nan_for_undefined(tmp_path, fixture_graph):
 
 def test_rank_csv_format(fixture_graph, tmp_path):
     pr = pagerank(google_matrix(fixture_graph))
-    table = rank_table(pr, fixture_graph.labels, fixture_graph.kinds, fixture_graph.names)
+    table = rank_table(pr)
     path = tmp_path / "rank.csv"
-    write_rank_csv(table, path)
+    write_rank_csv(fixture_graph, table, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "node,type,value,rank"
     assert len(lines) == 1 + fixture_graph.n_nodes

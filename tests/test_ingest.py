@@ -175,6 +175,37 @@ def test_unrepresentable_numbers_count_as_invalid_rows(tmp_path, defect):
     assert {key: n for key, n in vars(report).items() if key.startswith(drops) and n} == dropped
 
 
+# Each case puts a value of the wrong JSON type into a row of the basic dump:
+# an id that is not a JSON integer, or a speed that is not a JSON number.
+# The row counts as invalid, and a membership of a dropped node as unresolved.
+MISTYPED_ROWS = {
+    "fractional AS number": (
+        _set("net", 1, "asn", 20.5), {"invalid_networks": 1, "unresolved_memberships": 1}
+    ),
+    "integral float AS number": (
+        _set("net", 1, "asn", 20.0), {"invalid_networks": 1, "unresolved_memberships": 1}
+    ),
+    "boolean exchange id": (
+        _set("ix", 0, "id", True), {"invalid_ixps": 1, "unresolved_memberships": 2}
+    ),
+    "padded string membership AS number": (
+        _set("netixlan", 0, "asn", " 10 "), {"invalid_memberships": 1}
+    ),
+    "string speed": (_set("netixlan", 1, "speed", "2000"), {"invalid_memberships": 1}),
+    "boolean speed": (_set("netixlan", 1, "speed", True), {"invalid_memberships": 1}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MISTYPED_ROWS))
+def test_mistyped_ids_and_speeds_count_as_invalid_rows(tmp_path, defect):
+    edit, dropped = MISTYPED_ROWS[defect]
+    dump = copy.deepcopy({"net": BASIC_NET, "ix": BASIC_IX, "netixlan": BASIC_NETIXLAN})
+    edit(dump)
+    report = parse_snapshot(write_dump(tmp_path, **dump), D).report
+    drops = ("invalid_", "duplicate_", "unresolved_")
+    assert {key: n for key, n in vars(report).items() if key.startswith(drops) and n} == dropped
+
+
 def _not_utf8_name(data: bytes) -> bytes:
     return data.replace(b"Fixture-AS64502", b"Fixture-AS6450\xff", 1)
 

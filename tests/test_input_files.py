@@ -1,4 +1,7 @@
-"""Probe, exclusion, subset and ground-truth files: a bad line is reported with its file and number."""
+"""Probe, exclusion, subset and ground-truth files: a bad line is reported with its file and number.
+
+A bad flag value is reported with the flag and the value.
+"""
 from __future__ import annotations
 
 import pytest
@@ -46,6 +49,67 @@ def test_unknown_subset_entry_names_file_and_line(tmp_path, capsys):
     assert main(_argv(tmp_path, "reduce", subset, str(tmp_path / "out.csv"))) == 1
     err = capsys.readouterr().err
     assert err == f"peergraph: {subset}: line 3: 'foo' is not a node of the graph\n"
+
+
+# Each case writes a subset or probe file whose entries are numbers, but not
+# ones the command can use; the message names the file and, where an entry
+# is at fault, its line.
+ENTRY_DEFECTS = {
+    "repeated subset entry": (
+        "reduce", "AS64500\n# again, by number\n64500\n", "line 3: '64500' repeats node AS64500"
+    ),
+    "empty subset": ("reduce", "# nothing\n\n", "the subset lists no node"),
+    "absent probe": ("sweep", "64500\nAS99999\n", "line 2: AS99999 is not a node of the graph"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ENTRY_DEFECTS))
+def test_unusable_entry_names_file_and_line(tmp_path, capsys, defect):
+    command, text, fragment = ENTRY_DEFECTS[defect]
+    path = tmp_path / "entries.txt"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(_argv(tmp_path, command, path, str(out))) == 1
+    assert capsys.readouterr().err == f"peergraph: {path}: {fragment}\n"
+    assert not out.exists()
+
+
+SWEEP = ["sweep", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", DATE]
+
+# Each case gives one flag a value that does not parse; the message must
+# name the flag and the value.
+FLAG_DEFECTS = {
+    "grid-h with a word": (
+        SWEEP + ["--grid-h", "0.9:a:2"],
+        "--grid-h '0.9:a:2' is not start:stop:count or a number",
+    ),
+    "grid-m with two fields": (
+        SWEEP + ["--grid-m", "0.6:0.8"],
+        "--grid-m '0.6:0.8' is not start:stop:count or a number",
+    ),
+    "grid-m with count 0": (
+        SWEEP + ["--grid-m", "0.6:0.8:0"],
+        "--grid-m '0.6:0.8:0' is not start:stop:count or a number (count 0 is below 1)",
+    ),
+    "date with month 13": (
+        ["build", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", "2020-13-01"],
+        "--date '2020-13-01' is not a YYYY-MM-DD date (month must be in 1..12)",
+    ),
+    "timeseries date": (
+        ["timeseries", "--snapshot", str(FIXTURE_SNAPSHOT), "1 Jan 2020"],
+        "--snapshot DATE '1 Jan 2020' is not a YYYY-MM-DD date",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FLAG_DEFECTS))
+def test_bad_flag_value_names_flag_and_value(tmp_path, capsys, defect):
+    argv, fragment = FLAG_DEFECTS[defect]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"peergraph: {fragment}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

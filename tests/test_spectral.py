@@ -23,7 +23,13 @@ from peergraph.spectral import (
 )
 
 from conftest import make_snapshot, random_snapshot, random_weights
-from oracles import dense_google, dense_pagerank, dense_reduction, sorted_rank_positions
+from oracles import (
+    dense_google,
+    dense_pagerank,
+    dense_reduction,
+    row_rank_table,
+    sorted_rank_positions,
+)
 
 TC = TrafficClass
 
@@ -162,22 +168,27 @@ def test_pagerank_permutation_invariance():
 # --- rank tables ---
 
 
+def ranked(table, labels) -> list[tuple[str, int]]:
+    """(label, rank) of every row of ``table``."""
+    return [(labels[i], rank) for rank, i in enumerate(table.index.tolist(), start=1)]
+
+
 def test_rank_table_orders_descending():
-    table = rank_table(np.array([0.3, 0.5, 0.2]), ["a", "b", "c"])
-    assert [(e.label, e.rank) for e in table] == [("b", 1), ("a", 2), ("c", 3)]
+    table = rank_table(np.array([0.3, 0.5, 0.2]))
+    assert ranked(table, ["a", "b", "c"]) == [("b", 1), ("a", 2), ("c", 3)]
 
 
 def test_rank_table_tie_breaks_by_index():
     # node order is ascending AS number, so AS50 precedes AS100
-    table = rank_table(np.array([0.4, 0.4]), ["AS50", "AS100"])
-    assert [(e.label, e.rank) for e in table] == [("AS50", 1), ("AS100", 2)]
+    table = rank_table(np.array([0.4, 0.4]))
+    assert ranked(table, ["AS50", "AS100"]) == [("AS50", 1), ("AS100", 2)]
 
 
 def test_rank_table_filter_reranks_contiguously():
     values = np.array([0.5, 0.1, 0.3, 0.2])
-    kinds = ("IXP", "AS", "IXP", "AS")
-    table = rank_table(values, ["x1", "a1", "x2", "a2"], kinds, keep=lambda i: kinds[i] == "AS")
-    assert [(e.label, e.rank) for e in table] == [("a2", 1), ("a1", 2)]
+    kinds = np.array(["IXP", "AS", "IXP", "AS"])
+    table = rank_table(values, keep=kinds == "AS")
+    assert ranked(table, ["x1", "a1", "x2", "a2"]) == [("a2", 1), ("a1", 2)]
 
 
 def test_rank_positions_match_rank_table():
@@ -186,26 +197,47 @@ def test_rank_positions_match_rank_table():
     # Exact ties: few distinct values, including zeros, over many nodes.
     cases += [rng.integers(0, 4, size=n) / 8.0 for n in (1, 7, 40)]
     for values in cases:
-        labels = [f"n{i}" for i in range(values.size)]
         positions = rank_positions(values)
         assert positions.tolist() == sorted_rank_positions(values).tolist()
-        for entry in rank_table(values, labels):
-            assert positions[int(entry.label[1:])] == entry.rank
+        for rank, i in enumerate(rank_table(values).index.tolist(), start=1):
+            assert positions[i] == rank
 
-        keep = lambda i: i % 3 != 1
-        kept = [i for i in range(values.size) if keep(i)]
-        table = rank_table(values, labels, keep=keep)
-        assert [int(e.label[1:]) for e in table] == sorted(kept, key=lambda i: positions[i])
-        assert [e.rank for e in table] == list(range(1, len(kept) + 1))
+        keep = np.arange(values.size) % 3 != 1
+        kept = np.flatnonzero(keep).tolist()
+        table = rank_table(values, keep=keep)
+        assert table.index.tolist() == sorted(kept, key=lambda i: positions[i])
+        assert table.value.tolist() == values[kept][np.argsort(positions[kept])].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_table_matches_row_oracle(data):
+    """Columns against the old one-row-per-node table with a callable filter."""
+    values = np.array(data.draw(
+        st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]), min_size=1, max_size=30)
+    ))
+    mask = data.draw(st.none() | st.lists(
+        st.booleans(), min_size=values.size, max_size=values.size
+    ).map(np.array))
+    labels = [str(i) for i in range(values.size)]
+    keep = None if mask is None else (lambda i: bool(mask[i]))
+    rows = row_rank_table(values, labels, keep=keep)
+    table = rank_table(values, keep=mask)
+    assert table.index.tolist() == [int(row.label) for row in rows]
+    assert list(range(1, len(table) + 1)) == [row.rank for row in rows]
+    assert table.value.tolist() == [row.value for row in rows]
+    assert table.index.dtype == np.int64 and table.value.dtype == np.float64
+    assert not table.index.flags.writeable and not table.value.flags.writeable
 
 
 def test_reverse_rank_equals_forward_rank_of_inverted():
     rng = np.random.default_rng(8)
     W = random_weights(rng, 12)
-    labels = [f"n{i}" for i in range(12)]
     rev = pagerank(google_matrix(W, direction="reverse"), tol=1e-12)
     fwd = pagerank(google_matrix(W.T), tol=1e-12)
-    assert rank_table(rev, labels) == rank_table(fwd, labels)
+    rev_table, fwd_table = rank_table(rev), rank_table(fwd)
+    assert rev_table.index.tolist() == fwd_table.index.tolist()
+    assert rev_table.value.tolist() == fwd_table.value.tolist()
 
 
 # --- reduced Google matrix ---
@@ -432,5 +464,5 @@ def test_dominant_outbound_as_holds_reverse_rank_one():
         for beta_m in (0.6, 0.7, 0.8):
             g = build_graph(snap, BetaParams(mostly=beta_m, heavy=beta_h))
             pr = pagerank(google_matrix(g, direction="reverse"), tol=1e-12)
-            table = rank_table(pr, g.labels, g.kinds, keep=g.is_as)
-            assert table.entries[0].label == "AS1"
+            table = rank_table(pr, keep=np.arange(g.n_nodes) < g.n_as)
+            assert g.labels[table.index[0]] == "AS1"
