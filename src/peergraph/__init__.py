@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     ClassificationReport,
-    CountryAssignment,
     StabilityReport,
     beta_stability_sweep,
     classification_metrics,

@@ -39,25 +39,14 @@ RECEIVERS_PER_COUNTRY = 4
 PROBES_PER_CLASS = 4
 
 
-@dataclass(frozen=True)
-class CountryAssignment:
-    """AS number -> ISO country code, or "Tied" when no majority exists."""
-
-    assignments: dict[int, str]
-
-    def __getitem__(self, asn: int) -> str:
-        return self.assignments[asn]
-
-    def countries(self) -> set[str]:
-        return {c for c in self.assignments.values() if c != TIED}
-
-
-def classify_countries(g: PeeringGraph, rule: str = "strict") -> CountryAssignment:
+def classify_countries(g: PeeringGraph, rule: str = "strict") -> tuple[str, ...]:
     """Assign each AS the country of the majority of its IXPs.
 
-    IXPs without a country label do not vote.  Under the default strict
-    rule an AS is "Tied" unless one country holds more than half of the
-    votes; ``rule="plurality"`` only requires a unique maximum.
+    Returns one ISO country code, or "Tied" when no country wins, per AS
+    in node order (aligned with ``g.asn``).  IXPs without a country label
+    do not vote.  Under the default strict rule an AS is "Tied" unless one
+    country holds more than half of the votes; ``rule="plurality"`` only
+    requires a unique maximum.
     """
     if rule not in ("strict", "plurality"):
         raise ValueError("rule must be 'strict' or 'plurality'")
@@ -67,10 +56,10 @@ def classify_countries(g: PeeringGraph, rule: str = "strict") -> CountryAssignme
         if country:
             votes[a][country] += 1
 
-    assignments: dict[int, str] = {}
-    for asn, counter in zip(g.asn.tolist(), votes):
+    assignment = []
+    for counter in votes:
         if not counter:
-            assignments[asn] = TIED
+            assignment.append(TIED)
             continue
         ranked = counter.most_common()
         top_country, top_count = ranked[0]
@@ -78,8 +67,8 @@ def classify_countries(g: PeeringGraph, rule: str = "strict") -> CountryAssignme
             winner = top_count * 2 > sum(counter.values())
         else:
             winner = len(ranked) == 1 or ranked[1][1] < top_count
-        assignments[asn] = top_country if winner else TIED
-    return CountryAssignment(assignments=assignments)
+        assignment.append(top_country if winner else TIED)
+    return tuple(assignment)
 
 
 @dataclass(frozen=True)
@@ -103,25 +92,33 @@ class ClassificationReport:
 
 
 def classification_metrics(
-    assignment: CountryAssignment,
+    g: PeeringGraph,
+    assignment: Sequence[str],
     truth: GroundTruth,
     countries: Sequence[str],
 ) -> ClassificationReport:
     """Per-country precision/recall/F1 against the registration dataset.
 
-    Only ASes present in both the assignment and the truth mapping are
-    evaluated.  "Tied" counts as a negative prediction for every country.
+    ``assignment`` holds one prediction per AS of ``g`` in node order, as
+    :func:`classify_countries` returns it.  Only ASes present in the truth
+    mapping are evaluated.  "Tied" counts as a negative prediction for
+    every country.  Hits, predictions and truths are counted once each;
+    a country's false positives are its predictions minus its hits and its
+    false negatives its truths minus its hits.
     """
     pairs = [
         (predicted, truth.as_country[asn])
-        for asn, predicted in assignment.assignments.items()
+        for asn, predicted in zip(g.asn.tolist(), assignment, strict=True)
         if asn in truth.as_country
     ]
+    hits = Counter(p for p, t in pairs if p == t)
+    predicted = Counter(p for p, _ in pairs)
+    actual = Counter(t for _, t in pairs)
     rows = []
     for country in countries:
-        tp = sum(1 for p, t in pairs if p == country and t == country)
-        fp = sum(1 for p, t in pairs if p == country and t != country)
-        fn = sum(1 for p, t in pairs if p != country and t == country)
+        tp = hits[country]
+        fp = predicted[country] - tp
+        fn = actual[country] - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -157,7 +154,7 @@ def top_hypergiants(
 
 def traffic_receivers(
     g: PeeringGraph,
-    assignment: CountryAssignment,
+    assignment: Sequence[str],
     countries: Sequence[str],
     hypergiant_asns: Iterable[int],
     exclusions: Iterable[int] = (),
@@ -167,9 +164,11 @@ def traffic_receivers(
 ) -> dict[str, RankTable]:
     """Top traffic-receiving access networks per country by forward PageRank.
 
-    Candidates are the ASes assigned to the country whose business type is
-    in ``types``; hypergiants and the manual exclusion list never qualify.
-    One candidate mask over the nodes is ANDed with each country's
+    ``assignment`` holds one country per AS in node order, as
+    :func:`classify_countries` returns it.  Candidates are the ASes
+    assigned to the country whose business type is in ``types``;
+    hypergiants and the manual exclusion list never qualify.  One
+    candidate mask over the nodes is ANDed with each country's
     assignment, and each table keeps the top :data:`RECEIVERS_PER_COUNTRY`
     AS node indices; countries without a qualifying AS map to an empty
     table.
@@ -179,7 +178,7 @@ def traffic_receivers(
     candidate = np.zeros(g.n_nodes, dtype=bool)
     candidate[: g.n_as] = ~banned & np.isin(np.array(g.as_type, dtype=object), list(types))
     assigned = np.full(g.n_nodes, None, dtype=object)
-    assigned[: g.n_as] = [assignment.assignments.get(asn) for asn in g.asn.tolist()]
+    assigned[: g.n_as] = assignment
     return {
         country: rank_table(pr, keep=candidate & (assigned == country)).top(RECEIVERS_PER_COUNTRY)
         for country in countries

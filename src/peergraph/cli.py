@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import date as Date
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    TIED,
     TYPE_ISP,
     TYPE_NOT_DISCLOSED,
     TYPE_NSP,
@@ -95,17 +97,56 @@ def _parse_date(flag: str, text: str) -> Date:
 
 
 def _parse_grid(flag: str, spec: str) -> tuple[float, ...]:
-    """Grid spec ``start:stop:count`` (inclusive linspace, count >= 1) or a single value."""
+    """Grid spec ``start:stop:count`` (inclusive linspace, count >= 1) or a single value.
+
+    Every value is a beta, so it must lie in [0, 1].
+    """
     try:
         if ":" not in spec:
-            return (float(spec),)
-        start, stop, count = spec.split(":")
-        if int(count) < 1:
-            raise ValueError(f"count {count} is below 1")
-        return tuple(float(v) for v in np.linspace(float(start), float(stop), int(count)))
+            values = (float(spec),)
+        else:
+            start, stop, count = spec.split(":")
+            if int(count) < 1:
+                raise ValueError(f"count {count} is below 1")
+            values = tuple(float(v) for v in np.linspace(float(start), float(stop), int(count)))
     except ValueError as exc:
         message = f"{flag} {spec!r} is not start:stop:count or a number ({exc})"
         raise PeergraphError(message) from exc
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise PeergraphError(f"{flag} {spec!r} holds a value that is not in [0, 1]")
+    return values
+
+
+_BETA = (lambda v: 0.0 <= v <= 1.0, "be in [0, 1]")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and positive")
+_COUNT = (lambda v: v >= 1, "be at least 1")
+# The range of each numeric flag (by argparse dest), checked before any
+# input is read.
+_FLAG_RANGES = {
+    "alpha": (lambda v: 0.0 <= v < 1.0, "be in [0, 1)"),
+    "tol": _POSITIVE,
+    "beta_h": _BETA,
+    "beta_m": _BETA,
+    "beta_b": _BETA,
+    "k": _COUNT,
+    "hypergiants_k": _COUNT,
+    "outlier_factor": _POSITIVE,
+    "cap": (lambda v: v[0] <= v[1], "be numbers with LO <= HI"),
+}
+
+
+def _check_flags(args) -> None:
+    """Raise :class:`PeergraphError` naming the first flag whose value is out of range."""
+    for dest, (ok, rule) in _FLAG_RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            shown = " ".join(map(repr, value)) if isinstance(value, list) else repr(value)
+            raise PeergraphError(f"--{dest.replace('_', '-')} {shown} must {rule}")
+
+
+def _check_k(flag: str, k: int, g) -> None:
+    if k > g.n_as:
+        raise PeergraphError(f"{flag} {k} exceeds the number of ASes in the graph ({g.n_as})")
 
 
 def _read_asns(path: str) -> dict[int, int]:
@@ -275,20 +316,18 @@ def cmd_classify(args, argv) -> int:
     truth = load_ground_truth(asorg_path=args.truth) if args.truth else None
     assignment = classify_countries(g, rule=args.rule)
     rows = [["asn", "name", "country"]]
-    for asn, name in zip(g.asn.tolist(), g.as_name):
-        rows.append([asn, name, assignment.assignments[asn]])
+    rows.extend(map(list, zip(g.asn.tolist(), g.as_name, assignment)))
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     outputs = [out]
-    tied = sum(1 for c in assignment.assignments.values() if c == "Tied")
-    print(f"classified {g.n_as} ASes ({tied} tied) -> {out}")
+    print(f"classified {g.n_as} ASes ({assignment.count(TIED)} tied) -> {out}")
 
     inputs = [Path(args.graph)]
     if truth is not None:
         countries = args.countries.split(",") if args.countries else sorted(
-            assignment.countries()
+            set(assignment) - {TIED}
         )
-        report = classification_metrics(assignment, truth, countries)
+        report = classification_metrics(g, assignment, truth, countries)
         metric_rows = [["country", "precision", "recall", "f1", "support"]]
         for row in report.per_country:
             metric_rows.append(
@@ -314,6 +353,7 @@ def _ranked_nodes(g, table) -> list[list]:
 
 def cmd_hypergiants(args, argv) -> int:
     g = load_graph(args.graph)
+    _check_k("--k", args.k, g)
     table = top_hypergiants(g, k=args.k, alpha=args.alpha, tol=args.tol)
     rows = [["rank", "node", "name", "value"], *_ranked_nodes(g, table)]
     out = _resolve_out(args.out)
@@ -327,6 +367,7 @@ def cmd_hypergiants(args, argv) -> int:
 
 def cmd_receivers(args, argv) -> int:
     g = load_graph(args.graph)
+    _check_k("--hypergiants-k", args.hypergiants_k, g)
     countries = [c.strip().upper() for c in args.countries.split(",") if c.strip()]
     types = frozenset(
         _TYPE_SHORTHAND.get(t.strip().upper(), t.strip()) for t in args.types.split(",")
@@ -383,6 +424,9 @@ def cmd_receivers(args, argv) -> int:
 def cmd_sweep(args, argv) -> int:
     date = _parse_date("--date", args.date)
     grid_h, grid_m = _parse_grid("--grid-h", args.grid_h), _parse_grid("--grid-m", args.grid_m)
+    if not any(b < 1.0 for b in grid_h):
+        message = f"--grid-h {args.grid_h!r} leaves no grid point (beta_heavy = 1 is excluded)"
+        raise PeergraphError(message)
     probes = _read_asns(args.probes) if args.probes else None
     snapshot = parse_snapshot(args.snapshot, date)
     try:
@@ -432,11 +476,9 @@ def cmd_sweep(args, argv) -> int:
 
 def cmd_cluster(args, argv) -> int:
     g = load_graph(args.graph)
-    sym = symmetrize(g)
-    partition = louvain_bipartite(sym, seed=args.seed, shuffle=args.shuffle)
+    partition = louvain_bipartite(symmetrize(g), g.n_as, seed=args.seed, shuffle=args.shuffle)
     rows = [["node", "type", "name", "community"]]
-    for i, label in enumerate(g.labels):
-        rows.append([label, g.kinds[i], g.names[i], int(partition.communities[i])])
+    rows.extend(map(list, zip(g.labels, g.kinds, g.names, partition.communities.tolist())))
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     outputs = [out]
@@ -486,16 +528,25 @@ def cmd_timeseries(args, argv) -> int:
         ((Path(path), _parse_date("--snapshot DATE", date)) for path, date in args.snapshot),
         key=lambda item: item[1],
     )
+    if args.fit:
+        dates = [d for _, d in pairs]
+        if len(dates) < 4:
+            raise PeergraphError(f"--fit needs at least 4 snapshots, got {len(dates)}")
+        repeated = next((d for d, e in zip(dates, dates[1:]) if d == e), None)
+        if repeated is not None:
+            raise PeergraphError(
+                f"--snapshot DATE {repeated.isoformat()} is given twice; --fit needs distinct dates"
+            )
     snapshots = [parse_snapshot(path, date) for path, date in pairs]
     series = capacity_timeseries(snapshots)
+    fit = fit_breakpoint(series) if args.fit else None
     rows = [["date", "total_capacity_mbit"]]
     rows.extend([d.isoformat(), repr(v)] for d, v in series)
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     print(f"capacity series over {len(series)} snapshots -> {out}")
 
-    if args.fit:
-        fit = fit_breakpoint(series)
+    if fit is not None:
         # Input unit is Mbit/s per day; report Gbit/day alongside.
         print(
             f"breakpoint {fit.breakpoint}: slopes {fit.slope_before:.6g} / "
@@ -646,8 +697,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args, ["peergraph", *argv])
-    except (PeergraphError, OSError, ValueError) as exc:
+    except (PeergraphError, OSError) as exc:
         message = str(exc).strip() or exc.__class__.__name__
         print(f"peergraph: {message.splitlines()[0]}", file=sys.stderr)
         return 1

@@ -1,8 +1,9 @@
 """Community detection on the symmetrized graph with bipartite modularity.
 
-The directed weights are folded into ``A = W + W^T`` and partitioned with
-a greedy Louvain scheme that optimizes the bipartite (two-mode)
-modularity
+The directed weights are folded into the CSR matrix ``A = W + W^T``,
+whose first ``n_as`` nodes are the AS side, and partitioned with a
+greedy Louvain scheme (Blondel et al. 2008) that optimizes the bipartite
+(two-mode) modularity of Barber (2007)
 
     Q = (1/m) * sum over AS-IXP pairs in the same community of
         (A[i, j] - k_i * d_j / m)
@@ -14,6 +15,7 @@ cross-side pairs, so same-side co-membership neither costs nor rewards.
 Local moves require a strictly positive gain; on ties the node keeps its
 current community, and candidate communities are scanned in ascending id
 so the whole procedure is deterministic for a fixed visit order.
+Communities are node-aligned int64 columns numbered by first appearance.
 """
 from __future__ import annotations
 
@@ -30,38 +32,27 @@ from .graph import PeeringGraph, node_metrics
 _GAIN_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SymmetrizedGraph:
-    """Undirected weighted view of a peering graph (or any bipartite graph)."""
+def symmetrize(g: PeeringGraph) -> sparse.csr_matrix:
+    """The undirected weights ``A = W + W^T`` as CSR with sorted indices.
 
-    A: sparse.csr_matrix
-    is_as: np.ndarray  # True on the AS side
-    labels: tuple[str, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.A.shape[0]
-
-
-def symmetrize(g: PeeringGraph) -> SymmetrizedGraph:
-    """Fold the directed weights: an edge with port size ps and coefficient
-    beta contributes ``(2 - beta) * ps`` to the undirected weight."""
+    An edge with port size ps and coefficient beta contributes
+    ``(2 - beta) * ps``.  Node order is the graph's: ASes are nodes
+    ``0 .. g.n_as - 1``.
+    """
     A = (g.W + g.W.T).tocsr()
     A.sort_indices()
-    is_as = np.zeros(g.n_nodes, dtype=bool)
-    is_as[: g.n_as] = True
-    return SymmetrizedGraph(A=A, is_as=is_as, labels=g.labels)
+    return A
 
 
 @dataclass(frozen=True)
 class Partition:
     """Node communities (contiguous ids from 0) and the achieved modularity.
 
+    ``communities`` is aligned with the nodes of the partitioned matrix.
     ``history`` records the modularity after each aggregation pass; it is
     non-decreasing.
     """
 
-    labels: tuple[str, ...]
     communities: np.ndarray
     modularity: float
     history: tuple[float, ...]
@@ -71,24 +62,33 @@ class Partition:
         return int(self.communities.max()) + 1 if self.communities.size else 0
 
 
-def modularity(sym: SymmetrizedGraph, communities: np.ndarray) -> float:
-    """Bipartite modularity of a partition over the symmetrized graph."""
-    k = np.asarray(sym.A.sum(axis=1)).ravel()
+def modularity(A: sparse.spmatrix, n_as: int, communities: np.ndarray) -> float:
+    """Bipartite modularity of a partition of the symmetric matrix ``A``.
+
+    Nodes ``0 .. n_as - 1`` are the AS side, the rest the IXP side.
+    """
+    k = np.asarray(A.sum(axis=1)).ravel()
     m = k.sum() / 2.0
     if m <= 0:
         return 0.0
-    coo = sym.A.tocoo()
-    cross = sym.is_as[coo.row] & ~sym.is_as[coo.col]  # each undirected edge once
+    coo = A.tocoo()
+    cross = (coo.row < n_as) & (coo.col >= n_as)  # each undirected edge once
     same = communities[coo.row] == communities[coo.col]
     edge_term = float(coo.data[cross & same].sum())
 
     n_comm = int(communities.max()) + 1
-    mass_as = np.zeros(n_comm)
-    mass_ixp = np.zeros(n_comm)
-    np.add.at(mass_as, communities[sym.is_as], k[sym.is_as])
-    np.add.at(mass_ixp, communities[~sym.is_as], k[~sym.is_as])
+    mass_as = np.bincount(communities[:n_as], weights=k[:n_as], minlength=n_comm)
+    mass_ixp = np.bincount(communities[n_as:], weights=k[n_as:], minlength=n_comm)
     null_term = float((mass_as * mass_ixp).sum()) / m
     return (edge_term - null_term) / m
+
+
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """Number the distinct keys 0, 1, ... in the order of their first appearance."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    number = np.empty(first.size, dtype=np.int64)
+    number[np.argsort(first)] = np.arange(first.size)
+    return number[inverse]
 
 
 def _local_moves(
@@ -108,13 +108,15 @@ def _local_moves(
     acceptance.  Returns the assignment and whether any move happened.
     """
     n = A.shape[0]
-    comm = init_comm.copy()
-    # Opposite-side degree mass per community, one array per node side.
-    mass = [np.zeros(n), np.zeros(n)]
-    for i in range(n):
-        mass[side[i]][comm[i]] += k[i]
-
-    indptr, indices, data = A.indptr, A.indices, A.data
+    # Degree mass per community, one list per node side.
+    mass = [
+        np.bincount(init_comm[side == s], weights=k[side == s], minlength=n).tolist()
+        for s in (0, 1)
+    ]
+    # Python lists: indexing them one element at a time is far cheaper
+    # than indexing numpy arrays, and the float arithmetic is the same.
+    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    k, side, comm = k.tolist(), side.tolist(), init_comm.tolist()
     any_move = False
     for _ in range(max_sweeps):
         moved = False
@@ -144,7 +146,7 @@ def _local_moves(
                 any_move = True
         if not moved:
             break
-    return comm, any_move
+    return np.array(comm, dtype=np.int64), any_move
 
 
 def _aggregate(
@@ -156,84 +158,68 @@ def _aggregate(
 
     Keeping the two sides separate preserves the bipartite structure, the
     side degrees and therefore the modularity of any coarser partition.
-    Returns the aggregated matrix, the side of each super node, the
-    node -> super node map and the community each super node came from
-    (the starting assignment of the next level).
+    Super nodes are numbered by the first node of each pair, keyed
+    ``2 * comm + side``.  Returns the aggregated matrix, the side of each
+    super node, the node -> super node map and the community each super
+    node came from (the starting assignment of the next level).
     """
-    pairs: dict[tuple[int, int], int] = {}
-    node_map = np.empty(A.shape[0], dtype=np.int64)
-    for i in range(A.shape[0]):
-        key = (int(comm[i]), int(side[i]))
-        if key not in pairs:
-            pairs[key] = len(pairs)
-        node_map[i] = pairs[key]
+    node_map = _first_seen(2 * comm + side)
+    n_super = int(node_map.max()) + 1
     coo = A.tocoo()
     agg = sparse.csr_matrix(
         (coo.data, (node_map[coo.row], node_map[coo.col])),
-        shape=(len(pairs), len(pairs)),
+        shape=(n_super, n_super),
     )
     agg.sum_duplicates()
     agg.sort_indices()
-    new_side = np.empty(len(pairs), dtype=np.int64)
-    origin_comm = np.empty(len(pairs), dtype=np.int64)
-    for (community, s), super_id in pairs.items():
-        new_side[super_id] = s
-        origin_comm[super_id] = community
+    new_side = np.empty(n_super, dtype=np.int64)
+    new_side[node_map] = side
+    origin_comm = np.empty(n_super, dtype=np.int64)
+    origin_comm[node_map] = comm
     return agg, new_side, node_map, origin_comm
 
 
 def louvain_bipartite(
-    sym: SymmetrizedGraph,
+    A: sparse.spmatrix,
+    n_as: int,
     seed: int = 0,
     shuffle: bool = False,
 ) -> Partition:
-    """Greedy Louvain with bipartite modularity.
+    """Greedy Louvain with bipartite modularity on the symmetric matrix ``A``.
 
-    The visit order is ascending node id by default; ``shuffle=True``
+    Nodes ``0 .. n_as - 1`` are the AS side, the rest the IXP side.  The
+    visit order is ascending node id by default; ``shuffle=True``
     randomizes it with ``seed`` for robustness studies.  Passes alternate
     local moves and community aggregation until a pass produces no merge.
+    Communities are numbered by their first node.
     """
-    A = sym.A.tocsr().astype(np.float64)
-    side = np.where(sym.is_as, 0, 1)
-    m = float(A.sum()) / 2.0
-    n = sym.n_nodes
+    n = A.shape[0]
+    level = A.tocsr().astype(np.float64)
+    side = (np.arange(n) >= n_as).astype(np.int64)
+    m = float(level.sum()) / 2.0
 
     node_of = np.arange(n)  # original node -> current-level node
     if m <= 0:
-        return Partition(
-            labels=sym.labels, communities=node_of, modularity=0.0, history=(0.0,)
-        )
+        return Partition(communities=node_of, modularity=0.0, history=(0.0,))
 
     rng = random.Random(seed)
     history: list[float] = []
-    final = node_of.copy()
-    init_comm = np.arange(A.shape[0])
+    init_comm = node_of.copy()
     while True:
-        k = np.asarray(A.sum(axis=1)).ravel()
-        order = list(range(A.shape[0]))
+        k = np.asarray(level.sum(axis=1)).ravel()
+        order = list(range(level.shape[0]))
         if shuffle:
             rng.shuffle(order)
-        comm, moved = _local_moves(A, side, k, m, order, init_comm)
-
-        relabel: dict[int, int] = {}
-        for c in comm:
-            if int(c) not in relabel:
-                relabel[int(c)] = len(relabel)
-        comm = np.array([relabel[int(c)] for c in comm], dtype=np.int64)
-
+        comm, moved = _local_moves(level, side, k, m, order, init_comm)
+        comm = _first_seen(comm)
         final = comm[node_of]
-        history.append(modularity(sym, final))
+        history.append(modularity(A, n_as, final))
         if not moved:
             break
-        A, side, node_map, init_comm = _aggregate(A, side, comm)
+        level, side, node_map, init_comm = _aggregate(level, side, comm)
         node_of = node_map[node_of]
 
-    return Partition(
-        labels=sym.labels,
-        communities=final,
-        modularity=history[-1],
-        history=tuple(history),
-    )
+    return Partition(communities=final, modularity=history[-1], history=tuple(history))
 
 
 @dataclass(frozen=True)
@@ -256,27 +242,23 @@ def cluster_profiles(partition: Partition, g: PeeringGraph) -> tuple[ClusterProf
     """
     if partition.communities.shape[0] != g.n_nodes:
         raise ValueError("partition does not cover this graph")
-    metrics = node_metrics(g)
-    total_capacity = float(metrics.port_capacity[g.n_as :].sum())
+    ixp_capacity = node_metrics(g).port_capacity[g.n_as :]
+    total_capacity = float(ixp_capacity.sum())
     total_ixps = g.n_ixp
 
-    countries: dict[int, Counter] = defaultdict(Counter)
-    capacity: dict[int, float] = defaultdict(float)
-    ixp_count: dict[int, int] = defaultdict(int)
-    as_count: dict[int, int] = defaultdict(int)
-    for i in range(g.n_nodes):
-        c = int(partition.communities[i])
-        if i < g.n_as:
-            as_count[c] += 1
-            continue
-        country = g.ixp_country[i - g.n_as]
-        ixp_count[c] += 1
-        capacity[c] += float(metrics.port_capacity[i])
+    n_comm = partition.n_communities
+    as_comm = partition.communities[: g.n_as]
+    ixp_comm = partition.communities[g.n_as :]
+    as_count = np.bincount(as_comm, minlength=n_comm).tolist()
+    ixp_count = np.bincount(ixp_comm, minlength=n_comm).tolist()
+    capacity = np.bincount(ixp_comm, weights=ixp_capacity, minlength=n_comm).tolist()
+    countries = [Counter() for _ in range(n_comm)]
+    for c, country in zip(ixp_comm.tolist(), g.ixp_country):
         if country:
             countries[c][country] += 1
 
     profiles = []
-    for c in range(partition.n_communities):
+    for c in range(n_comm):
         table = tuple(
             sorted(countries[c].items(), key=lambda item: (-item[1], item[0]))
         )

@@ -333,10 +333,12 @@ def validate_snapshot(
     threshold is not flagged.  ``reference_capacity`` is typically the
     capacity of a trusted large network in the same snapshot.
     """
-    if reference_capacity <= 0:
-        raise ValueError("reference_capacity must be positive")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not 0.0 < reference_capacity < math.inf:
+        raise ValueError(
+            f"reference_capacity must be finite and positive, got {reference_capacity}"
+        )
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and positive, got {factor}")
     threshold = factor * reference_capacity
     totals = as_port_capacity(snapshot)
     ports: dict[int, list[tuple[int, float]]] = {

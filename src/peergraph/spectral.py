@@ -127,8 +127,8 @@ def pagerank(
     (normalized to sum 1), such as the PageRank of a slightly different
     chain; the fixed point and the convergence test do not depend on it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if start is None:
         v = np.full(G.N, 1.0 / G.N)
     else:
@@ -274,6 +274,8 @@ def reduced_google_matrix(
     checked against ``tol``.  With an empty complement the result is ``G``
     itself restricted to the requested ordering.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     r = np.asarray(list(subset), dtype=np.int64)
     if r.size == 0:
         raise ValueError("subset must contain at least one node")
@@ -378,7 +380,12 @@ def relative_change(
     later: ReducedGoogleMatrix,
     cap: tuple[float, float] | None = None,
 ) -> ChangeMatrix:
-    """Relative change of every reduced-matrix element between two dates."""
+    """Relative change of every reduced-matrix element between two dates.
+
+    ``cap = (lo, hi)`` needs ``lo <= hi``; a NaN bound is refused.
+    """
+    if cap is not None and not cap[0] <= cap[1]:
+        raise ValueError(f"cap must be (lo, hi) with lo <= hi, got {cap}")
     if earlier.labels != later.labels:
         raise SubsetMismatchError("reduced matrices cover different node subsets")
     if earlier.direction != later.direction:

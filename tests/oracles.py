@@ -6,19 +6,24 @@ matrix via explicit block inversion and exhaustive set-partition search
 for modularity.  None of it shares code with the package's computational
 paths.
 
-Six references are the package's earlier paths, kept to check the fast
+Eight references are the package's earlier paths, kept to check the fast
 ones that replaced them: the per-edge weight-matrix loop, the rank table
 of one frozen row per node filtered by a per-node callable
 (:func:`row_rank_table`), the beta sweep that rebuilds the graph and
 cold-starts PageRank at every point, the GEXF export through a networkx
 ``DiGraph`` and ``nx.write_gexf``, the graph file as ``json.dumps`` of a
-payload of node records, and the dump parser that makes one frozen record
-per row (:func:`record_parse`).
+payload of node records, the dump parser that makes one frozen record
+per row (:func:`record_parse`), the bipartite Louvain that numbers
+communities and super nodes with dicts and reads numpy arrays one element
+at a time (:func:`dict_louvain`, with :func:`dict_first_seen` and
+:func:`dict_aggregate`), and the classification metrics that rescan every
+(predicted, truth) pair three times per country (:func:`rescan_metrics`).
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +116,151 @@ def best_partition_exhaustive(A: np.ndarray, is_as: np.ndarray) -> tuple[float, 
         if q > best_q:
             best_q, best_parts = q, parts
     return best_q, best_parts
+
+
+def dict_first_seen(keys) -> np.ndarray:
+    """Number the distinct keys 0, 1, ... by first appearance with a dict."""
+    relabel: dict = {}
+    for key in keys:
+        if key not in relabel:
+            relabel[key] = len(relabel)
+    return np.array([relabel[key] for key in keys], dtype=np.int64)
+
+
+def dict_aggregate(A, side, comm):
+    """Louvain aggregation numbering (community, side) pairs with a dict.
+
+    Returns the aggregated matrix, the side of each super node, the node
+    -> super node map and the community each super node came from.
+    """
+    pairs: dict[tuple[int, int], int] = {}
+    node_map = np.empty(A.shape[0], dtype=np.int64)
+    for i in range(A.shape[0]):
+        key = (int(comm[i]), int(side[i]))
+        if key not in pairs:
+            pairs[key] = len(pairs)
+        node_map[i] = pairs[key]
+    coo = A.tocoo()
+    agg = sparse.csr_matrix(
+        (coo.data, (node_map[coo.row], node_map[coo.col])),
+        shape=(len(pairs), len(pairs)),
+    )
+    agg.sum_duplicates()
+    agg.sort_indices()
+    new_side = np.empty(len(pairs), dtype=np.int64)
+    origin_comm = np.empty(len(pairs), dtype=np.int64)
+    for (community, s), super_id in pairs.items():
+        new_side[super_id] = s
+        origin_comm[super_id] = community
+    return agg, new_side, node_map, origin_comm
+
+
+def _add_at_modularity(A, is_as: np.ndarray, communities: np.ndarray) -> float:
+    """Bipartite modularity with the community masses summed by ``np.add.at``."""
+    k = np.asarray(A.sum(axis=1)).ravel()
+    m = k.sum() / 2.0
+    if m <= 0:
+        return 0.0
+    coo = A.tocoo()
+    cross = is_as[coo.row] & ~is_as[coo.col]
+    same = communities[coo.row] == communities[coo.col]
+    edge_term = float(coo.data[cross & same].sum())
+    n_comm = int(communities.max()) + 1
+    mass_as = np.zeros(n_comm)
+    mass_ixp = np.zeros(n_comm)
+    np.add.at(mass_as, communities[is_as], k[is_as])
+    np.add.at(mass_ixp, communities[~is_as], k[~is_as])
+    return (edge_term - float((mass_as * mass_ixp).sum()) / m) / m
+
+
+def _indexed_local_moves(A, side, k, m, order, init_comm, max_sweeps=1_000):
+    """One Louvain level reading the numpy arrays one element at a time."""
+    n = A.shape[0]
+    comm = init_comm.copy()
+    mass = [np.zeros(n), np.zeros(n)]
+    for i in range(n):
+        mass[side[i]][comm[i]] += k[i]
+    indptr, indices, data = A.indptr, A.indices, A.data
+    any_move = False
+    for _ in range(max_sweeps):
+        moved = False
+        for i in order:
+            own = side[i]
+            opp_mass = mass[1 - own]
+            current = comm[i]
+            link: dict[int, float] = defaultdict(float)
+            for ptr in range(indptr[i], indptr[i + 1]):
+                link[comm[indices[ptr]]] += data[ptr]
+            base_link = link.get(current, 0.0)
+            base_null = k[i] * opp_mass[current] / m
+            best_gain, best_comm = 0.0, current
+            for c in sorted(link):
+                if c == current:
+                    continue
+                gain = (link[c] - base_link) - (k[i] * opp_mass[c] / m - base_null)
+                if gain > best_gain + 1e-12:
+                    best_gain, best_comm = gain, c
+            if best_comm != current:
+                mass[own][current] -= k[i]
+                mass[own][best_comm] += k[i]
+                comm[i] = best_comm
+                moved = any_move = True
+        if not moved:
+            break
+    return comm, any_move
+
+
+def dict_louvain(A, n_as: int, seed: int = 0, shuffle: bool = False):
+    """Bipartite Louvain with dict numbering and numpy-indexed local moves.
+
+    Returns ``(communities, modularity, history)``.
+    """
+    import random
+
+    is_as = np.arange(A.shape[0]) < n_as
+    level = A.tocsr().astype(np.float64)
+    side = np.where(is_as, 0, 1)
+    m = float(level.sum()) / 2.0
+    node_of = np.arange(A.shape[0])
+    if m <= 0:
+        return node_of, 0.0, (0.0,)
+    rng = random.Random(seed)
+    history = []
+    init_comm = np.arange(level.shape[0])
+    while True:
+        k = np.asarray(level.sum(axis=1)).ravel()
+        order = list(range(level.shape[0]))
+        if shuffle:
+            rng.shuffle(order)
+        comm, moved = _indexed_local_moves(level, side, k, m, order, init_comm)
+        comm = dict_first_seen([int(c) for c in comm])
+        final = comm[node_of]
+        history.append(_add_at_modularity(A, is_as, final))
+        if not moved:
+            break
+        level, side, node_map, init_comm = dict_aggregate(level, side, comm)
+        node_of = node_map[node_of]
+    return final, history[-1], tuple(history)
+
+
+def rescan_metrics(assignments: dict[int, str], as_country: dict[int, str], countries):
+    """``(country, precision, recall, f1, support)`` per country, rescanning
+    every (predicted, truth) pair three times per country."""
+    pairs = [
+        (predicted, as_country[asn])
+        for asn, predicted in assignments.items()
+        if asn in as_country
+    ]
+    rows = []
+    for country in countries:
+        tp = sum(1 for p, t in pairs if p == country and t == country)
+        fp = sum(1 for p, t in pairs if p == country and t != country)
+        fn = sum(1 for p, t in pairs if p != country and t == country)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        rows.append((country, precision, recall, f1, tp + fn))
+    return rows
 
 
 def loop_weight_matrix(snapshot, beta) -> sparse.csr_matrix:

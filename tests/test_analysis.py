@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peergraph.analysis import (
     PROBES_PER_CLASS,
@@ -21,7 +23,7 @@ from peergraph.ingest import GroundTruth, TrafficClass, EumsEntry
 from peergraph.spectral import RankTable
 
 from conftest import make_snapshot, random_snapshot
-from oracles import cold_sweep, dense_google, dense_pagerank
+from oracles import cold_sweep, dense_google, dense_pagerank, rescan_metrics
 
 TC = TrafficClass
 
@@ -36,33 +38,28 @@ def graph_for_countries(countries: list[str], asn: int = 10):
 
 
 def test_majority_assigns_country():
-    assignment = classify_countries(graph_for_countries(["DE", "DE", "FR"]))
-    assert assignment[10] == "DE"
+    assert classify_countries(graph_for_countries(["DE", "DE", "FR"])) == ("DE",)
 
 
 def test_even_split_is_tied():
-    assignment = classify_countries(graph_for_countries(["DE", "FR"]))
-    assert assignment[10] == TIED
+    assert classify_countries(graph_for_countries(["DE", "FR"])) == (TIED,)
 
 
 def test_single_ixp_unanimous():
-    assignment = classify_countries(graph_for_countries(["BR"]))
-    assert assignment[10] == "BR"
+    assert classify_countries(graph_for_countries(["BR"])) == ("BR",)
 
 
 def test_unlabeled_ixps_do_not_vote():
-    assignment = classify_countries(graph_for_countries(["DE", "", ""]))
-    assert assignment[10] == "DE"
-    assignment = classify_countries(graph_for_countries(["", ""]))
-    assert assignment[10] == TIED
+    assert classify_countries(graph_for_countries(["DE", "", ""])) == ("DE",)
+    assert classify_countries(graph_for_countries(["", ""])) == (TIED,)
 
 
 def test_plurality_rule_option():
     g = graph_for_countries(["DE", "DE", "FR", "US"])
-    assert classify_countries(g, rule="strict")[10] == TIED  # 2 of 4 is no majority
-    assert classify_countries(g, rule="plurality")[10] == "DE"
+    assert classify_countries(g, rule="strict") == (TIED,)  # 2 of 4 is no majority
+    assert classify_countries(g, rule="plurality") == ("DE",)
     g2 = graph_for_countries(["DE", "DE", "FR", "FR"])
-    assert classify_countries(g2, rule="plurality")[10] == TIED
+    assert classify_countries(g2, rule="plurality") == (TIED,)
 
 
 def test_votes_are_unweighted():
@@ -72,7 +69,7 @@ def test_votes_are_unweighted():
         [(1, "DE"), (2, "DE"), (3, "FR")],
         [(10, 1, 1.0), (10, 2, 1.0), (10, 3, 1_000_000.0)],
     )
-    assert classify_countries(build_graph(snap))[10] == "DE"
+    assert classify_countries(build_graph(snap)) == ("DE",)
 
 
 def test_classification_invariant_under_ixp_relabeling():
@@ -86,10 +83,7 @@ def test_classification_invariant_under_ixp_relabeling():
         [(7, "FR"), (8, "DE"), (9, "DE")],
         [(10, 7, 5.0), (10, 8, 5.0), (10, 9, 5.0)],
     )
-    assert (
-        classify_countries(build_graph(snap_a)).assignments
-        == classify_countries(build_graph(snap_b)).assignments
-    )
+    assert classify_countries(build_graph(snap_a)) == classify_countries(build_graph(snap_b))
 
 
 # --- classification metrics ---
@@ -115,7 +109,7 @@ def two_as_graph(countries_a: list[str], countries_b: list[str]):
 def test_perfect_agreement():
     g = two_as_graph(["DE"], ["FR"])
     report = classification_metrics(
-        classify_countries(g), truth_of({10: "DE", 20: "FR"}), ["DE", "FR"]
+        g, classify_countries(g), truth_of({10: "DE", 20: "FR"}), ["DE", "FR"]
     )
     for row in report.per_country:
         assert row.precision == row.recall == row.f1 == 1.0
@@ -125,7 +119,7 @@ def test_hand_computed_metrics():
     # truth {DE, DE}, predictions {DE, FR}
     g = two_as_graph(["DE"], ["FR"])
     report = classification_metrics(
-        classify_countries(g), truth_of({10: "DE", 20: "DE"}), ["DE"]
+        g, classify_countries(g), truth_of({10: "DE", 20: "DE"}), ["DE"]
     )
     row = report.for_country("DE")
     assert row.precision == 1.0
@@ -137,7 +131,7 @@ def test_hand_computed_metrics():
 def test_tied_counts_as_negative():
     g = graph_for_countries(["DE", "FR"])  # prediction: Tied
     report = classification_metrics(
-        classify_countries(g), truth_of({10: "DE"}), ["DE"]
+        g, classify_countries(g), truth_of({10: "DE"}), ["DE"]
     )
     row = report.for_country("DE")
     assert row.precision == 0.0 and row.recall == 0.0 and row.support == 1
@@ -145,8 +139,28 @@ def test_tied_counts_as_negative():
 
 def test_zero_support_reported():
     g = graph_for_countries(["DE"])
-    report = classification_metrics(classify_countries(g), truth_of({10: "DE"}), ["JP"])
+    report = classification_metrics(g, classify_countries(g), truth_of({10: "DE"}), ["JP"])
     assert report.for_country("JP").support == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_classification_metrics_match_rescan_oracle(data):
+    # Predictions include Tied, the truth misses some ASes and names others
+    # outside the graph, and BR is neither predicted nor true.
+    asns = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True))
+    g = build_graph(make_snapshot(
+        [(a, TC.BALANCED) for a in asns], [(1, "DE")], [(a, 1, 10.0) for a in asns]
+    ))
+    predictions = st.sampled_from(["DE", "FR", "US", TIED])
+    assignment = tuple(data.draw(st.lists(predictions, min_size=g.n_as, max_size=g.n_as)))
+    truth = data.draw(st.dictionaries(st.integers(1, 60), st.sampled_from(["DE", "FR", "JP"])))
+    countries = data.draw(st.lists(st.sampled_from(["DE", "FR", "US", "JP", "BR", TIED])))
+    report = classification_metrics(g, assignment, truth_of(truth), countries)
+    expected = rescan_metrics(dict(zip(g.asn.tolist(), assignment)), truth, countries)
+    assert [
+        (r.country, r.precision, r.recall, r.f1, r.support) for r in report.per_country
+    ] == expected
 
 
 # --- hypergiants ---

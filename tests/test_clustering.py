@@ -3,11 +3,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from peergraph.clustering import (
-    SymmetrizedGraph,
+    Partition,
+    _aggregate,
+    _first_seen,
     cluster_profiles,
     louvain_bipartite,
     modularity,
@@ -20,19 +25,17 @@ from conftest import make_snapshot, random_snapshot
 from oracles import (
     best_partition_exhaustive,
     bipartite_modularity_direct,
+    dict_aggregate,
+    dict_first_seen,
+    dict_louvain,
 )
 
 TC = TrafficClass
 
 
-def sym_from_dense(A: np.ndarray, n_as: int) -> SymmetrizedGraph:
-    is_as = np.zeros(A.shape[0], dtype=bool)
-    is_as[:n_as] = True
-    return SymmetrizedGraph(
-        A=sparse.csr_matrix(A),
-        is_as=is_as,
-        labels=tuple(f"n{i}" for i in range(A.shape[0])),
-    )
+def as_mask(n_nodes: int, n_as: int) -> np.ndarray:
+    """The AS side of a node order whose first ``n_as`` nodes are ASes."""
+    return np.arange(n_nodes) < n_as
 
 
 def biclique(as_ids, ixp_ids, weight=10.0):
@@ -45,20 +48,20 @@ def biclique(as_ids, ixp_ids, weight=10.0):
 def test_balanced_edge_doubles():
     snap = make_snapshot([(1, TC.BALANCED)], [(1, "DE")], [(1, 1, 10.0)])
     g = build_graph(snap)
-    sym = symmetrize(g)
-    assert sym.A[g.as_index(1), g.ixp_index(1)] == 20.0
+    A = symmetrize(g)
+    assert A[g.as_index(1), g.ixp_index(1)] == 20.0
 
 
 def test_heavy_outbound_edge_sums_both_directions():
     snap = make_snapshot([(1, TC.HEAVY_OUTBOUND)], [(1, "DE")], [(1, 1, 100.0)])
     g = build_graph(snap)
-    sym = symmetrize(g)
-    assert sym.A[g.as_index(1), g.ixp_index(1)] == 100.0 + (1.0 - 0.95) * 100.0
+    A = symmetrize(g)
+    assert A[g.as_index(1), g.ixp_index(1)] == 100.0 + (1.0 - 0.95) * 100.0
 
 
 def test_symmetrization_is_exact(fixture_graph):
-    sym = symmetrize(fixture_graph)
-    assert (sym.A != sym.A.T).nnz == 0
+    A = symmetrize(fixture_graph)
+    assert (A != A.T).nnz == 0
 
 
 # --- modularity evaluation ---
@@ -68,11 +71,11 @@ def test_modularity_matches_direct_evaluation():
     rng = np.random.default_rng(21)
     for _ in range(10):
         g = build_graph(random_snapshot(rng, max_as=10, max_ixp=5))
-        sym = symmetrize(g)
-        communities = rng.integers(0, 3, size=sym.n_nodes)
-        mine = modularity(sym, communities)
+        A = symmetrize(g)
+        communities = rng.integers(0, 3, size=g.n_nodes)
+        mine = modularity(A, g.n_as, communities)
         oracle = bipartite_modularity_direct(
-            sym.A.toarray(), sym.is_as, communities
+            A.toarray(), as_mask(g.n_nodes, g.n_as), communities
         )
         assert mine == pytest.approx(oracle, abs=1e-12)
 
@@ -87,11 +90,11 @@ def test_two_disconnected_bicliques_two_communities():
         biclique([1, 2], [101, 102]) + biclique([3, 4], [103, 104]),
     )
     g = build_graph(snap)
-    sym = symmetrize(g)
-    partition = louvain_bipartite(sym)
+    A = symmetrize(g)
+    partition = louvain_bipartite(A, g.n_as)
     assert partition.n_communities == 2
     # communities must coincide with the connected components
-    _, comps = connected_components(sym.A, directed=False)
+    _, comps = connected_components(A, directed=False)
     for c in range(2):
         nodes = np.flatnonzero(partition.communities == c)
         assert len(set(comps[nodes])) == 1
@@ -99,20 +102,21 @@ def test_two_disconnected_bicliques_two_communities():
 
 def test_single_edge_modularity_consistent_with_brute_force():
     snap = make_snapshot([(1, TC.BALANCED)], [(1, "DE")], [(1, 1, 10.0)])
-    sym = symmetrize(build_graph(snap))
-    partition = louvain_bipartite(sym)
-    best_q, _ = best_partition_exhaustive(sym.A.toarray(), sym.is_as)
+    g = build_graph(snap)
+    A, is_as = symmetrize(g), as_mask(g.n_nodes, g.n_as)
+    partition = louvain_bipartite(A, g.n_as)
+    best_q, _ = best_partition_exhaustive(A.toarray(), is_as)
     # every partition of a single edge scores exactly zero
     assert best_q == pytest.approx(0.0, abs=1e-15)
     assert partition.modularity == pytest.approx(best_q, abs=1e-12)
     assert partition.modularity == pytest.approx(
-        bipartite_modularity_direct(sym.A.toarray(), sym.is_as, partition.communities),
+        bipartite_modularity_direct(A.toarray(), is_as, partition.communities),
         abs=1e-12,
     )
 
 
 def test_partition_ids_contiguous(fixture_graph):
-    partition = louvain_bipartite(symmetrize(fixture_graph))
+    partition = louvain_bipartite(symmetrize(fixture_graph), fixture_graph.n_as)
     seen = set(int(c) for c in partition.communities)
     assert seen == set(range(partition.n_communities))
     assert partition.communities.shape[0] == fixture_graph.n_nodes
@@ -122,16 +126,16 @@ def test_modularity_non_decreasing_per_pass():
     rng = np.random.default_rng(22)
     for _ in range(20):
         g = build_graph(random_snapshot(rng, max_as=15, max_ixp=6))
-        partition = louvain_bipartite(symmetrize(g))
+        partition = louvain_bipartite(symmetrize(g), g.n_as)
         history = partition.history
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
         assert partition.modularity == history[-1]
 
 
 def test_louvain_deterministic(fixture_graph):
-    sym = symmetrize(fixture_graph)
-    p1 = louvain_bipartite(sym, seed=0)
-    p2 = louvain_bipartite(sym, seed=0)
+    A = symmetrize(fixture_graph)
+    p1 = louvain_bipartite(A, fixture_graph.n_as, seed=0)
+    p2 = louvain_bipartite(A, fixture_graph.n_as, seed=0)
     assert np.array_equal(p1.communities, p2.communities)
     assert p1.modularity == p2.modularity
 
@@ -150,32 +154,78 @@ def test_louvain_near_optimal_on_tiny_graphs():
                     A[i, j] = A[j, i] = w
         if A.sum() == 0:
             continue
-        sym = sym_from_dense(A, n_as)
-        partition = louvain_bipartite(sym)
-        best_q, _ = best_partition_exhaustive(A, sym.is_as)
+        partition = louvain_bipartite(sparse.csr_matrix(A), n_as)
+        best_q, _ = best_partition_exhaustive(A, as_mask(n, n_as))
         assert partition.modularity >= 0.95 * best_q - 1e-12
 
 
 def test_shuffled_order_still_valid(fixture_graph):
-    sym = symmetrize(fixture_graph)
-    partition = louvain_bipartite(sym, seed=3, shuffle=True)
+    g = fixture_graph
+    A = symmetrize(g)
+    partition = louvain_bipartite(A, g.n_as, seed=3, shuffle=True)
     direct = bipartite_modularity_direct(
-        sym.A.toarray(), sym.is_as, partition.communities
+        A.toarray(), as_mask(g.n_nodes, g.n_as), partition.communities
     )
     assert partition.modularity == pytest.approx(direct, abs=1e-12)
+
+
+@st.composite
+def bipartite_matrices(draw):
+    """A symmetric AS-IXP matrix and its AS count.
+
+    Either the symmetrized graph of a ``random_snapshot`` or a dense matrix
+    of small integer weights, whose few weight levels make equal gains
+    common.
+    """
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = build_graph(random_snapshot(rng, max_as=50, max_ixp=15))
+        return symmetrize(g), g.n_as
+    n_as, n_ixp = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    cross = draw(arrays(np.int64, (n_as, n_ixp), elements=st.integers(0, 3)))
+    A = np.zeros((n_as + n_ixp, n_as + n_ixp))
+    A[:n_as, n_as:] = cross
+    A[n_as:, :n_as] = cross.T
+    return sparse.csr_matrix(A), n_as
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_matrices(), st.booleans(), st.integers(0, 7))
+def test_louvain_matches_dict_oracle(matrix, shuffle, seed):
+    A, n_as = matrix
+    partition = louvain_bipartite(A, n_as, seed=seed, shuffle=shuffle)
+    communities, q, history = dict_louvain(A, n_as, seed=seed, shuffle=shuffle)
+    assert partition.communities.dtype == np.int64
+    assert partition.communities.tolist() == communities.tolist()
+    assert partition.history == history
+    assert partition.modularity == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_aggregate_matches_dict_numbering(data):
+    n = data.draw(st.integers(1, 30))
+    comm = data.draw(arrays(np.int64, n, elements=st.integers(0, 6)))
+    side = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    weights = data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 3)))
+    A = sparse.csr_matrix((weights + weights.T).astype(np.float64))
+    assert _first_seen(comm).tolist() == dict_first_seen(comm.tolist()).tolist()
+    agg, new_side, node_map, origin_comm = _aggregate(A, side, comm)
+    ref_agg, ref_side, ref_map, ref_comm = dict_aggregate(A, side, comm)
+    assert agg.shape == ref_agg.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(agg, part).tolist() == getattr(ref_agg, part).tolist()
+    assert new_side.tolist() == ref_side.tolist()
+    assert node_map.tolist() == ref_map.tolist()
+    assert origin_comm.tolist() == ref_comm.tolist()
 
 
 # --- cluster profiles ---
 
 
 def test_single_community_gets_all_shares(fixture_graph):
-    sym = symmetrize(fixture_graph)
-    partition = louvain_bipartite(sym)
     # force everything into one community
-    from peergraph.clustering import Partition
-
     single = Partition(
-        labels=partition.labels,
         communities=np.zeros(fixture_graph.n_nodes, dtype=np.int64),
         modularity=0.0,
         history=(0.0,),
@@ -194,7 +244,7 @@ def test_capacity_split_shares():
         [(1, 101, 30.0), (2, 102, 70.0)],
     )
     g = build_graph(snap)
-    partition = louvain_bipartite(symmetrize(g))
+    partition = louvain_bipartite(symmetrize(g), g.n_as)
     profiles = cluster_profiles(partition, g)
     shares = sorted(p.capacity_share_pct for p in profiles)
     assert shares == [pytest.approx(30.0), pytest.approx(70.0)]
@@ -202,14 +252,14 @@ def test_capacity_split_shares():
 
 
 def test_profile_shares_sum_to_hundred(fixture_graph):
-    partition = louvain_bipartite(symmetrize(fixture_graph))
+    partition = louvain_bipartite(symmetrize(fixture_graph), fixture_graph.n_as)
     profiles = cluster_profiles(partition, fixture_graph)
     assert sum(p.capacity_share_pct for p in profiles) == pytest.approx(100.0, abs=1e-9)
     assert sum(p.ixp_share_pct for p in profiles) == pytest.approx(100.0, abs=1e-9)
 
 
 def test_profile_country_tables(fixture_graph):
-    partition = louvain_bipartite(symmetrize(fixture_graph))
+    partition = louvain_bipartite(symmetrize(fixture_graph), fixture_graph.n_as)
     profiles = cluster_profiles(partition, fixture_graph)
     total_ixps = sum(p.n_ixps for p in profiles)
     assert total_ixps == fixture_graph.n_ixp

@@ -402,6 +402,14 @@ def test_outlier_requires_positive_reference():
         validate_snapshot(outlier_snapshot(1.0), reference_capacity=0.0)
 
 
+@pytest.mark.parametrize(
+    "reference, factor", [(100.0, np.nan), (100.0, np.inf), (np.nan, 10.0), (np.inf, 10.0)]
+)
+def test_outlier_screen_refuses_non_finite_reference_or_factor(reference, factor):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        validate_snapshot(outlier_snapshot(1.0), reference_capacity=reference, factor=factor)
+
+
 # --- ground truth ---
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from peergraph import cli
 from peergraph.cli import main
 
 from conftest import FIXTURE_SNAPSHOT
@@ -75,9 +76,18 @@ def test_unusable_entry_names_file_and_line(tmp_path, capsys, defect):
 
 
 SWEEP = ["sweep", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", DATE]
+BUILD = ["build", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", DATE]
+INGEST = ["ingest", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", DATE,
+          "--validate", "--reference-asn", "64500"]
+TIMESERIES = ["timeseries", "--fit"]
+# A path that does not exist: a flag whose range needs no input is checked
+# before any input is read, so these cases never reach the file.
+ABSENT = "absent.json"
+# Replaced by a graph built from the fixture.
+GRAPH = "<graph>"
 
-# Each case gives one flag a value that does not parse; the message must
-# name the flag and the value.
+# Each case gives one flag a value that does not parse or is out of range;
+# the message must name the flag and the value.
 FLAG_DEFECTS = {
     "grid-h with a word": (
         SWEEP + ["--grid-h", "0.9:a:2"],
@@ -99,12 +109,76 @@ FLAG_DEFECTS = {
         ["timeseries", "--snapshot", str(FIXTURE_SNAPSHOT), "1 Jan 2020"],
         "--snapshot DATE '1 Jan 2020' is not a YYYY-MM-DD date",
     ),
+    "grid-h nan": (
+        SWEEP + ["--grid-h", "nan"], "--grid-h 'nan' holds a value that is not in [0, 1]"
+    ),
+    "grid-m above 1": (
+        SWEEP + ["--grid-m", "0.6:1.5:3"],
+        "--grid-m '0.6:1.5:3' holds a value that is not in [0, 1]",
+    ),
+    "grid-h without a point": (
+        SWEEP + ["--grid-h", "1.0"],
+        "--grid-h '1.0' leaves no grid point (beta_heavy = 1 is excluded)",
+    ),
+    "alpha 1": (["rank", "--graph", ABSENT, "--alpha", "1"], "--alpha 1.0 must be in [0, 1)"),
+    "tol 0": (["rank", "--graph", ABSENT, "--tol", "0"], "--tol 0.0 must be finite and positive"),
+    "tol nan": (
+        ["hypergiants", "--graph", ABSENT, "--tol", "nan"], "--tol nan must be finite and positive"
+    ),
+    "reduce tol nan": (
+        ["reduce", "--graph", ABSENT, "--subset", ABSENT, "--tol", "nan"],
+        "--tol nan must be finite and positive",
+    ),
+    "sweep tol inf": (SWEEP + ["--tol", "inf"], "--tol inf must be finite and positive"),
+    "beta-h above 1": (BUILD + ["--beta-h", "1.5"], "--beta-h 1.5 must be in [0, 1]"),
+    "beta-m above 1": (BUILD + ["--beta-m", "1.5"], "--beta-m 1.5 must be in [0, 1]"),
+    "beta-b nan": (SWEEP + ["--beta-b", "nan"], "--beta-b nan must be in [0, 1]"),
+    "k 0": (["hypergiants", "--graph", ABSENT, "--k", "0"], "--k 0 must be at least 1"),
+    "k above the AS count": (
+        ["hypergiants", "--graph", GRAPH, "--k", "9999"],
+        "--k 9999 exceeds the number of ASes in the graph",
+    ),
+    "hypergiants-k 0": (
+        ["receivers", "--graph", ABSENT, "--countries", "DE", "--hypergiants-k", "0"],
+        "--hypergiants-k 0 must be at least 1",
+    ),
+    "hypergiants-k above the AS count": (
+        ["receivers", "--graph", GRAPH, "--countries", "DE", "--hypergiants-k", "9999"],
+        "--hypergiants-k 9999 exceeds the number of ASes in the graph",
+    ),
+    "outlier-factor 0": (
+        INGEST + ["--outlier-factor", "0"], "--outlier-factor 0.0 must be finite and positive"
+    ),
+    "outlier-factor nan": (
+        INGEST + ["--outlier-factor", "nan"], "--outlier-factor nan must be finite and positive"
+    ),
+    "cap with nan": (
+        ["diff", "--reduced", ABSENT, ABSENT, "--cap", "nan", "1"],
+        "--cap nan 1.0 must be numbers with LO <= HI",
+    ),
+    "cap inverted": (
+        ["diff", "--reduced", ABSENT, ABSENT, "--cap", "5", "-5"],
+        "--cap 5.0 -5.0 must be numbers with LO <= HI",
+    ),
+    "fit over 3 snapshots": (
+        TIMESERIES + [a for date in ("2020-01-01", "2020-02-01", "2020-03-01")
+                      for a in ("--snapshot", str(FIXTURE_SNAPSHOT), date)],
+        "--fit needs at least 4 snapshots, got 3",
+    ),
+    "fit over a repeated date": (
+        TIMESERIES + [a for date in ("2020-01-01", "2020-02-01", "2020-02-01", "2020-03-01")
+                      for a in ("--snapshot", str(FIXTURE_SNAPSHOT), date)],
+        "--snapshot DATE 2020-02-01 is given twice; --fit needs distinct dates",
+    ),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(FLAG_DEFECTS))
 def test_bad_flag_value_names_flag_and_value(tmp_path, capsys, defect):
     argv, fragment = FLAG_DEFECTS[defect]
+    if GRAPH in argv:
+        graph = _graph(tmp_path)
+        argv = [graph if arg == GRAPH else arg for arg in argv]
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -130,3 +204,16 @@ def test_unreadable_truth_file_leaves_no_output(tmp_path, command):
     out = tmp_path / "out" / "table.csv"
     assert main(_argv(tmp_path, command, tmp_path / "missing.csv", str(out))) == 1
     assert not out.parent.exists()
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    # Only typed errors and OS errors become one-line messages; any other
+    # exception is a defect and keeps its traceback.
+    graph = _graph(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(cli, "classify_countries", broken)
+    with pytest.raises(ValueError, match="defect"):
+        main(["classify", "--graph", graph, "--out", str(tmp_path / "out.csv")])

@@ -126,6 +126,12 @@ def test_nonconvergence_raises():
         pagerank(google_matrix(W), tol=1e-15, max_iter=2)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_pagerank_refuses_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        pagerank(google_matrix(random_weights(np.random.default_rng(6), 8)), tol=tol)
+
+
 def test_warm_start_reaches_the_same_fixed_point():
     rng = np.random.default_rng(4)
     W = random_weights(rng, 30)
@@ -315,6 +321,13 @@ def test_nan_in_complement_fails_residual_gate():
         reduced_google_matrix(G, [g.as_index(10)])
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_reduction_refuses_tol_that_is_not_finite_and_positive(tol):
+    G = google_matrix(random_weights(np.random.default_rng(6), 8))
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        reduced_google_matrix(G, [0, 1], tol=tol)
+
+
 def test_restricted_pagerank_is_fixed_point():
     rng = np.random.default_rng(12)
     for direction in ("forward", "reverse"):
@@ -432,6 +445,13 @@ def test_change_cap_is_display_only():
     change = relative_change(make_reduced(M1), make_reduced(M2), cap=(-0.5, 1.0))
     assert np.allclose(change.delta, 8.0)  # stored values stay uncapped
     assert np.allclose(change.capped(), 1.0)
+
+
+@pytest.mark.parametrize("cap", [(np.nan, 1.0), (-1.0, np.nan), (5.0, -5.0)])
+def test_change_refuses_nan_or_inverted_cap(cap):
+    M = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        relative_change(make_reduced(M), make_reduced(M), cap=cap)
 
 
 def test_subset_mismatch_rejected():
