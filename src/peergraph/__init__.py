@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .analysis import (
-    ClassificationReport,
     StabilityReport,
     beta_stability_sweep,
     classification_metrics,
@@ -24,18 +23,16 @@ from .clustering import (
 from .graph import (
     BetaParams,
     BreakpointFit,
-    NodeMetrics,
     PeeringGraph,
     build_graph,
     fit_breakpoint,
-    node_metrics,
 )
 from .ingest import (
-    GroundTruth,
     RawSnapshot,
     TrafficClass,
     capacity_timeseries,
-    load_ground_truth,
+    load_as_countries,
+    load_market_shares,
     parse_snapshot,
     validate_snapshot,
 )

@@ -4,7 +4,10 @@ Covers the country attribution of ASes from their IXP memberships, its
 validation against registration data, the extraction of highly diffusive
 ASes (reverse PageRank) and of per-country traffic receivers (forward
 PageRank), end-user market-share coverage, traffic-class summaries and
-the beta sensitivity sweep.
+the beta sensitivity sweep.  Every analysis takes a built
+:class:`~peergraph.graph.PeeringGraph`; the outside data are the plain
+dicts that :func:`~peergraph.ingest.load_as_countries` and
+:func:`~peergraph.ingest.load_market_shares` return.
 """
 from __future__ import annotations
 
@@ -14,9 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownProbeError
-from .graph import BetaParams, PeeringGraph, build_graph, node_metrics
-from .ingest import CLASSES, GroundTruth, RawSnapshot, TrafficClass
+from .graph import BetaParams, PeeringGraph
+from .ingest import CLASSES, TrafficClass
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_TOL,
@@ -32,7 +34,6 @@ TIED = "Tied"
 # PeeringDB business types; the access-network filter used for traffic receivers.
 TYPE_ISP = "Cable/DSL/ISP"
 TYPE_NSP = "NSP"
-TYPE_CONTENT = "Content"
 TYPE_NOT_DISCLOSED = "Not Disclosed"
 DEFAULT_RECEIVER_TYPES = frozenset({TYPE_ISP, TYPE_NOT_DISCLOSED})
 RECEIVERS_PER_COUNTRY = 4
@@ -80,36 +81,27 @@ class CountryMetrics:
     support: int
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    per_country: tuple[CountryMetrics, ...]
-
-    def for_country(self, country: str) -> CountryMetrics:
-        for row in self.per_country:
-            if row.country == country:
-                return row
-        raise KeyError(country)
-
-
 def classification_metrics(
     g: PeeringGraph,
     assignment: Sequence[str],
-    truth: GroundTruth,
+    as_country: Mapping[int, str],
     countries: Sequence[str],
-) -> ClassificationReport:
+) -> tuple[CountryMetrics, ...]:
     """Per-country precision/recall/F1 against the registration dataset.
 
     ``assignment`` holds one prediction per AS of ``g`` in node order, as
-    :func:`classify_countries` returns it.  Only ASes present in the truth
-    mapping are evaluated.  "Tied" counts as a negative prediction for
+    :func:`classify_countries` returns it, and ``as_country`` maps AS
+    numbers to their registration country.  Returns one row per entry of
+    ``countries``, in that order.  Only ASes present in ``as_country``
+    are evaluated.  "Tied" counts as a negative prediction for
     every country.  Hits, predictions and truths are counted once each;
     a country's false positives are its predictions minus its hits and its
     false negatives its truths minus its hits.
     """
     pairs = [
-        (predicted, truth.as_country[asn])
+        (predicted, as_country[asn])
         for asn, predicted in zip(g.asn.tolist(), assignment, strict=True)
-        if asn in truth.as_country
+        if asn in as_country
     ]
     hits = Counter(p for p, t in pairs if p == t)
     predicted = Counter(p for p, _ in pairs)
@@ -131,7 +123,7 @@ def classification_metrics(
                 support=tp + fn,
             )
         )
-    return ClassificationReport(per_country=tuple(rows))
+    return tuple(rows)
 
 
 def top_hypergiants(
@@ -188,20 +180,19 @@ def traffic_receivers(
 def eums_coverage(
     g: PeeringGraph,
     receivers: Mapping[str, RankTable],
-    truth: GroundTruth,
+    shares: Mapping[tuple[int, str], float],
 ) -> dict[str, float]:
     """Aggregated end-user market share of the identified receivers per country.
 
-    The tables hold AS node indices of ``g``; an AS missing from the
-    market-share table contributes zero.
+    The tables hold AS node indices of ``g``, and ``shares`` maps
+    (AS number, country) to a market share in percent; an AS missing from
+    ``shares`` contributes zero.
     """
     coverage: dict[str, float] = {}
     for country, table in receivers.items():
         total = 0.0
         for asn in g.asn[table.index].tolist():
-            record = truth.eums.get((asn, country))
-            if record is not None:
-                total += record.share
+            total += shares.get((asn, country), 0.0)
         coverage[country] = total
     return coverage
 
@@ -214,7 +205,7 @@ class ClassShares:
 
 def info_ratio_summary(g: PeeringGraph) -> dict[TrafficClass, ClassShares]:
     """Share of the AS population and of the total port capacity per traffic class."""
-    capacity_per_as = node_metrics(g).port_capacity[: g.n_as]
+    capacity_per_as = g.capacity[: g.n_as]
     counts = np.bincount(g.as_class, minlength=len(CLASSES)).tolist()
     capacity = np.bincount(g.as_class, weights=capacity_per_as, minlength=len(CLASSES)).tolist()
     total_count = sum(counts)
@@ -248,12 +239,11 @@ class StabilityReport:
     rows: tuple[StabilityRow, ...]
     grid_heavy: tuple[float, ...]
     grid_mostly: tuple[float, ...]
-    beta_default: BetaParams
 
 
 def default_probes(g: PeeringGraph) -> tuple[int, ...]:
     """The :data:`PROBES_PER_CLASS` best-provisioned ASes of each traffic class."""
-    capacity = node_metrics(g).port_capacity[: g.n_as]
+    capacity = g.capacity[: g.n_as]
     # By class, then descending capacity, then ascending AS number.
     order = np.lexsort((g.asn, -capacity, g.as_class))
     probes: list[int] = []
@@ -264,42 +254,40 @@ def default_probes(g: PeeringGraph) -> tuple[int, ...]:
 
 
 def beta_stability_sweep(
-    snapshot: RawSnapshot,
+    g: PeeringGraph,
     grid_heavy: Sequence[float],
     grid_mostly: Sequence[float],
     probes: Sequence[int] | None = None,
-    beta_default: BetaParams | None = None,
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
 ) -> StabilityReport:
     """Rank sensitivity of probe ASes over a (beta_heavy, beta_mostly) grid.
 
-    The graph is built once; each grid point re-weights its edges for the
-    point's beta and recomputes PageRank in both directions, starting from
+    The default point is ``g.beta``; each grid point keeps its
+    ``balanced`` coefficient.  Each point re-weights the graph's edges for
+    its beta and recomputes PageRank in both directions, starting from
     the previous point's vector in the same direction (the default point
     starts from the uniform vector).  The report carries the ranks at the
-    default parameters plus the maximum rank variation (and, for
-    diagnostics, the maximum value variation) over the whole grid.
-    ``beta_heavy = 1`` is excluded: it silences heavy-outbound ASes
-    entirely.  The first probe that is not an AS of the graph raises
-    :class:`~peergraph.errors.UnknownProbeError`.
+    default point plus the maximum rank variation (and, for diagnostics,
+    the maximum value variation) over the whole grid.  ``beta_heavy = 1``
+    is excluded: it silences heavy-outbound ASes entirely.  ``probes``
+    defaults to :func:`default_probes`; a probe that is not an AS of the
+    graph raises ``ValueError``.
     """
     grid_h = tuple(b for b in grid_heavy if b < 1.0)
     grid_m = tuple(grid_mostly)
     if not grid_h or not grid_m:
         raise ValueError("sweep grids must be non-empty (beta_heavy=1 is excluded)")
-    beta_default = beta_default or BetaParams()
 
-    g = build_graph(snapshot, beta_default)
     probe_asns = tuple(probes) if probes is not None else default_probes(g)
     missing = next((asn for asn in probe_asns if not g.contains_as(asn)), None)
     if missing is not None:
-        raise UnknownProbeError(missing)
+        raise ValueError(f"probe AS{missing} is not a node of the graph")
     idx = np.array([g.as_index(asn) for asn in probe_asns], dtype=np.int64)
 
     # Row 0 of each table is the default point, the other rows the grid.
-    betas = [beta_default] + [
-        BetaParams(balanced=beta_default.balanced, mostly=bm, heavy=bh)
+    betas = [g.beta] + [
+        BetaParams(balanced=g.beta.balanced, mostly=bm, heavy=bh)
         for bh in grid_h
         for bm in grid_m
     ]
@@ -338,5 +326,4 @@ def beta_stability_sweep(
         rows=tuple(rows),
         grid_heavy=grid_h,
         grid_mostly=grid_m,
-        beta_default=beta_default,
     )

@@ -32,7 +32,7 @@ from .analysis import (
     traffic_receivers,
 )
 from .clustering import cluster_profiles, louvain_bipartite, symmetrize
-from .errors import PeergraphError, SnapshotFormatError, UnknownProbeError
+from .errors import PeergraphError, SnapshotFormatError
 from .graph import BetaParams, build_graph, fit_breakpoint
 from .graphio import (
     atomic_write_text,
@@ -51,7 +51,8 @@ from .graphio import (
 from .ingest import (
     as_port_capacity,
     capacity_timeseries,
-    load_ground_truth,
+    load_as_countries,
+    load_market_shares,
     parse_snapshot,
     read_lines,
     validate_snapshot,
@@ -136,12 +137,17 @@ _FLAG_RANGES = {
 
 
 def _check_flags(args) -> None:
-    """Raise :class:`PeergraphError` naming the first flag whose value is out of range."""
+    """Raise :class:`PeergraphError` naming the first flag whose value is out of range.
+
+    ``--validate`` without ``--reference-asn`` is refused here too.
+    """
     for dest, (ok, rule) in _FLAG_RANGES.items():
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             shown = " ".join(map(repr, value)) if isinstance(value, list) else repr(value)
             raise PeergraphError(f"--{dest.replace('_', '-')} {shown} must {rule}")
+    if getattr(args, "validate", False) and args.reference_asn is None:
+        raise PeergraphError("--validate requires --reference-asn")
 
 
 def _check_k(flag: str, k: int, g) -> None:
@@ -185,8 +191,6 @@ def cmd_ingest(args, argv) -> int:
     )
     outliers = []
     if args.validate:
-        if args.reference_asn is None:
-            raise PeergraphError("--validate requires --reference-asn")
         capacities = as_port_capacity(snapshot)
         reference = capacities.get(args.reference_asn, 0.0)
         if reference <= 0:
@@ -313,7 +317,7 @@ def cmd_diff(args, argv) -> int:
 
 def cmd_classify(args, argv) -> int:
     g = load_graph(args.graph)
-    truth = load_ground_truth(asorg_path=args.truth) if args.truth else None
+    as_country = load_as_countries(args.truth) if args.truth else None
     assignment = classify_countries(g, rule=args.rule)
     rows = [["asn", "name", "country"]]
     rows.extend(map(list, zip(g.asn.tolist(), g.as_name, assignment)))
@@ -323,13 +327,12 @@ def cmd_classify(args, argv) -> int:
     print(f"classified {g.n_as} ASes ({assignment.count(TIED)} tied) -> {out}")
 
     inputs = [Path(args.graph)]
-    if truth is not None:
+    if as_country is not None:
         countries = args.countries.split(",") if args.countries else sorted(
             set(assignment) - {TIED}
         )
-        report = classification_metrics(g, assignment, truth, countries)
         metric_rows = [["country", "precision", "recall", "f1", "support"]]
-        for row in report.per_country:
+        for row in classification_metrics(g, assignment, as_country, countries):
             metric_rows.append(
                 [row.country, repr(row.precision), repr(row.recall), repr(row.f1), row.support]
             )
@@ -373,7 +376,7 @@ def cmd_receivers(args, argv) -> int:
         _TYPE_SHORTHAND.get(t.strip().upper(), t.strip()) for t in args.types.split(",")
     )
     exclusions = list(_read_asns(args.exclude).values()) if args.exclude else []
-    truth = load_ground_truth(apnic_paths=args.apnic) if args.apnic else None
+    shares = load_market_shares(args.apnic) if args.apnic else None
     assignment = classify_countries(g, rule=args.rule)
     giants = top_hypergiants(g, k=args.hypergiants_k, alpha=args.alpha, tol=args.tol)
     receivers = traffic_receivers(
@@ -395,8 +398,8 @@ def cmd_receivers(args, argv) -> int:
     inputs = [Path(args.graph)] + ([Path(args.exclude)] if args.exclude else [])
     print(f"traffic receivers for {len(countries)} countries -> {out}")
 
-    if truth is not None:
-        coverage = eums_coverage(g, receivers, truth)
+    if shares is not None:
+        coverage = eums_coverage(g, receivers, shares)
         cov_rows = [["country", "eums_pct"]]
         cov_rows.extend([c, repr(coverage[c])] for c in countries)
         coverage_out = _resolve_out(args.coverage_out or (str(out) + ".coverage.csv"))
@@ -428,21 +431,19 @@ def cmd_sweep(args, argv) -> int:
         message = f"--grid-h {args.grid_h!r} leaves no grid point (beta_heavy = 1 is excluded)"
         raise PeergraphError(message)
     probes = _read_asns(args.probes) if args.probes else None
-    snapshot = parse_snapshot(args.snapshot, date)
-    try:
-        report = beta_stability_sweep(
-            snapshot,
-            grid_heavy=grid_h,
-            grid_mostly=grid_m,
-            probes=None if probes is None else list(probes.values()),
-            beta_default=BetaParams(balanced=args.beta_b, mostly=args.beta_m, heavy=args.beta_h),
-            alpha=args.alpha,
-            tol=args.tol,
-        )
-    except UnknownProbeError as exc:
-        line = next(n for n, asn in probes.items() if asn == exc.asn)
-        message = f"{args.probes}: line {line}: AS{exc.asn} is not a node of the graph"
-        raise SnapshotFormatError(message) from exc
+    g = build_graph(parse_snapshot(args.snapshot, date), _beta_from_args(args))
+    for n, asn in (probes or {}).items():
+        if not g.contains_as(asn):
+            message = f"{args.probes}: line {n}: AS{asn} is not a node of the graph"
+            raise SnapshotFormatError(message)
+    report = beta_stability_sweep(
+        g,
+        grid_heavy=grid_h,
+        grid_mostly=grid_m,
+        probes=None if probes is None else list(probes.values()),
+        alpha=args.alpha,
+        tol=args.tol,
+    )
     rows = [[
         "asn", "name", "class", "pr_value", "pr_rank", "delta_pr_rank",
         "rpr_value", "rpr_rank", "delta_rpr_rank", "delta_pr_value", "delta_rpr_value",

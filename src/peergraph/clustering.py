@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .graph import PeeringGraph, node_metrics
+from .graph import PeeringGraph
 
 _GAIN_EPS = 1e-12
 
@@ -242,7 +242,7 @@ def cluster_profiles(partition: Partition, g: PeeringGraph) -> tuple[ClusterProf
     """
     if partition.communities.shape[0] != g.n_nodes:
         raise ValueError("partition does not cover this graph")
-    ixp_capacity = node_metrics(g).port_capacity[g.n_as :]
+    ixp_capacity = g.capacity[g.n_as :]
     total_capacity = float(ixp_capacity.sum())
     total_ixps = g.n_ixp
 

@@ -26,12 +26,5 @@ class CensorError(PeergraphError):
 
 
 class SubsetMismatchError(PeergraphError):
-    """Two reduced matrices do not share the same node subset/ordering."""
+    """Two reduced matrices differ in node subset or order, direction, censoring or alpha."""
 
-
-class UnknownProbeError(PeergraphError):
-    """A probe AS of the beta sweep is not a node of the graph."""
-
-    def __init__(self, asn: int) -> None:
-        super().__init__(f"probe AS{asn} is not a node of the graph")
-        self.asn = asn

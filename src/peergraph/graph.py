@@ -1,4 +1,4 @@
-"""The weighted directed bipartite AS-IXP capacity graph and its structural metrics.
+"""The weighted directed bipartite AS-IXP capacity graph.
 
 Nodes are the ASes and IXPs that share at least one positive-capacity
 membership.  Router ports of one AS at one IXP are aggregated by summation
@@ -12,6 +12,8 @@ AS node index, IXP node index, port size and the AS's traffic-class code.
 The weight matrix is one vectorized function of those columns and a
 :class:`BetaParams` (:meth:`PeeringGraph.weights`), so re-weighting a
 graph for another beta reuses its sparsity pattern without rebuilding it.
+Each node's total port capacity is a node column as well
+(:attr:`PeeringGraph.capacity`).
 
 ``W[i, j]`` is the weight of the directed link ``j -> i``.
 """
@@ -81,7 +83,9 @@ class PeeringGraph:
     - ``port_size``: aggregated port size, finite and positive;
     - ``edge_class``: traffic-class code of the AS.
 
-    ``W`` is :meth:`weights` at the graph's own ``beta``.
+    ``W`` is :meth:`weights` at the graph's own ``beta``, and ``capacity``
+    is the read-only float64 node column of total port capacity: the sum
+    of the port sizes of a node's edges, in edge order.
     """
 
     date: Date | None
@@ -145,6 +149,15 @@ class PeeringGraph:
     @cached_property
     def names(self) -> tuple[str, ...]:
         return self.as_name + self.ixp_name
+
+    @cached_property
+    def capacity(self) -> np.ndarray:
+        n = self.n_nodes
+        capacity = np.bincount(self.edge_as, weights=self.port_size, minlength=n) + np.bincount(
+            self.edge_ixp, weights=self.port_size, minlength=n
+        )
+        # bincount gives integers when there are no weights (an edgeless graph)
+        return _frozen(capacity.astype(np.float64, copy=False))
 
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """The (asn, ixp_id) of each edge, in edge order."""
@@ -316,34 +329,6 @@ def build_graph(
     ixp_text = (snapshot.ixp_name, snapshot.ixp_country)
     ixp_columns = (snapshot.ixp_id[x], *([c[i] for i in x] for c in ixp_text))
     return _assemble(as_columns, ixp_columns, asn, ixp_id, size, beta, snapshot.date)
-
-
-@dataclass(frozen=True)
-class NodeMetrics:
-    """Per-node weighted degrees, neighbor counts and port capacities.
-
-    Arrays are aligned with the graph's node ordering.  For an AS whose
-    declared direction is inbound, ``w_in`` equals its port capacity and
-    ``w_out`` equals ``(1 - beta) * port_capacity``; mirrored for outbound.
-    """
-
-    w_in: np.ndarray
-    w_out: np.ndarray
-    degree: np.ndarray
-    port_capacity: np.ndarray
-
-
-def node_metrics(g: PeeringGraph) -> NodeMetrics:
-    n = g.n_nodes
-    w_in = np.asarray(g.W.sum(axis=1), dtype=np.float64).ravel()
-    w_out = np.asarray(g.W.sum(axis=0), dtype=np.float64).ravel()
-    degree = np.bincount(g.edge_as, minlength=n) + np.bincount(g.edge_ixp, minlength=n)
-    capacity = np.bincount(g.edge_as, weights=g.port_size, minlength=n) + np.bincount(
-        g.edge_ixp, weights=g.port_size, minlength=n
-    )
-    # bincount gives integers when there are no weights (an edgeless graph)
-    capacity = capacity.astype(np.float64, copy=False)
-    return NodeMetrics(w_in=w_in, w_out=w_out, degree=degree, port_capacity=capacity)
 
 
 @dataclass(frozen=True)

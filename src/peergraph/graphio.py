@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import SnapshotFormatError
-from .graph import BetaParams, PeeringGraph, _assemble, node_metrics
-from .ingest import CLASSES, _is_utf8, _not_utf8, read_lines
+from .graph import BetaParams, PeeringGraph, _assemble
+from .ingest import CLASSES, _is_utf8, _not_utf8, csv_rows, read_lines
 from .spectral import ChangeMatrix, RankTable, ReducedGoogleMatrix
 
 GRAPH_FORMAT = "peergraph-graph"
@@ -289,7 +289,7 @@ def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
     """
     labels = g.labels
     countries = ("",) * g.n_as + g.ixp_country
-    capacity = node_metrics(g).port_capacity.tolist()
+    capacity = g.capacity.tolist()
     nodes = [
         f'      <node id="{label}" label="{(name or label).translate(_XML_ATTR)}">\n'
         "        <attvalues>\n"
@@ -336,7 +336,7 @@ def export_edgelist(g: PeeringGraph, path: str | Path) -> list[Path]:
     """
     path = Path(path)
     ratio = [tc.value for tc in CLASSES]
-    capacity = list(map(repr, node_metrics(g).port_capacity.tolist()))
+    capacity = list(map(repr, g.capacity.tolist()))
     asn, ixp_id = g.edge_ids()
 
     edge_rows = [["asn", "ixp_id", "port_size", "traffic_class"], *zip(
@@ -430,8 +430,8 @@ def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
     Raises :class:`SnapshotFormatError` naming the file and the line when
     the file is not UTF-8, the comment line holds a bad direction,
     censoring flag, alpha or date, a label is listed twice, a row is
-    ragged or its label is not the header's label at that position, or a
-    cell is not a finite number.
+    ragged or its label is not the header's label at that position, a
+    cell is not a finite number, or the csv module refuses a line.
     """
     lines = read_lines(path, SnapshotFormatError)
     meta: dict[str, str] = {}
@@ -454,8 +454,8 @@ def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: line 1: {exc}") from exc
 
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    reader = csv_rows(path, lines, SnapshotFormatError, offset=skipped)
+    _, header = next(reader, (None, None))
     if not header or header[0] != "node":
         raise SnapshotFormatError(f"{path}: not a reduced-matrix CSV")
     labels = tuple(header[1:])
@@ -465,8 +465,8 @@ def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
             f"{path}: line {skipped + 1}: label {twice!r} is listed twice"
         )
     rows: list[list[float]] = []
-    for row in reader:
-        where = f"{path}: line {skipped + reader.line_num}"
+    for line, row in reader:
+        where = f"{path}: line {line}"
         if len(rows) == len(labels):
             raise SnapshotFormatError(f"{where}: more rows than labels")
         if len(row) != len(labels) + 1:

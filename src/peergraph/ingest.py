@@ -1,4 +1,4 @@
-"""Ingestion of PeeringDB snapshot dumps and external ground-truth tables.
+"""Ingestion of PeeringDB snapshot dumps and external reference tables.
 
 A snapshot dump is a single JSON object per date holding three record
 families: "net" (ASes), "ix" (exchanges) and "netixlan" (one row per
@@ -9,6 +9,11 @@ fixtures and the daily dump files published for the community.
 A parsed dump is a :class:`RawSnapshot` of columns: the node columns of
 :class:`~peergraph.graph.PeeringGraph` plus one column per membership
 field, so graph construction reads the arrays as they are.
+
+The reference tables are CSV files read into plain dicts:
+:func:`load_as_countries` maps each AS to its registration country and
+:func:`load_market_shares` each (AS, country) pair to its end-user market
+share.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -146,6 +151,23 @@ def read_lines(path: str | Path, error: type[PeergraphError]) -> list[str]:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise _not_utf8(error, path, data, exc) from exc
+
+
+def csv_rows(
+    path: str | Path, lines: Sequence[str], error: type[PeergraphError], offset: int = 0
+) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row of ``lines`` with the number of the file line it ends on.
+
+    ``lines`` are the lines of ``path`` after its first ``offset`` lines.
+    Raises ``error`` naming the file and the line where the csv module
+    refuses a row, for instance one holding a field over its size limit.
+    """
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield offset + reader.line_num, row
+    except csv.Error as exc:
+        raise error(f"{path}: line {offset + reader.line_num}: {exc}") from exc
 
 
 def _section(path, raw: Mapping, key: str) -> list:
@@ -319,7 +341,6 @@ class OutlierReport:
     name: str
     total_capacity: float
     threshold: float
-    memberships: tuple[tuple[int, float], ...]  # (ixp_id, port_size)
 
 
 def validate_snapshot(
@@ -331,7 +352,10 @@ def validate_snapshot(
 
     The comparison is a strict inequality: an AS sitting exactly at the
     threshold is not flagged.  ``reference_capacity`` is typically the
-    capacity of a trusted large network in the same snapshot.
+    capacity of a trusted large network in the same snapshot.  Each
+    report gives the AS, its name, its total from :func:`as_port_capacity`
+    and the threshold; they are ordered by descending total, then by AS
+    number.
     """
     if not 0.0 < reference_capacity < math.inf:
         raise ValueError(
@@ -340,113 +364,61 @@ def validate_snapshot(
     if not 0.0 < factor < math.inf:
         raise ValueError(f"factor must be finite and positive, got {factor}")
     threshold = factor * reference_capacity
-    totals = as_port_capacity(snapshot)
-    ports: dict[int, list[tuple[int, float]]] = {
-        asn: [] for asn, total in totals.items() if total > threshold
-    }
-    for asn, ixp_id, size in zip(
-        snapshot.port_asn.tolist(), snapshot.port_ixp_id.tolist(), snapshot.port_size.tolist()
-    ):
-        if asn in ports:
-            ports[asn].append((ixp_id, size))
-    names = snapshot.as_name
     flagged = [
-        OutlierReport(
-            asn, names[np.searchsorted(snapshot.asn, asn)], totals[asn], threshold, tuple(p)
-        )
-        for asn, p in ports.items()
+        OutlierReport(asn, snapshot.as_name[np.searchsorted(snapshot.asn, asn)], total, threshold)
+        for asn, total in as_port_capacity(snapshot).items()
+        if total > threshold
     ]
     flagged.sort(key=lambda r: (-r.total_capacity, r.asn))
     return tuple(flagged)
 
 
-@dataclass(frozen=True)
-class EumsEntry:
-    share: float  # end-user market share, percent
-    rank: int  # national rank
-
-
-@dataclass(frozen=True)
-class GroundTruthReport:
-    malformed_asorg: int = 0
-    duplicate_asorg: int = 0
-    malformed_apnic: int = 0
-    duplicate_apnic: int = 0
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """External reference data: AS registration country and per-country EUMS."""
-
-    as_country: dict[int, str]
-    eums: dict[tuple[int, str], EumsEntry]
-    report: GroundTruthReport = field(default_factory=GroundTruthReport)
-
-
-def _rows(path: str | Path) -> Iterable[list[str]]:
+def _rows(path: str | Path) -> Iterator[list[str]]:
+    """The stripped cells of each row of a reference table, without comment rows."""
     try:
         lines = read_lines(path, GroundTruthFormatError)
     except OSError as exc:
         raise GroundTruthFormatError(f"{path}: {exc}") from exc
-    for row in csv.reader(lines):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        yield [cell.strip() for cell in row]
+    for _, row in csv_rows(path, lines, GroundTruthFormatError):
+        if row and not row[0].lstrip().startswith("#"):
+            yield [cell.strip() for cell in row]
 
 
-def load_ground_truth(
-    asorg_path: str | Path | None = None,
-    apnic_paths: Sequence[str | Path] = (),
-) -> GroundTruth:
-    """Load AS-to-country rows and per-country end-user market share tables.
+def load_as_countries(path: str | Path) -> dict[int, str]:
+    """AS number -> registration country, from ``asn,country_code`` rows.
 
-    AS-org rows are ``asn,country_code``; APNIC rows are
-    ``asn,country_code,eums_percent,national_rank``.  Malformed rows are
-    skipped and counted; duplicate keys keep the last occurrence.
+    Malformed rows are skipped; a repeated AS keeps its last row.
     """
     as_country: dict[int, str] = {}
-    malformed_asorg = duplicate_asorg = 0
-    if asorg_path is not None:
-        for row in _rows(asorg_path):
-            try:
-                if len(row) < 2 or not row[1]:
-                    raise ValueError("need (asn, country)")
-                asn = int(row[0])
-            except ValueError:
-                malformed_asorg += 1
-                continue
-            if asn in as_country:
-                duplicate_asorg += 1
+    for row in _rows(path):
+        try:
+            asn = int(row[0])
+        except ValueError:
+            continue
+        if len(row) >= 2 and row[1]:
             as_country[asn] = row[1].upper()
+    return as_country
 
-    eums: dict[tuple[int, str], EumsEntry] = {}
-    malformed_apnic = duplicate_apnic = 0
-    for path in apnic_paths:
+
+def load_market_shares(paths: Sequence[str | Path]) -> dict[tuple[int, str], float]:
+    """(AS number, country) -> end-user market share in percent.
+
+    Rows are ``asn,country_code,eums_percent,national_rank``.  Malformed
+    rows are skipped, among them a share outside [0, 100] and a rank
+    below 1; a repeated (AS, country) pair keeps its last row.
+    """
+    shares: dict[tuple[int, str], float] = {}
+    for path in paths:
         for row in _rows(path):
             try:
                 if len(row) < 4 or not row[1]:
                     raise ValueError("need (asn, country, eums, rank)")
-                asn = int(row[0])
-                country = row[1].upper()
-                share = float(row[2])
-                rank = int(row[3])
-                if not 0.0 <= share <= 100.0 or rank < 1:
-                    raise ValueError("out of range")
+                asn, share, rank = int(row[0]), float(row[2]), int(row[3])
             except ValueError:
-                malformed_apnic += 1
                 continue
-            key = (asn, country)
-            if key in eums:
-                duplicate_apnic += 1
-            eums[key] = EumsEntry(share=share, rank=rank)
-
-    report = GroundTruthReport(
-        malformed_asorg=malformed_asorg,
-        duplicate_asorg=duplicate_asorg,
-        malformed_apnic=malformed_apnic,
-        duplicate_apnic=duplicate_apnic,
-    )
-    return GroundTruth(as_country=as_country, eums=eums, report=report)
+            if 0.0 <= share <= 100.0 and rank >= 1:
+                shares[asn, row[1].upper()] = share
+    return shares
 
 
 def capacity_timeseries(

@@ -382,7 +382,9 @@ def relative_change(
 ) -> ChangeMatrix:
     """Relative change of every reduced-matrix element between two dates.
 
-    ``cap = (lo, hi)`` needs ``lo <= hi``; a NaN bound is refused.
+    ``cap = (lo, hi)`` needs ``lo <= hi``; a NaN bound is refused.  Raises
+    :class:`SubsetMismatchError` unless both matrices have the same labels
+    in the same order, direction, censoring and alpha.
     """
     if cap is not None and not cap[0] <= cap[1]:
         raise ValueError(f"cap must be (lo, hi) with lo <= hi, got {cap}")
@@ -392,6 +394,10 @@ def relative_change(
         raise SubsetMismatchError("reduced matrices have different directions")
     if earlier.censored != later.censored:
         raise SubsetMismatchError("reduced matrices are not censored identically")
+    if earlier.alpha != later.alpha:
+        raise SubsetMismatchError(
+            f"reduced matrices have different alphas ({earlier.alpha!r} and {later.alpha!r})"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = (later.GR - earlier.GR) / earlier.GR
     delta[earlier.GR == 0.0] = np.nan

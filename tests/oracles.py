@@ -387,9 +387,6 @@ def networkx_gexf(g) -> str:
 
     import networkx as nx
 
-    from peergraph.graph import node_metrics
-
-    metrics = node_metrics(g)
     graph = nx.DiGraph()
     for i, label in enumerate(g.labels):
         country = "" if i < g.n_as else g.ixp_country[i - g.n_as]
@@ -398,7 +395,7 @@ def networkx_gexf(g) -> str:
             label=g.names[i] or label,
             type=g.kinds[i],
             country=country,
-            port_capacity=float(metrics.port_capacity[i]),
+            port_capacity=float(g.capacity[i]),
         )
     coo = g.W.tocoo()
     for dst, src, weight in zip(coo.row, coo.col, coo.data):

@@ -19,8 +19,8 @@ from peergraph.analysis import (
     traffic_receivers,
 )
 from peergraph.graph import BetaParams, build_graph
-from peergraph.ingest import GroundTruth, TrafficClass, EumsEntry
-from peergraph.spectral import RankTable
+from peergraph.ingest import TrafficClass
+from peergraph.spectral import RankTable, google_matrix, pagerank
 
 from conftest import make_snapshot, random_snapshot
 from oracles import cold_sweep, dense_google, dense_pagerank, rescan_metrics
@@ -89,10 +89,6 @@ def test_classification_invariant_under_ixp_relabeling():
 # --- classification metrics ---
 
 
-def truth_of(mapping: dict[int, str]) -> GroundTruth:
-    return GroundTruth(as_country=mapping, eums={})
-
-
 def two_as_graph(countries_a: list[str], countries_b: list[str]):
     ixps, memberships = [], []
     next_id = 1
@@ -108,20 +104,17 @@ def two_as_graph(countries_a: list[str], countries_b: list[str]):
 
 def test_perfect_agreement():
     g = two_as_graph(["DE"], ["FR"])
-    report = classification_metrics(
-        g, classify_countries(g), truth_of({10: "DE", 20: "FR"}), ["DE", "FR"]
-    )
-    for row in report.per_country:
+    rows = classification_metrics(g, classify_countries(g), {10: "DE", 20: "FR"}, ["DE", "FR"])
+    assert [row.country for row in rows] == ["DE", "FR"]
+    for row in rows:
         assert row.precision == row.recall == row.f1 == 1.0
 
 
 def test_hand_computed_metrics():
     # truth {DE, DE}, predictions {DE, FR}
     g = two_as_graph(["DE"], ["FR"])
-    report = classification_metrics(
-        g, classify_countries(g), truth_of({10: "DE", 20: "DE"}), ["DE"]
-    )
-    row = report.for_country("DE")
+    (row,) = classification_metrics(g, classify_countries(g), {10: "DE", 20: "DE"}, ["DE"])
+    assert row.country == "DE"
     assert row.precision == 1.0
     assert row.recall == 0.5
     assert row.f1 == pytest.approx(2 / 3)
@@ -130,17 +123,14 @@ def test_hand_computed_metrics():
 
 def test_tied_counts_as_negative():
     g = graph_for_countries(["DE", "FR"])  # prediction: Tied
-    report = classification_metrics(
-        g, classify_countries(g), truth_of({10: "DE"}), ["DE"]
-    )
-    row = report.for_country("DE")
+    (row,) = classification_metrics(g, classify_countries(g), {10: "DE"}, ["DE"])
     assert row.precision == 0.0 and row.recall == 0.0 and row.support == 1
 
 
 def test_zero_support_reported():
     g = graph_for_countries(["DE"])
-    report = classification_metrics(g, classify_countries(g), truth_of({10: "DE"}), ["JP"])
-    assert report.for_country("JP").support == 0
+    (row,) = classification_metrics(g, classify_countries(g), {10: "DE"}, ["JP"])
+    assert (row.country, row.support) == ("JP", 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,11 +146,9 @@ def test_classification_metrics_match_rescan_oracle(data):
     assignment = tuple(data.draw(st.lists(predictions, min_size=g.n_as, max_size=g.n_as)))
     truth = data.draw(st.dictionaries(st.integers(1, 60), st.sampled_from(["DE", "FR", "JP"])))
     countries = data.draw(st.lists(st.sampled_from(["DE", "FR", "US", "JP", "BR", TIED])))
-    report = classification_metrics(g, assignment, truth_of(truth), countries)
+    rows = classification_metrics(g, assignment, truth, countries)
     expected = rescan_metrics(dict(zip(g.asn.tolist(), assignment)), truth, countries)
-    assert [
-        (r.country, r.precision, r.recall, r.f1, r.support) for r in report.per_country
-    ] == expected
+    assert [(r.country, r.precision, r.recall, r.f1, r.support) for r in rows] == expected
 
 
 # --- hypergiants ---
@@ -300,20 +288,17 @@ def test_receivers_disjoint_from_banned_sets():
 
 
 def test_eums_sums_over_receivers():
-    truth = GroundTruth(
-        as_country={},
-        eums={(2, "DE"): EumsEntry(10.0, 1), (3, "DE"): EumsEntry(5.0, 2)},
-    )
+    shares = {(2, "DE"): 10.0, (3, "DE"): 5.0, (4, "FR"): 20.0}
     g = receivers_graph()
     tables = traffic_receivers(g, classify_countries(g), ["DE"], hypergiant_asns=[1])
-    coverage = eums_coverage(g, tables, truth)
+    coverage = eums_coverage(g, tables, shares)
     assert coverage["DE"] == 15.0  # AS4/AS5 are absent from the table: contribute 0
 
 
 def test_eums_absent_country_is_zero():
     g = receivers_graph()
     tables = traffic_receivers(g, classify_countries(g), ["DE"], hypergiant_asns=[1])
-    coverage = eums_coverage(g, tables, GroundTruth(as_country={}, eums={}))
+    coverage = eums_coverage(g, tables, {})
     assert coverage == {"DE": 0.0}
 
 
@@ -359,10 +344,12 @@ def sweep_snapshot():
     return make_snapshot(networks, [(1, "DE"), (2, "US")], memberships)
 
 
+def sweep_graph(beta: BetaParams | None = None):
+    return build_graph(sweep_snapshot(), beta)
+
+
 def test_single_point_grid_has_zero_variation():
-    report = beta_stability_sweep(
-        sweep_snapshot(), grid_heavy=[0.95], grid_mostly=[0.75]
-    )
+    report = beta_stability_sweep(sweep_graph(), grid_heavy=[0.95], grid_mostly=[0.75])
     for row in report.rows:
         assert row.delta_pr_rank == 0 and row.delta_rpr_rank == 0
         assert row.delta_pr_value == 0.0 and row.delta_rpr_value == 0.0
@@ -370,7 +357,7 @@ def test_single_point_grid_has_zero_variation():
 
 def test_dominant_outbound_rpr_stable_across_grid():
     report = beta_stability_sweep(
-        sweep_snapshot(),
+        sweep_graph(),
         grid_heavy=np.linspace(0.90, 0.995, 4),
         grid_mostly=np.linspace(0.6, 0.8, 4),
         probes=[1],
@@ -379,31 +366,39 @@ def test_dominant_outbound_rpr_stable_across_grid():
 
 
 def test_beta_one_is_excluded():
-    report = beta_stability_sweep(
-        sweep_snapshot(), grid_heavy=[0.95, 1.0], grid_mostly=[0.75]
-    )
+    report = beta_stability_sweep(sweep_graph(), grid_heavy=[0.95, 1.0], grid_mostly=[0.75])
     assert report.grid_heavy == (0.95,)
     with pytest.raises(ValueError):
-        beta_stability_sweep(sweep_snapshot(), grid_heavy=[1.0], grid_mostly=[0.75])
+        beta_stability_sweep(sweep_graph(), grid_heavy=[1.0], grid_mostly=[0.75])
+
+
+def test_absent_probe_is_refused():
+    with pytest.raises(ValueError, match="probe AS99 is not a node of the graph"):
+        beta_stability_sweep(sweep_graph(), [0.95], [0.75], probes=[1, 99, 98])
+
+
+def test_default_point_is_the_graph_beta():
+    beta = BetaParams(balanced=0.5, mostly=0.7, heavy=0.9)
+    g = sweep_graph(beta)
+    (row,) = beta_stability_sweep(g, [0.95], [0.75], probes=[10]).rows
+    P = pagerank(google_matrix(g, direction="forward")).P
+    assert row.pr_value == pytest.approx(P[g.as_index(10)], rel=0, abs=1e-9)
 
 
 def test_variation_monotone_in_grid_size():
-    snap = sweep_snapshot()
-    probes = default_probes(build_graph(snap))
-    small = beta_stability_sweep(snap, [0.92], [0.65], probes=probes)
-    large = beta_stability_sweep(
-        snap, [0.92, 0.9, 0.98], [0.65, 0.6, 0.8], probes=probes
-    )
+    g = sweep_graph()
+    probes = default_probes(g)
+    small = beta_stability_sweep(g, [0.92], [0.65], probes=probes)
+    large = beta_stability_sweep(g, [0.92, 0.9, 0.98], [0.65, 0.6, 0.8], probes=probes)
     for a, b in zip(small.rows, large.rows):
         assert a.delta_pr_rank <= b.delta_pr_rank
         assert a.delta_rpr_rank <= b.delta_rpr_rank
 
 
 def assert_sweep_matches_cold_reference(snap, grid_h, grid_m, beta_default, tol):
-    probes = default_probes(build_graph(snap, beta_default))
-    report = beta_stability_sweep(
-        snap, grid_h, grid_m, probes=probes, beta_default=beta_default, tol=tol
-    )
+    g = build_graph(snap, beta_default)
+    probes = default_probes(g)
+    report = beta_stability_sweep(g, grid_h, grid_m, probes=probes, tol=tol)
     reference = cold_sweep(snap, grid_h, grid_m, probes, beta_default, 0.85, tol)
     for row in report.rows:
         pr_v, pr_r, d_pr_r, rpr_v, rpr_r, d_rpr_r, d_pr_v, d_rpr_v = reference[row.asn]

@@ -14,7 +14,6 @@ from peergraph.graph import (
     _assemble,
     build_graph,
     fit_breakpoint,
-    node_metrics,
 )
 from peergraph.ingest import TrafficClass
 
@@ -196,13 +195,23 @@ def test_reweighted_matrix_matches_build_and_edge_loop(seed, beta):
 @given(snapshots())
 def test_capacity_sums_match_across_sides(snap):
     g = build_graph(snap)
-    metrics = node_metrics(g)
     total_edges = sum(edge_dict(g).values())
-    assert metrics.port_capacity[: g.n_as].sum() == pytest.approx(total_edges, rel=1e-15)
-    assert metrics.port_capacity[g.n_as :].sum() == pytest.approx(total_edges, rel=1e-15)
+    assert g.capacity[: g.n_as].sum() == pytest.approx(total_edges, rel=1e-15)
+    assert g.capacity[g.n_as :].sum() == pytest.approx(total_edges, rel=1e-15)
 
 
-# --- node metrics ---
+# --- node capacity and weighted degrees ---
+
+
+def weighted_degrees(g) -> tuple[np.ndarray, np.ndarray]:
+    """(in, out) weighted degree of every node: the row and column sums of ``W``."""
+    return np.asarray(g.W.sum(axis=1)).ravel(), np.asarray(g.W.sum(axis=0)).ravel()
+
+
+def neighbor_counts(g) -> np.ndarray:
+    """Distinct neighbors of every node, counted from the aggregated edge columns."""
+    n = g.n_nodes
+    return np.bincount(g.edge_as, minlength=n) + np.bincount(g.edge_ixp, minlength=n)
 
 
 def test_mostly_inbound_metric_identity():
@@ -210,11 +219,11 @@ def test_mostly_inbound_metric_identity():
         [(10, TC.MOSTLY_INBOUND)], [(1, "DE"), (2, "US")], [(10, 1, 40.0), (10, 2, 60.0)]
     )
     g = build_graph(snap)
-    m = node_metrics(g)
+    w_in, w_out = weighted_degrees(g)
     a = g.as_index(10)
-    assert m.port_capacity[a] == 100.0
-    assert m.w_in[a] == 100.0
-    assert m.w_out[a] == 25.0  # (1 - 0.75) * port capacity, exact for dyadic beta
+    assert g.capacity[a] == 100.0
+    assert w_in[a] == 100.0
+    assert w_out[a] == 25.0  # (1 - 0.75) * port capacity, exact for dyadic beta
 
 
 def test_degree_counts_distinct_ixps():
@@ -224,21 +233,20 @@ def test_degree_counts_distinct_ixps():
         [(10, 1, 1.0), (10, 2, 1.0), (10, 3, 1.0), (10, 1, 2.0)],
     )
     g = build_graph(snap)
-    assert node_metrics(g).degree[g.as_index(10)] == 3
+    assert neighbor_counts(g)[g.as_index(10)] == 3
 
 
 @settings(max_examples=40, deadline=None)
 @given(snapshots())
 def test_every_node_has_a_neighbor(snap):
     g = build_graph(snap)
-    assert (node_metrics(g).degree >= 1).all()
+    assert (neighbor_counts(g) >= 1).all()
 
 
-def test_node_metrics_are_float_on_an_edgeless_graph():
+def test_capacity_is_float_on_an_edgeless_graph():
     g = single_edge(TC.HEAVY_OUTBOUND, 100.0)
     edgeless = _assemble(*node_columns(g), (), (), (), g.beta, g.date)
-    m = node_metrics(edgeless)
-    for values in (m.w_in, m.w_out, m.port_capacity):
+    for values in (*weighted_degrees(edgeless), edgeless.capacity):
         assert values.dtype == np.float64
         assert values.tolist() == [0.0, 0.0]
 
@@ -247,13 +255,11 @@ def test_node_metrics_are_float_on_an_edgeless_graph():
 @given(snapshots())
 def test_directional_metric_identities(snap):
     g = build_graph(snap)
-    m = node_metrics(g)
+    w_in, w_out = weighted_degrees(g)
     for i, tc in enumerate(as_classes(g)):
         b = g.beta.for_class(tc)
-        pc = m.port_capacity[i]
-        major, minor = (m.w_out[i], m.w_in[i]) if tc.is_outbound else (
-            m.w_in[i], m.w_out[i]
-        )
+        pc = g.capacity[i]
+        major, minor = (w_out[i], w_in[i]) if tc.is_outbound else (w_in[i], w_out[i])
         assert major == pc  # integer port sizes: sums are exact
         assert minor == pytest.approx((1.0 - b) * pc, rel=1e-14, abs=0.0)
 

@@ -18,7 +18,8 @@ from peergraph.ingest import (
     TrafficClass,
     as_port_capacity,
     capacity_timeseries,
-    load_ground_truth,
+    load_as_countries,
+    load_market_shares,
     parse_snapshot,
     validate_snapshot,
 )
@@ -381,7 +382,7 @@ def test_outlier_boundary_is_strict():
     assert [r.asn for r in validate_snapshot(snap, reference_capacity=99.9999)] == [2]
 
 
-def test_outlier_details_keep_membership_order():
+def test_outliers_sorted_by_descending_capacity():
     snap = make_snapshot(
         networks=[(1, TrafficClass.BALANCED), (2, TrafficClass.BALANCED), (3, TrafficClass.BALANCED)],
         ixps=[(1, "DE"), (2, "US")],
@@ -391,9 +392,9 @@ def test_outlier_details_keep_membership_order():
         ],
     )
     reports = validate_snapshot(snap, reference_capacity=100.0, factor=1.0)
-    assert [(r.asn, r.total_capacity, r.memberships) for r in reports] == [
-        (3, 5040.0, ((2, 5000.0), (1, 40.0))),
-        (2, 1350.0, ((1, 600.0), (2, 700.0), (1, 50.0))),
+    assert [(r.asn, r.total_capacity, r.threshold) for r in reports] == [
+        (3, 5040.0, 100.0),
+        (2, 1350.0, 100.0),
     ]
 
 
@@ -415,38 +416,57 @@ def test_outlier_screen_refuses_non_finite_reference_or_factor(reference, factor
 
 def test_asorg_row(tmp_path):
     path = tmp_path / "asorg.csv"
-    path.write_text("15169,US\n")
-    truth = load_ground_truth(asorg_path=path)
-    assert truth.as_country[15169] == "US"
+    path.write_text("15169,us\n")
+    assert load_as_countries(path) == {15169: "US"}
 
 
 def test_apnic_row(tmp_path):
     path = tmp_path / "apnic.csv"
-    path.write_text("7922,US,15.0,3\n")
-    truth = load_ground_truth(apnic_paths=[path])
-    assert truth.eums[(7922, "US")].share == 15.0
-    assert truth.eums[(7922, "US")].rank == 3
+    path.write_text("7922,us,15.0,3\n")
+    assert load_market_shares([path]) == {(7922, "US"): 15.0}
 
 
 def test_duplicate_row_last_wins(tmp_path):
-    path = tmp_path / "asorg.csv"
-    path.write_text("15169,US\n15169,BR\n")
-    truth = load_ground_truth(asorg_path=path)
-    assert truth.as_country[15169] == "BR"
-    assert truth.report.duplicate_asorg == 1
+    asorg = tmp_path / "asorg.csv"
+    asorg.write_text("15169,US\n15169,BR\n")
+    assert load_as_countries(asorg) == {15169: "BR"}
+    first, second = tmp_path / "apnic1.csv", tmp_path / "apnic2.csv"
+    first.write_text("7922,US,15.0,3\n7922,US,16.0,2\n")
+    second.write_text("7922,US,17.0,1\n7922,DE,1.0,9\n")
+    assert load_market_shares([first]) == {(7922, "US"): 16.0}
+    assert load_market_shares([first, second]) == {(7922, "US"): 17.0, (7922, "DE"): 1.0}
 
 
 def test_malformed_rows_skipped(tmp_path):
     path = tmp_path / "asorg.csv"
     path.write_text("# comment\nxx,US\n15169,US\n42,\n")
-    truth = load_ground_truth(asorg_path=path)
-    assert truth.as_country == {15169: "US"}
-    assert truth.report.malformed_asorg == 2
+    assert load_as_countries(path) == {15169: "US"}
+
+
+def test_malformed_market_share_rows_skipped(tmp_path):
+    path = tmp_path / "apnic.csv"
+    path.write_text(
+        "# asn,cc,eums,rank\n"
+        "1,US,10.0,1\n"
+        "2,US,10.0\n"  # no rank
+        "3,,10.0,1\n"  # no country
+        "x,US,10.0,1\n"
+        "4,US,ten,1\n"
+        "5,US,10.0,first\n"
+        "6,US,100.5,1\n"  # share above 100
+        "7,US,-0.5,1\n"  # share below 0
+        "8,US,nan,1\n"
+        "9,US,10.0,0\n"  # rank below 1
+        "10,US,100.0,2\n"
+    )
+    assert load_market_shares([path]) == {(1, "US"): 10.0, (10, "US"): 100.0}
 
 
 def test_unreadable_ground_truth_fatal(tmp_path):
     with pytest.raises(GroundTruthFormatError):
-        load_ground_truth(asorg_path=tmp_path / "missing.csv")
+        load_as_countries(tmp_path / "missing.csv")
+    with pytest.raises(GroundTruthFormatError):
+        load_market_shares([tmp_path / "missing.csv"])
 
 
 # --- capacity time series ---

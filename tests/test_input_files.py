@@ -1,4 +1,5 @@
-"""Probe, exclusion, subset and ground-truth files: a bad line is reported with its file and number.
+"""Probe, exclusion, subset, ground-truth and reduced-matrix files: a bad line is reported
+with its file and number.
 
 A bad flag value is reported with the flag and the value.
 """
@@ -160,6 +161,10 @@ FLAG_DEFECTS = {
         ["diff", "--reduced", ABSENT, ABSENT, "--cap", "5", "-5"],
         "--cap 5.0 -5.0 must be numbers with LO <= HI",
     ),
+    "validate without a reference AS": (
+        ["ingest", "--snapshot", ABSENT, "--date", DATE, "--validate"],
+        "--validate requires --reference-asn",
+    ),
     "fit over 3 snapshots": (
         TIMESERIES + [a for date in ("2020-01-01", "2020-02-01", "2020-03-01")
                       for a in ("--snapshot", str(FIXTURE_SNAPSHOT), date)],
@@ -204,6 +209,42 @@ def test_unreadable_truth_file_leaves_no_output(tmp_path, command):
     out = tmp_path / "out" / "table.csv"
     assert main(_argv(tmp_path, command, tmp_path / "missing.csv", str(out))) == 1
     assert not out.parent.exists()
+
+
+# A field over the csv module's size limit (131,072 characters by default).
+OVERSIZED = "D" * 200_000
+
+
+@pytest.mark.parametrize("command", ["classify", "diff"])
+def test_oversized_field_names_file_and_line(tmp_path, capsys, command):
+    path = tmp_path / "table.csv"
+    out = tmp_path / "out.csv"
+    if command == "classify":
+        path.write_text(f"# asn,country\n64500,{OVERSIZED}\n")
+        argv = _argv(tmp_path, command, path, str(out))
+    else:
+        path.write_text(f"# peergraph=reduced direction=reverse\nnode,AS1,{OVERSIZED}\n")
+        argv = ["diff", "--reduced", str(path), str(path), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"peergraph: {path}: line 2: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+def test_diff_refuses_matrices_reduced_at_different_alphas(tmp_path, capsys):
+    graph = _graph(tmp_path)
+    subset = tmp_path / "subset.txt"
+    subset.write_text("64500\n64501\nIX1\n")
+    reduced = []
+    for alpha in ("0.5", "0.85"):
+        reduced.append(str(tmp_path / f"reduced_{alpha}.csv"))
+        assert main(["reduce", "--graph", graph, "--subset", str(subset),
+                     "--alpha", alpha, "--out", reduced[-1]]) == 0
+    out = tmp_path / "diff.csv"
+    assert main(["diff", "--reduced", *reduced, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "peergraph: reduced matrices have different alphas (0.5 and 0.85)\n"
+    assert not out.exists()
 
 
 def test_programming_error_propagates(tmp_path, monkeypatch):

@@ -363,14 +363,16 @@ def test_reduction_rejects_bad_subsets():
 # --- diagonal censoring ---
 
 
-def make_reduced(matrix: np.ndarray, labels=None, censored=False, direction="reverse"):
+def make_reduced(
+    matrix: np.ndarray, labels=None, censored=False, direction="reverse", alpha=0.85
+):
     n = matrix.shape[0]
     labels = tuple(labels or (f"AS{i}" for i in range(n)))
     return ReducedGoogleMatrix(
         labels=labels,
         GR=np.asfortranarray(matrix.astype(np.float64)),
         direction=direction,
-        alpha=0.85,
+        alpha=alpha,
         censored=censored,
     )
 
@@ -462,6 +464,12 @@ def test_subset_mismatch_rejected():
         relative_change(make_reduced(M), make_reduced(M, censored=True))
     with pytest.raises(SubsetMismatchError):
         relative_change(make_reduced(M), make_reduced(M, direction="forward"))
+
+
+def test_alpha_mismatch_rejected():
+    M = np.full((2, 2), 0.5)
+    with pytest.raises(SubsetMismatchError, match=r"different alphas \(0\.5 and 0\.85\)"):
+        relative_change(make_reduced(M, alpha=0.5), make_reduced(M))
 
 
 # --- rank stability of a dominant outbound AS ---
