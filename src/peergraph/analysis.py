@@ -22,6 +22,7 @@ from .ingest import CLASSES, TrafficClass
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_TOL,
+    GoogleMatrix,
     RankTable,
     google_matrix,
     pagerank,
@@ -236,9 +237,12 @@ class StabilityRow:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The probe rows, the grid, and the total PageRank iterations of the sweep."""
+
     rows: tuple[StabilityRow, ...]
     grid_heavy: tuple[float, ...]
     grid_mostly: tuple[float, ...]
+    iterations: int
 
 
 def default_probes(g: PeeringGraph) -> tuple[int, ...]:
@@ -264,15 +268,21 @@ def beta_stability_sweep(
     """Rank sensitivity of probe ASes over a (beta_heavy, beta_mostly) grid.
 
     The default point is ``g.beta``; each grid point keeps its
-    ``balanced`` coefficient.  Each point re-weights the graph's edges for
-    its beta and recomputes PageRank in both directions, starting from
-    the previous point's vector in the same direction (the default point
-    starts from the uniform vector).  The report carries the ranks at the
+    ``balanced`` coefficient.  Each direction's operator is built once,
+    over every edge of ``g`` in both directions.  Each point recomputes
+    the two weights of every edge (:meth:`PeeringGraph.edge_weights`),
+    lays them out in that operator's fixed storage order and re-weights it
+    (:meth:`GoogleMatrix.reweighted`); a zero weight (a beta of 1) stays a
+    stored zero.  PageRank in both directions then starts from the
+    previous point's vector in the same direction (the default point
+    starts from the uniform vector), and only the probes are ranked
+    (:func:`rank_positions`).  The report carries the ranks at the
     default point plus the maximum rank variation (and, for diagnostics,
-    the maximum value variation) over the whole grid.  ``beta_heavy = 1``
-    is excluded: it silences heavy-outbound ASes entirely.  ``probes``
-    defaults to :func:`default_probes`; a probe that is not an AS of the
-    graph raises ``ValueError``.
+    the maximum value variation) over the whole grid, and the total
+    PageRank iterations.  ``beta_heavy = 1`` is excluded: it silences
+    heavy-outbound ASes entirely.  ``probes`` defaults to
+    :func:`default_probes`; a probe that is not an AS of the graph raises
+    ``ValueError``.
     """
     grid_h = tuple(b for b in grid_heavy if b < 1.0)
     grid_m = tuple(grid_mostly)
@@ -291,15 +301,31 @@ def beta_stability_sweep(
         for bh in grid_h
         for bm in grid_m
     ]
+    # Every weight is positive at beta 0, so this pattern holds each edge both
+    # ways.  The AS columns come first (ASes precede IXPs) and store their
+    # edges in edge order; the IXP columns store theirs in by_ixp order.
+    pattern = g.weights(BetaParams(balanced=0.0, mostly=0.0, heavy=0.0))
+    by_ixp = np.lexsort((g.edge_as, g.edge_ixp))
+    operators = {
+        direction: GoogleMatrix(pattern, alpha, direction, labels=g.labels, kinds=g.kinds)
+        for direction in ("forward", "reverse")
+    }
     previous = {"forward": None, "reverse": None}
     ranks = {"forward": [], "reverse": []}
     values = {"forward": [], "reverse": []}
+    iterations = 0
     for beta in betas:
-        W = g.weights(beta)
+        to_as, to_ixp = g.edge_weights(beta)
+        stored = {
+            "forward": np.concatenate([to_ixp, to_as[by_ixp]]),
+            "reverse": np.concatenate([to_as, to_ixp[by_ixp]]),
+        }
         for direction in ("forward", "reverse"):
-            pr = pagerank(google_matrix(W, alpha, direction), tol=tol, start=previous[direction])
+            G = operators[direction].reweighted(stored[direction])
+            pr = pagerank(G, tol=tol, start=previous[direction])
             previous[direction] = pr.P
-            ranks[direction].append(rank_positions(pr.P)[idx])
+            iterations += pr.iterations
+            ranks[direction].append(rank_positions(pr.P, idx))
             values[direction].append(pr.P[idx])
     pr_ranks, rpr_ranks = np.stack(ranks["forward"]), np.stack(ranks["reverse"])
     pr_vals, rpr_vals = np.stack(values["forward"]), np.stack(values["reverse"])
@@ -326,4 +352,5 @@ def beta_stability_sweep(
         rows=tuple(rows),
         grid_heavy=grid_h,
         grid_mostly=grid_m,
+        iterations=iterations,
     )

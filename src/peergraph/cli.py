@@ -97,8 +97,15 @@ def _parse_date(flag: str, text: str) -> Date:
         raise PeergraphError(f"{flag} {text!r} is not a YYYY-MM-DD date ({exc})") from exc
 
 
+# Points per sweep axis.  The paper's grid has 20; at PeeringDB scale one
+# point costs two PageRank solves (about 25 ms), so 100 x 100 points bound a
+# sweep to about four minutes.
+GRID_COUNT_CAP = 100
+
+
 def _parse_grid(flag: str, spec: str) -> tuple[float, ...]:
-    """Grid spec ``start:stop:count`` (inclusive linspace, count >= 1) or a single value.
+    """Grid spec ``start:stop:count`` (inclusive linspace, 1 <= count <= GRID_COUNT_CAP)
+    or a single value.
 
     Every value is a beta, so it must lie in [0, 1].
     """
@@ -109,6 +116,9 @@ def _parse_grid(flag: str, spec: str) -> tuple[float, ...]:
             start, stop, count = spec.split(":")
             if int(count) < 1:
                 raise ValueError(f"count {count} is below 1")
+            if int(count) > GRID_COUNT_CAP:
+                cap = f"the cap is {GRID_COUNT_CAP} per axis"
+                raise PeergraphError(f"{flag} {spec!r} asks for {count} points; {cap}")
             values = tuple(float(v) for v in np.linspace(float(start), float(stop), int(count)))
     except ValueError as exc:
         message = f"{flag} {spec!r} is not start:stop:count or a number ({exc})"
@@ -118,22 +128,28 @@ def _parse_grid(flag: str, spec: str) -> tuple[float, ...]:
     return values
 
 
+# The smallest --tol.  The L1 change of one PageRank sweep stops falling
+# near 1e-16, the rounding of float64 values that sum to 1, so a smaller
+# tolerance is never met and the solver would run to its iteration cap.
+TOL_FLOOR = 1e-14
+
 _BETA = (lambda v: 0.0 <= v <= 1.0, "be in [0, 1]")
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and positive")
 _COUNT = (lambda v: v >= 1, "be at least 1")
-# The range of each numeric flag (by argparse dest), checked before any
-# input is read.
-_FLAG_RANGES = {
-    "alpha": (lambda v: 0.0 <= v < 1.0, "be in [0, 1)"),
-    "tol": _POSITIVE,
-    "beta_h": _BETA,
-    "beta_m": _BETA,
-    "beta_b": _BETA,
-    "k": _COUNT,
-    "hypergiants_k": _COUNT,
-    "outlier_factor": _POSITIVE,
-    "cap": (lambda v: v[0] <= v[1], "be numbers with LO <= HI"),
-}
+# The rules for each numeric flag (by argparse dest), checked in order
+# before any input is read.
+_FLAG_RANGES = (
+    ("alpha", lambda v: 0.0 <= v < 1.0, "be in [0, 1)"),
+    ("tol", *_POSITIVE),
+    ("tol", lambda v: v >= TOL_FLOOR, f"be at least {TOL_FLOOR!r}"),
+    ("beta_h", *_BETA),
+    ("beta_m", *_BETA),
+    ("beta_b", *_BETA),
+    ("k", *_COUNT),
+    ("hypergiants_k", *_COUNT),
+    ("outlier_factor", *_POSITIVE),
+    ("cap", lambda v: v[0] <= v[1], "be numbers with LO <= HI"),
+)
 
 
 def _check_flags(args) -> None:
@@ -141,7 +157,7 @@ def _check_flags(args) -> None:
 
     ``--validate`` without ``--reference-asn`` is refused here too.
     """
-    for dest, (ok, rule) in _FLAG_RANGES.items():
+    for dest, ok, rule in _FLAG_RANGES:
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             shown = " ".join(map(repr, value)) if isinstance(value, list) else repr(value)
@@ -458,7 +474,7 @@ def cmd_sweep(args, argv) -> int:
     atomic_write_text(out, _csv_text(rows))
     print(
         f"swept {len(report.grid_heavy)}x{len(report.grid_mostly)} grid points "
-        f"for {len(report.rows)} probes -> {out}"
+        f"for {len(report.rows)} probes in {report.iterations} PageRank iterations -> {out}"
     )
     _write_manifests(
         argv,

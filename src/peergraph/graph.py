@@ -10,8 +10,9 @@ carries ``(1 - beta) * ps`` with a per-class beta coefficient.
 A graph stores its aggregated edges as columns sorted by (asn, ixp_id):
 AS node index, IXP node index, port size and the AS's traffic-class code.
 The weight matrix is one vectorized function of those columns and a
-:class:`BetaParams` (:meth:`PeeringGraph.weights`), so re-weighting a
-graph for another beta reuses its sparsity pattern without rebuilding it.
+:class:`BetaParams` (:meth:`PeeringGraph.weights`, whose entries are the
+per-edge :meth:`PeeringGraph.edge_weights`), so re-weighting a graph for
+another beta reuses its edges without rebuilding the graph.
 Each node's total port capacity is a node column as well
 (:attr:`PeeringGraph.capacity`).
 
@@ -168,23 +169,30 @@ class PeeringGraph:
         asn, ixp_id = self.edge_ids()
         return list(zip(asn.tolist(), ixp_id.tolist(), self.port_size.tolist()))
 
-    def weights(self, beta: BetaParams) -> sparse.csr_matrix:
-        """Directed weight matrix of this graph's edges under ``beta``.
+    def edge_weights(self, beta: BetaParams) -> tuple[np.ndarray, np.ndarray]:
+        """The two directed weights of every edge under ``beta``, in edge order.
 
-        Every edge gives ``ps`` in its AS's declared direction and
-        ``(1 - beta) * ps`` in the other; zero weights (beta = 1) are left
-        out of the sparsity pattern.  Indices are sorted.
+        Returns the weights of the links IXP -> AS and AS -> IXP: ``ps`` in
+        the AS's declared direction and ``(1 - beta) * ps`` in the other.
         """
-        n = self.n_nodes
         coef = np.array([1.0 - beta.for_class(tc) for tc in CLASSES])
         minor = coef[self.edge_class] * self.port_size
         outbound = _OUTBOUND[self.edge_class]
+        return (
+            np.where(outbound, minor, self.port_size),
+            np.where(outbound, self.port_size, minor),
+        )
+
+    def weights(self, beta: BetaParams) -> sparse.csr_matrix:
+        """Directed weight matrix of this graph's edges under ``beta``.
+
+        The entries are :meth:`edge_weights`; zero weights (beta = 1) are
+        left out of the sparsity pattern.  Indices are sorted.
+        """
+        n = self.n_nodes
         rows = np.concatenate([self.edge_as, self.edge_ixp])
         cols = np.concatenate([self.edge_ixp, self.edge_as])
-        data = np.concatenate([
-            np.where(outbound, minor, self.port_size),  # IXP -> AS
-            np.where(outbound, self.port_size, minor),  # AS -> IXP
-        ])
+        data = np.concatenate(self.edge_weights(beta))
         keep = data > 0.0
         W = sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
         W.sort_indices()

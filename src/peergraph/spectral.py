@@ -9,6 +9,16 @@ weight matrix (``S[i, j] = W[i, j] / w_out(j)``) and columns without
 out-weight are replaced by the uniform column ``1/N``.  ``G`` is kept
 implicit: applying it costs ``O(nnz + N)``.
 
+PageRank is the fixed point of ``G``, found by two-sided Gauss-Seidel.
+The AS-IXP graph is bipartite: every link joins an AS and an IXP.  One
+sweep updates the IXP entries from the current vector, then the AS entries
+from the new IXP entries, each side with the dangling and teleport mass of
+the vector as it stands; this costs one application of ``G`` and, on a
+two-cyclic matrix, contracts as much as two power steps (Young's theory;
+Arasu, Novak, Tomkins, Tomlin, "PageRank computation and the structure of
+the web", WWW 2002).  A matrix without node kinds has one block of all
+rows, and its sweep is the power step ``v <- G v``.
+
 The reduced matrix for a node subset ``r`` (complement ``s``) is the
 stochastic complement
 
@@ -25,8 +35,10 @@ solved densely.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from datetime import date as Date
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +57,9 @@ class GoogleMatrix:
 
     ``direction="reverse"`` transposes the weight matrix before
     normalization, which is equivalent to inverting every edge.
+    :attr:`blocks` splits the normalized weights by side for
+    :func:`pagerank`, and :meth:`reweighted` gives the operator of new
+    weights over the same sparsity pattern.
     """
 
     def __init__(
@@ -95,6 +110,77 @@ class GoogleMatrix:
         lost = self.alpha * float(v[self.dangling].sum()) + (1.0 - self.alpha) * float(v.sum())
         return y + lost / self.N
 
+    @cached_property
+    def _layout(self) -> tuple[tuple[np.ndarray, sparse.spmatrix], ...]:
+        """The rows of each block, and the block's pattern holding the position
+        of each stored entry in ``normalized_weights.data``.
+
+        A CSR product loops over the block's rows and a CSC product over all
+        columns.  The smaller side is stored as CSR; the larger one as CSC,
+        since on the bipartite graph only the few columns of the other side
+        hold its entries (a single block is CSC, like ``normalized_weights``).
+        """
+        A = self._A
+        position = sparse.csc_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)
+        position = position.tocsr()
+        on_ixp = np.array(self.kinds) == "IXP"
+        sides = [rows for rows in (np.flatnonzero(on_ixp), np.flatnonzero(~on_ixp)) if rows.size]
+        return tuple(
+            (rows, position[rows] if 2 * rows.size < self.N else position[rows].tocsc())
+            for rows in sides
+        )
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, sparse.spmatrix], ...]:
+        """The normalized weights as row blocks, in the order a PageRank sweep updates them.
+
+        Each block is a pair: its row indices, and those rows of
+        :attr:`normalized_weights` as a sparse matrix over all columns.  The
+        IXP rows come first, then the others (the ASes); a matrix with only
+        one kind of node, such as one built without node kinds, has a
+        single block of all rows.  Built on first use, so an operator that
+        only :func:`reduced_google_matrix` reads never builds it.
+        """
+        return self._blocks_of(self._A.data)
+
+    def _blocks_of(self, values: np.ndarray) -> tuple[tuple[np.ndarray, sparse.spmatrix], ...]:
+        """The row blocks of the matrix on this pattern that stores ``values``."""
+        return tuple(
+            (rows, type(P)((values[P.data], P.indices, P.indptr), shape=P.shape))
+            for rows, P in self._layout
+        )
+
+    @cached_property
+    def _entry_column(self) -> np.ndarray:
+        """The column of each stored entry of ``normalized_weights``."""
+        return np.repeat(np.arange(self.N), np.diff(self._A.indptr))
+
+    def reweighted(self, data: np.ndarray) -> GoogleMatrix:
+        """The operator of new weights over this operator's sparsity pattern.
+
+        ``data`` holds one finite, non-negative weight per stored entry of
+        :attr:`normalized_weights`, in its column-major storage order (for
+        ``direction="reverse"``, that of the transposed weight matrix).  The
+        out-weights, the dangling columns and the normalized weights are
+        recomputed; the pattern and the layout of its row blocks are
+        reused, so a sweep over many weightings of one graph builds them
+        once.
+        """
+        data = np.asarray(data, dtype=np.float64)
+        A = self._A
+        if data.shape != A.data.shape:
+            raise ValueError(f"data must hold {A.nnz} weights, got shape {data.shape}")
+        if not np.isfinite(data).all() or (data.size and data.min() < 0):
+            raise ValueError("weights must be finite and non-negative")
+        column = self._entry_column
+        out_weight = np.bincount(column, weights=data, minlength=self.N)
+        scale = np.divide(1.0, out_weight, out=np.zeros(self.N), where=out_weight > 0)
+        G = copy.copy(self)
+        G._A = sparse.csc_matrix((data * scale[column], A.indices, A.indptr), shape=A.shape)
+        G.dangling = out_weight == 0.0
+        G.blocks = self._blocks_of(G._A.data)
+        return G
+
 
 def google_matrix(
     graph_or_weights,
@@ -121,7 +207,17 @@ def pagerank(
     max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
 ) -> PageRankVector:
-    """Power iteration until the L1 change of one step drops below tol.
+    """Gauss-Seidel sweeps until the L1 change of one sweep drops below tol.
+
+    One sweep visits the row blocks of ``G`` (:attr:`GoogleMatrix.blocks`)
+    in order, IXP rows then AS rows.  Each block's entries are set to those
+    of ``G @ v`` for the vector ``v`` as it stands, with the dangling and
+    teleport mass recomputed before each block, so the AS side already
+    reads the new IXP side.  The vector is then normalized to sum 1, and
+    the iteration stops once its L1 change over the sweep is below
+    ``tol``.  With a single block (a matrix without node kinds) a sweep is
+    exactly the power step ``v <- G v``.  The fixed point is the PageRank
+    vector either way.
 
     The iteration starts from the uniform vector, or from ``start``
     (normalized to sum 1), such as the PageRank of a slightly different
@@ -136,8 +232,13 @@ def pagerank(
         if v.shape != (G.N,) or not np.isfinite(v).all() or v.min() < 0 or v.sum() <= 0:
             raise ValueError("start must be a finite non-negative vector with positive sum")
         v /= v.sum()
+    alpha, n, blocks = G.alpha, G.N, G.blocks
+    dangling = np.flatnonzero(G.dangling)
     for iteration in range(1, max_iter + 1):
-        nxt = G.apply(v)
+        nxt = v.copy()
+        for rows, block in blocks:
+            lost = alpha * float(nxt[dangling].sum()) + (1.0 - alpha) * float(nxt.sum())
+            nxt[rows] = alpha * (block @ nxt) + lost / n
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - v).sum())
         v = nxt
@@ -187,11 +288,22 @@ def rank_table(values: np.ndarray | PageRankVector, keep: np.ndarray | None = No
     return RankTable(index=_frozen(index), value=_frozen(vec[index]))
 
 
-def rank_positions(values: np.ndarray) -> np.ndarray:
-    """1-based rank of every node under the same ordering as :func:`rank_table`."""
-    n = values.shape[0]
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[_rank_order(values)] = np.arange(1, n + 1)
+def rank_positions(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """1-based rank of each of ``nodes`` under the same ordering as :func:`rank_table`.
+
+    A node's rank is one plus the number of larger values plus the number
+    of equal values at a lower index; only the given nodes are ranked,
+    against one sort of the values.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    mine = values[nodes]
+    ascending = np.sort(values)
+    up_to = np.searchsorted(ascending, mine, side="right")
+    ranks = 1 + values.size - up_to
+    tied = up_to - np.searchsorted(ascending, mine, side="left") > 1
+    for j in np.flatnonzero(tied).tolist():
+        ranks[j] += np.count_nonzero(values[: nodes[j]] == mine[j])
     return ranks
 
 

@@ -6,8 +6,9 @@ matrix via explicit block inversion and exhaustive set-partition search
 for modularity.  None of it shares code with the package's computational
 paths.
 
-Eight references are the package's earlier paths, kept to check the fast
-ones that replaced them: the per-edge weight-matrix loop, the rank table
+Nine references are the package's earlier paths, kept to check the fast
+ones that replaced them: the PageRank power iteration ``v <- G v``
+(:func:`jacobi_pagerank`), the per-edge weight-matrix loop, the rank table
 of one frozen row per node filtered by a per-node callable
 (:func:`row_rank_table`), the beta sweep that rebuilds the graph and
 cold-starts PageRank at every point, the GEXF export through a networkx
@@ -577,4 +578,31 @@ def record_parse(path) -> RecordSnapshot:
         ixps=tuple(sorted(ixps.values(), key=lambda x: x.ixp_id)),
         memberships=tuple(memberships),
         report=report,
+    )
+
+
+def jacobi_pagerank(G, tol: float = 1e-10, max_iter: int = 10_000, start=None):
+    """PageRank by the power iteration ``v <- G v``, normalized at every step,
+    until the L1 change of one step drops below ``tol``.
+
+    Starts from the uniform vector or from ``start`` (normalized); returns a
+    :class:`~peergraph.spectral.PageRankVector`.
+    """
+    from peergraph.errors import ConvergenceError
+    from peergraph.spectral import PageRankVector
+
+    if start is None:
+        v = np.full(G.N, 1.0 / G.N)
+    else:
+        v = np.array(start, dtype=np.float64)
+        v /= v.sum()
+    for iteration in range(1, max_iter + 1):
+        nxt = G.apply(v)
+        nxt /= nxt.sum()
+        residual = float(np.abs(nxt - v).sum())
+        v = nxt
+        if residual < tol:
+            return PageRankVector(P=v, iterations=iteration, residual=residual)
+    raise ConvergenceError(
+        f"PageRank did not reach tol={tol} within {max_iter} iterations"
     )

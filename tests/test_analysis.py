@@ -18,11 +18,12 @@ from peergraph.analysis import (
     top_hypergiants,
     traffic_receivers,
 )
+from peergraph.cli import main
 from peergraph.graph import BetaParams, build_graph
 from peergraph.ingest import TrafficClass
 from peergraph.spectral import RankTable, google_matrix, pagerank
 
-from conftest import make_snapshot, random_snapshot
+from conftest import FIXTURE_SNAPSHOT, make_snapshot, random_snapshot
 from oracles import cold_sweep, dense_google, dense_pagerank, rescan_metrics
 
 TC = TrafficClass
@@ -383,6 +384,23 @@ def test_default_point_is_the_graph_beta():
     (row,) = beta_stability_sweep(g, [0.95], [0.75], probes=[10]).rows
     P = pagerank(google_matrix(g, direction="forward")).P
     assert row.pr_value == pytest.approx(P[g.as_index(10)], rel=0, abs=1e-9)
+
+
+def test_report_counts_every_pagerank_iteration():
+    g = sweep_graph()
+    report = beta_stability_sweep(g, [0.95], [0.75])
+    cold = sum(pagerank(google_matrix(g, direction=d)).iterations for d in ("forward", "reverse"))
+    # The one grid point is the default point, so each warm start stops after one sweep.
+    assert report.iterations == cold + 2
+
+
+def test_sweep_prints_its_iterations(fixture_graph, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", "2020-01-01",
+            "--grid-h", "0.9:0.95:2", "--grid-m", "0.6:0.8:2", "--out", str(out)]
+    assert main(argv) == 0
+    iterations = beta_stability_sweep(fixture_graph, [0.9, 0.95], [0.6, 0.8]).iterations
+    assert f"in {iterations} PageRank iterations -> {out}" in capsys.readouterr().out
 
 
 def test_variation_monotone_in_grid_size():

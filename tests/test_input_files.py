@@ -131,6 +131,13 @@ FLAG_DEFECTS = {
         "--tol nan must be finite and positive",
     ),
     "sweep tol inf": (SWEEP + ["--tol", "inf"], "--tol inf must be finite and positive"),
+    "tol below the floor": (
+        ["rank", "--graph", ABSENT, "--tol", "1e-300"], "--tol 1e-300 must be at least 1e-14"
+    ),
+    "grid-m above the cap": (
+        SWEEP + ["--grid-m", "0.6:0.8:101"],
+        "--grid-m '0.6:0.8:101' asks for 101 points; the cap is 100 per axis",
+    ),
     "beta-h above 1": (BUILD + ["--beta-h", "1.5"], "--beta-h 1.5 must be in [0, 1]"),
     "beta-m above 1": (BUILD + ["--beta-m", "1.5"], "--beta-m 1.5 must be in [0, 1]"),
     "beta-b nan": (SWEEP + ["--beta-b", "nan"], "--beta-b nan must be in [0, 1]"),

@@ -27,6 +27,7 @@ from oracles import (
     dense_google,
     dense_pagerank,
     dense_reduction,
+    jacobi_pagerank,
     row_rank_table,
     sorted_rank_positions,
 )
@@ -171,6 +172,80 @@ def test_pagerank_permutation_invariance():
     assert np.abs(permuted[perm] - base).max() < 1e-12
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from(
+        [BetaParams(), BetaParams(balanced=1.0), BetaParams(mostly=1.0, heavy=1.0)]
+    ),
+    direction=st.sampled_from(["forward", "reverse"]),
+)
+def test_gauss_seidel_matches_power_iteration(seed, beta, direction):
+    """The two-sided sweep against the power iteration it replaced and the dense solve.
+
+    A beta of 1 leaves one direction of a class's edges without weight, so
+    those ASes are dangling.
+    """
+    g = build_graph(random_snapshot(np.random.default_rng(seed)), beta)
+    G = google_matrix(g, direction=direction)
+    assert [rows.size for rows, _ in G.blocks] == [g.n_ixp, g.n_as]
+    sweep, power = pagerank(G), jacobi_pagerank(G)
+    exact = dense_pagerank(dense_google(g.W.toarray(), 0.85) if direction == "forward"
+                           else dense_google(g.W.T.toarray(), 0.85))
+    assert np.abs(sweep.P - power.P).max() <= 1e-9
+    assert np.abs(sweep.P - exact).max() <= 1e-9
+    assert sweep.iterations <= power.iterations
+
+    # Two nodes may be ranked in either order only when their values are
+    # closer than 1e-10.
+    everyone = np.arange(g.n_nodes)
+    a, b = rank_positions(sweep.P, everyone), rank_positions(power.P, everyone)
+    swapped = (a[:, None] < a[None, :]) != (b[:, None] < b[None, :])
+    assert np.all(np.abs(exact[:, None] - exact[None, :])[swapped] < 1e-10)
+
+
+@pytest.mark.parametrize("direction, sweeps", [("forward", 26), ("reverse", 9)])
+def test_gauss_seidel_halves_the_fixture_iterations(fixture_graph, direction, sweeps):
+    G = google_matrix(fixture_graph, direction=direction)
+    power = jacobi_pagerank(G)
+    assert (pagerank(G).iterations, power.iterations) == (sweeps, 144)
+    assert 2 * sweeps <= power.iterations
+
+
+def test_matrix_without_kinds_sweeps_like_the_power_iteration():
+    W = random_weights(np.random.default_rng(9), 30)
+    G = google_matrix(W)
+    assert len(G.blocks) == 1
+    sweep, power = pagerank(G), jacobi_pagerank(G)
+    assert sweep.iterations == power.iterations
+    assert np.array_equal(sweep.P, power.P)
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_reweighted_matches_a_fresh_operator(direction):
+    rng = np.random.default_rng(11)
+    W = random_weights(rng, 25)
+    kinds = ["AS"] * 15 + ["IXP"] * 10
+    G = GoogleMatrix(W, direction=direction, kinds=kinds)
+    G.blocks  # built from the old weights; the re-weighted operator must not keep them
+    stored = sparse.csc_matrix(W if direction == "forward" else W.T)
+    data = rng.random(stored.nnz)
+    data[stored.indices < 3] = 0.0  # a zero weight stays a stored entry
+    data[np.repeat(np.arange(25), np.diff(stored.indptr)) == 4] = 0.0  # column 4 dangles
+    new = G.reweighted(data)
+    stored.data = data
+    fresh = GoogleMatrix(stored if direction == "forward" else stored.T, direction=direction,
+                         kinds=kinds)
+    assert np.array_equal(new.dangling, fresh.dangling) and new.dangling[4]
+    assert np.abs(dense(new) - dense(fresh)).max() < 1e-15
+    assert np.abs(pagerank(new, tol=1e-13).P - pagerank(fresh, tol=1e-13).P).max() < 1e-13
+    assert np.abs(pagerank(G, tol=1e-13).P - pagerank(new, tol=1e-13).P).max() > 1e-6
+    with pytest.raises(ValueError, match="data must hold"):
+        G.reweighted(data[1:])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        G.reweighted(-data)
+
+
 # --- rank tables ---
 
 
@@ -203,8 +278,10 @@ def test_rank_positions_match_rank_table():
     # Exact ties: few distinct values, including zeros, over many nodes.
     cases += [rng.integers(0, 4, size=n) / 8.0 for n in (1, 7, 40)]
     for values in cases:
-        positions = rank_positions(values)
+        positions = rank_positions(values, np.arange(values.size))
         assert positions.tolist() == sorted_rank_positions(values).tolist()
+        nodes = rng.permutation(values.size)[: (values.size + 1) // 2]
+        assert rank_positions(values, nodes).tolist() == positions[nodes].tolist()
         for rank, i in enumerate(rank_table(values).index.tolist(), start=1):
             assert positions[i] == rank
 
