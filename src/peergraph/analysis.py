@@ -22,7 +22,6 @@ from .ingest import CLASSES, TrafficClass
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_TOL,
-    GoogleMatrix,
     RankTable,
     google_matrix,
     pagerank,
@@ -268,12 +267,9 @@ def beta_stability_sweep(
     """Rank sensitivity of probe ASes over a (beta_heavy, beta_mostly) grid.
 
     The default point is ``g.beta``; each grid point keeps its
-    ``balanced`` coefficient.  Each direction's operator is built once,
-    over every edge of ``g`` in both directions.  Each point recomputes
-    the two weights of every edge (:meth:`PeeringGraph.edge_weights`),
-    lays them out in that operator's fixed storage order and re-weights it
-    (:meth:`GoogleMatrix.reweighted`); a zero weight (a beta of 1) stays a
-    stored zero.  PageRank in both directions then starts from the
+    ``balanced`` coefficient.  Each point builds the operator of ``g`` in
+    both directions under its beta (:func:`google_matrix`), over the edges
+    of the built graph.  PageRank in each direction starts from the
     previous point's vector in the same direction (the default point
     starts from the uniform vector), and only the probes are ranked
     (:func:`rank_positions`).  The report carries the ranks at the
@@ -301,27 +297,13 @@ def beta_stability_sweep(
         for bh in grid_h
         for bm in grid_m
     ]
-    # Every weight is positive at beta 0, so this pattern holds each edge both
-    # ways.  The AS columns come first (ASes precede IXPs) and store their
-    # edges in edge order; the IXP columns store theirs in by_ixp order.
-    pattern = g.weights(BetaParams(balanced=0.0, mostly=0.0, heavy=0.0))
-    by_ixp = np.lexsort((g.edge_as, g.edge_ixp))
-    operators = {
-        direction: GoogleMatrix(pattern, alpha, direction, labels=g.labels, kinds=g.kinds)
-        for direction in ("forward", "reverse")
-    }
     previous = {"forward": None, "reverse": None}
     ranks = {"forward": [], "reverse": []}
     values = {"forward": [], "reverse": []}
     iterations = 0
     for beta in betas:
-        to_as, to_ixp = g.edge_weights(beta)
-        stored = {
-            "forward": np.concatenate([to_ixp, to_as[by_ixp]]),
-            "reverse": np.concatenate([to_as, to_ixp[by_ixp]]),
-        }
         for direction in ("forward", "reverse"):
-            G = operators[direction].reweighted(stored[direction])
+            G = google_matrix(g, alpha, direction, beta)
             pr = pagerank(G, tol=tol, start=previous[direction])
             previous[direction] = pr.P
             iterations += pr.iterations

@@ -86,7 +86,9 @@ class PeeringGraph:
 
     ``W`` is :meth:`weights` at the graph's own ``beta``, and ``capacity``
     is the read-only float64 node column of total port capacity: the sum
-    of the port sizes of a node's edges, in edge order.
+    of the port sizes of a node's edges, in edge order.  ``by_ixp`` is the
+    read-only permutation that sorts the edges by (ixp_id, asn), computed
+    once per graph; the Google operator stores the edges in that order.
     """
 
     date: Date | None
@@ -159,6 +161,10 @@ class PeeringGraph:
         )
         # bincount gives integers when there are no weights (an edgeless graph)
         return _frozen(capacity.astype(np.float64, copy=False))
+
+    @cached_property
+    def by_ixp(self) -> np.ndarray:
+        return _frozen(np.lexsort((self.edge_as, self.edge_ixp)))
 
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """The (asn, ixp_id) of each edge, in edge order."""

@@ -520,20 +520,30 @@ def write_change_csv(change: ChangeMatrix, path: str | Path) -> Path:
     return atomic_write_text(path, meta + _csv_text(rows))
 
 
+# The reduced matrix is dense in the subset size: 1,000 ASes of a
+# 12,900-node graph take about 5 s and 0.55 GB on two cores, while the paper
+# reduces onto tens of nodes.
+SUBSET_CAP = 1_000
+
+
 def read_subset_file(path: str | Path, g: PeeringGraph) -> list[int]:
     """Node indices for a subset file of AS numbers or AS/IX labels.
 
     One entry per line; blank lines and ``#`` comments are skipped.  The
     file order defines the subset order of the reduced matrix.  Raises
     :class:`SnapshotFormatError` naming the file, and the line of the first
-    entry that is not a node of ``g`` or repeats one, or of a byte that is
-    not UTF-8; or naming the file when it lists no node.
+    entry that is not a node of ``g``, repeats one or is one more than
+    :data:`SUBSET_CAP`, or of a byte that is not UTF-8; or naming the file
+    when it lists no node.
     """
-    indices: list[int] = []
+    indices: dict[int, None] = {}  # insertion-ordered, with a constant-time repeat check
     for n, line in enumerate(read_lines(path, SnapshotFormatError), start=1):
         token = line.split("#", 1)[0].strip()
         if not token:
             continue
+        if len(indices) == SUBSET_CAP:
+            over = f"entry {SUBSET_CAP + 1} is over the cap of {SUBSET_CAP} nodes"
+            raise SnapshotFormatError(f"{path}: line {n}: {over}")
         try:
             if token.upper().startswith("AS"):
                 index = g.as_index(int(token[2:]))
@@ -547,7 +557,7 @@ def read_subset_file(path: str | Path, g: PeeringGraph) -> list[int]:
         if index in indices:
             message = f"{path}: line {n}: {token!r} repeats node {g.labels[index]}"
             raise SnapshotFormatError(message)
-        indices.append(index)
+        indices[index] = None
     if not indices:
         raise SnapshotFormatError(f"{path}: the subset lists no node")
-    return indices
+    return list(indices)

@@ -3,21 +3,21 @@
 A rank table is two columns, node indices in rank order and their values;
 every ranking here orders by descending value, then by lower node index.
 
-The Google matrix of a weighted directed graph with ``N`` nodes is
+The Google matrix of a peering graph with ``N`` nodes is
 ``G = alpha * S + (1 - alpha) / N`` where ``S`` column-normalizes the
 weight matrix (``S[i, j] = W[i, j] / w_out(j)``) and columns without
 out-weight are replaced by the uniform column ``1/N``.  ``G`` is kept
-implicit: applying it costs ``O(nnz + N)``.
+implicit: applying it costs ``O(nnz + N)``.  The graph is bipartite, every
+link joining an AS and an IXP, so ``S`` is two blocks: the links into the
+IXPs and the links into the ASes.
 
 PageRank is the fixed point of ``G``, found by two-sided Gauss-Seidel.
-The AS-IXP graph is bipartite: every link joins an AS and an IXP.  One
-sweep updates the IXP entries from the current vector, then the AS entries
-from the new IXP entries, each side with the dangling and teleport mass of
-the vector as it stands; this costs one application of ``G`` and, on a
-two-cyclic matrix, contracts as much as two power steps (Young's theory;
-Arasu, Novak, Tomkins, Tomlin, "PageRank computation and the structure of
-the web", WWW 2002).  A matrix without node kinds has one block of all
-rows, and its sweep is the power step ``v <- G v``.
+One sweep updates the IXP entries from the current vector, then the AS
+entries from the new IXP entries, each side with the dangling and teleport
+mass of the vector as it stands; this costs one application of ``G`` and,
+on this two-cyclic matrix, contracts as much as two power steps (Young's
+theory; Arasu, Novak, Tomkins, Tomlin, "PageRank computation and the
+structure of the web", WWW 2002).
 
 The reduced matrix for a node subset ``r`` (complement ``s``) is the
 stochastic complement
@@ -28,14 +28,12 @@ an exact Markov-chain reduction: the restriction of the PageRank vector
 to ``r``, L1-normalized, is a fixed point of ``G_R``.  ``I - G_ss`` is the
 sparse matrix ``I - alpha * A_ss`` minus a rank-one teleport/dangling
 term, so one solve of the sparse part plus a Sherman-Morrison correction
-handles all right-hand sides at once.  On the bipartite AS-IXP graph
-``A_ss`` links only ASes to IXPs, so eliminating the AS side leaves one
-dense system over the complement's IXPs; any other sparsity pattern is
-solved densely.
+handles all right-hand sides at once.  ``A_ss`` links only ASes to IXPs,
+so eliminating the complement's ASes leaves one dense system over its
+IXPs.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from functools import cached_property
@@ -45,6 +43,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CensorError, ConvergenceError, SubsetMismatchError
+from .graph import BetaParams, PeeringGraph
 from .ingest import _frozen
 
 DEFAULT_ALPHA = 0.85
@@ -52,146 +51,75 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
 
+@dataclass(frozen=True, eq=False)
 class GoogleMatrix:
-    """Implicit column-stochastic operator over a weighted directed graph.
+    """Implicit Google matrix of a peering graph in one direction (see :func:`google_matrix`).
 
-    ``direction="reverse"`` transposes the weight matrix before
-    normalization, which is equivalent to inverting every edge.
-    :attr:`blocks` splits the normalized weights by side for
-    :func:`pagerank`, and :meth:`reweighted` gives the operator of new
-    weights over the same sparsity pattern.
+    The normalized weights are kept as their two nonzero blocks: ``to_ixp``
+    (IXP rows, AS columns) as CSR and ``to_as`` (AS rows, IXP columns) as
+    CSC, so that both products of a PageRank sweep loop over the IXPs.
+    Both blocks share one ``indptr`` and ``indices``: row ``x`` of
+    ``to_ixp`` and column ``x`` of ``to_as`` hold the edges of IXP ``x``
+    by ascending AS (:attr:`~peergraph.graph.PeeringGraph.by_ixp`).  An
+    edge of zero weight (a beta of 1) stays a stored zero.  ``dangling``
+    marks the nodes without out-weight, whose columns of ``G`` are uniform.
     """
 
-    def __init__(
-        self,
-        W: sparse.spmatrix,
-        alpha: float = DEFAULT_ALPHA,
-        direction: str = "forward",
-        labels: Sequence[str] | None = None,
-        kinds: Sequence[str] | None = None,
-    ) -> None:
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        if direction not in ("forward", "reverse"):
-            raise ValueError("direction must be 'forward' or 'reverse'")
-        W = sparse.csc_matrix(W, dtype=np.float64)
-        if W.shape[0] != W.shape[1]:
-            raise ValueError("weight matrix must be square")
-        if direction == "reverse":
-            W = W.T.tocsc()
-        if not np.isfinite(W.data).all():
-            raise ValueError("weights must be finite")
-        if W.nnz and W.data.min() < 0:
-            raise ValueError("weights must be non-negative")
+    alpha: float
+    direction: str
+    labels: tuple[str, ...]
+    N: int
+    n_as: int
+    to_ixp: sparse.csr_matrix
+    to_as: sparse.csc_matrix
+    dangling: np.ndarray
 
-        n = W.shape[0]
-        out_weight = np.asarray(W.sum(axis=0)).ravel()
-        A = W.copy()
-        scale = np.divide(1.0, out_weight, out=np.zeros(n), where=out_weight > 0)
-        A.data *= np.repeat(scale, np.diff(A.indptr))
-        self._A = A
-        self.dangling = out_weight == 0.0
-        self.alpha = float(alpha)
-        self.N = n
-        self.direction = direction
-        self.labels = tuple(labels) if labels is not None else tuple(map(str, range(n)))
-        self.kinds = tuple(kinds) if kinds is not None else ("",) * n
-        if len(self.labels) != n:
-            raise ValueError("labels length must match the node count")
-
-    @property
+    @cached_property
     def normalized_weights(self) -> sparse.csc_matrix:
-        """Column-normalized weight matrix (dangling columns left all-zero)."""
-        return self._A
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Compute ``G @ v``."""
-        y = self.alpha * (self._A @ v)
-        lost = self.alpha * float(v[self.dangling].sum()) + (1.0 - self.alpha) * float(v.sum())
-        return y + lost / self.N
-
-    @cached_property
-    def _layout(self) -> tuple[tuple[np.ndarray, sparse.spmatrix], ...]:
-        """The rows of each block, and the block's pattern holding the position
-        of each stored entry in ``normalized_weights.data``.
-
-        A CSR product loops over the block's rows and a CSC product over all
-        columns.  The smaller side is stored as CSR; the larger one as CSC,
-        since on the bipartite graph only the few columns of the other side
-        hold its entries (a single block is CSC, like ``normalized_weights``).
-        """
-        A = self._A
-        position = sparse.csc_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)
-        position = position.tocsr()
-        on_ixp = np.array(self.kinds) == "IXP"
-        sides = [rows for rows in (np.flatnonzero(on_ixp), np.flatnonzero(~on_ixp)) if rows.size]
-        return tuple(
-            (rows, position[rows] if 2 * rows.size < self.N else position[rows].tocsc())
-            for rows in sides
-        )
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[np.ndarray, sparse.spmatrix], ...]:
-        """The normalized weights as row blocks, in the order a PageRank sweep updates them.
-
-        Each block is a pair: its row indices, and those rows of
-        :attr:`normalized_weights` as a sparse matrix over all columns.  The
-        IXP rows come first, then the others (the ASes); a matrix with only
-        one kind of node, such as one built without node kinds, has a
-        single block of all rows.  Built on first use, so an operator that
-        only :func:`reduced_google_matrix` reads never builds it.
-        """
-        return self._blocks_of(self._A.data)
-
-    def _blocks_of(self, values: np.ndarray) -> tuple[tuple[np.ndarray, sparse.spmatrix], ...]:
-        """The row blocks of the matrix on this pattern that stores ``values``."""
-        return tuple(
-            (rows, type(P)((values[P.data], P.indices, P.indptr), shape=P.shape))
-            for rows, P in self._layout
-        )
-
-    @cached_property
-    def _entry_column(self) -> np.ndarray:
-        """The column of each stored entry of ``normalized_weights``."""
-        return np.repeat(np.arange(self.N), np.diff(self._A.indptr))
-
-    def reweighted(self, data: np.ndarray) -> GoogleMatrix:
-        """The operator of new weights over this operator's sparsity pattern.
-
-        ``data`` holds one finite, non-negative weight per stored entry of
-        :attr:`normalized_weights`, in its column-major storage order (for
-        ``direction="reverse"``, that of the transposed weight matrix).  The
-        out-weights, the dangling columns and the normalized weights are
-        recomputed; the pattern and the layout of its row blocks are
-        reused, so a sweep over many weightings of one graph builds them
-        once.
-        """
-        data = np.asarray(data, dtype=np.float64)
-        A = self._A
-        if data.shape != A.data.shape:
-            raise ValueError(f"data must hold {A.nnz} weights, got shape {data.shape}")
-        if not np.isfinite(data).all() or (data.size and data.min() < 0):
-            raise ValueError("weights must be finite and non-negative")
-        column = self._entry_column
-        out_weight = np.bincount(column, weights=data, minlength=self.N)
-        scale = np.divide(1.0, out_weight, out=np.zeros(self.N), where=out_weight > 0)
-        G = copy.copy(self)
-        G._A = sparse.csc_matrix((data * scale[column], A.indices, A.indptr), shape=A.shape)
-        G.dangling = out_weight == 0.0
-        G.blocks = self._blocks_of(G._A.data)
-        return G
+        """Normalized weights over all nodes (dangling columns all-zero), from the two blocks."""
+        return sparse.bmat([[None, self.to_as], [self.to_ixp, None]], format="csc")
 
 
 def google_matrix(
-    graph_or_weights,
+    g: PeeringGraph,
     alpha: float = DEFAULT_ALPHA,
     direction: str = "forward",
+    beta: BetaParams | None = None,
 ) -> GoogleMatrix:
-    """Build a :class:`GoogleMatrix` from a peering graph or a raw weight matrix."""
-    if sparse.issparse(graph_or_weights) or isinstance(graph_or_weights, np.ndarray):
-        return GoogleMatrix(sparse.csc_matrix(graph_or_weights), alpha, direction)
-    g = graph_or_weights
-    return GoogleMatrix(g.W, alpha, direction, labels=g.labels, kinds=g.kinds)
+    """The Google matrix of ``g`` under ``beta`` (by default ``g.beta``).
+
+    The weights are :meth:`~peergraph.graph.PeeringGraph.edge_weights`;
+    ``direction="reverse"`` swaps the two weights of every edge, which
+    inverts every link.  Each node's out-weight is summed over its edges
+    in edge order.
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    if direction not in ("forward", "reverse"):
+        raise ValueError("direction must be 'forward' or 'reverse'")
+    into_as, into_ixp = g.edge_weights(g.beta if beta is None else beta)
+    if direction == "reverse":
+        into_as, into_ixp = into_ixp, into_as
+    n, order = g.n_nodes, g.by_ixp
+    out_weight = np.bincount(
+        np.concatenate([g.edge_as, g.edge_ixp]), np.concatenate([into_ixp, into_as]), n
+    )
+    scale = np.divide(1.0, out_weight, out=np.zeros(n), where=out_weight > 0)
+    pattern = g.edge_as[order], np.searchsorted(g.edge_ixp[order], np.arange(g.n_as, n + 1))
+    return GoogleMatrix(
+        alpha=float(alpha),
+        direction=direction,
+        labels=g.labels,
+        N=n,
+        n_as=g.n_as,
+        to_ixp=sparse.csr_matrix(
+            ((into_ixp * scale[g.edge_as])[order], *pattern), shape=(g.n_ixp, g.n_as)
+        ),
+        to_as=sparse.csc_matrix(
+            ((into_as * scale[g.edge_ixp])[order], *pattern), shape=(g.n_as, g.n_ixp)
+        ),
+        dangling=out_weight == 0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -209,15 +137,12 @@ def pagerank(
 ) -> PageRankVector:
     """Gauss-Seidel sweeps until the L1 change of one sweep drops below tol.
 
-    One sweep visits the row blocks of ``G`` (:attr:`GoogleMatrix.blocks`)
-    in order, IXP rows then AS rows.  Each block's entries are set to those
-    of ``G @ v`` for the vector ``v`` as it stands, with the dangling and
-    teleport mass recomputed before each block, so the AS side already
-    reads the new IXP side.  The vector is then normalized to sum 1, and
-    the iteration stops once its L1 change over the sweep is below
-    ``tol``.  With a single block (a matrix without node kinds) a sweep is
-    exactly the power step ``v <- G v``.  The fixed point is the PageRank
-    vector either way.
+    One sweep sets the IXP entries to those of ``G @ v`` for the vector
+    ``v`` as it stands (``to_ixp`` times the AS entries), then the AS
+    entries likewise from the new IXP entries (``to_as``), recomputing the
+    dangling and teleport mass before each side.  The vector is then
+    normalized to sum 1, and the iteration stops once its L1 change over
+    the sweep is below ``tol``.  The fixed point is the PageRank vector.
 
     The iteration starts from the uniform vector, or from ``start``
     (normalized to sum 1), such as the PageRank of a slightly different
@@ -232,13 +157,17 @@ def pagerank(
         if v.shape != (G.N,) or not np.isfinite(v).all() or v.min() < 0 or v.sum() <= 0:
             raise ValueError("start must be a finite non-negative vector with positive sum")
         v /= v.sum()
-    alpha, n, blocks = G.alpha, G.N, G.blocks
+    alpha, n, n_as = G.alpha, G.N, G.n_as
     dangling = np.flatnonzero(G.dangling)
+
+    def lost(x: np.ndarray) -> float:
+        """Mass that every node receives: dangling columns and teleport."""
+        return (alpha * float(x[dangling].sum()) + (1.0 - alpha) * float(x.sum())) / n
+
     for iteration in range(1, max_iter + 1):
         nxt = v.copy()
-        for rows, block in blocks:
-            lost = alpha * float(nxt[dangling].sum()) + (1.0 - alpha) * float(nxt.sum())
-            nxt[rows] = alpha * (block @ nxt) + lost / n
+        nxt[n_as:] = alpha * (G.to_ixp @ nxt[:n_as]) + lost(nxt)
+        nxt[:n_as] = alpha * (G.to_as @ nxt[n_as:]) + lost(nxt)
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - v).sum())
         v = nxt
@@ -345,20 +274,15 @@ def _solve_complement(
     """Solve ``(I - alpha * A_ss) Y = rhs`` over the complement.
 
     ``on_x`` marks the complement's IXPs (``x``); the rest are ASes
-    (``a``).  When no nonzero of ``A_ss`` joins two nodes on the same side,
-    eliminating ``a`` is exact and leaves the dense system
+    (``a``).  Every link joins an AS and an IXP, so eliminating ``a`` is
+    exact and leaves the dense system
 
         (I - alpha^2 A_xa A_ax) y_x = b_x + alpha A_xa b_a,
         y_a = b_a + alpha A_ax y_x.
 
     Columns of ``A`` sum to at most 1, so ``K = I - alpha^2 A_xa A_ax`` is
     strictly column diagonally dominant with ``||K^-1||_1 <= 1 / (1 - alpha^2)``.
-    Any other sparsity pattern is solved densely; only graphs without node
-    kinds, which no command builds, take that path.
     """
-    rows, cols = A_ss.nonzero()
-    if np.any(on_x[rows] == on_x[cols]):
-        return np.linalg.solve(np.eye(A_ss.shape[0]) - alpha * A_ss.toarray(), rhs)
     x = np.flatnonzero(on_x)
     a = np.flatnonzero(~on_x)
     A_xa = A_ss[x][:, a]
@@ -379,12 +303,11 @@ def reduced_google_matrix(
 
     ``I - G_ss = M - 1 q^T`` with sparse ``M = I - alpha * A_ss``.  One
     solve of ``M`` over the stacked right-hand sides ``[1 | G_sr]`` gives
-    the Sherman-Morrison correction for the rank-one term.  On a bipartite
-    AS-IXP graph (node kinds ``"AS"``/``"IXP"``) that solve eliminates the
-    complement's ASes exactly and solves one dense system over its IXPs;
-    otherwise ``M`` is solved densely.  The residual of every column is
-    checked against ``tol``.  With an empty complement the result is ``G``
-    itself restricted to the requested ordering.
+    the Sherman-Morrison correction for the rank-one term.  That solve
+    eliminates the complement's ASes exactly and solves one dense system
+    over its IXPs.  The residual of every column is checked against
+    ``tol``.  With an empty complement the result is ``G`` itself
+    restricted to the requested ordering.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -421,8 +344,7 @@ def reduced_google_matrix(
                 + base * np.outer(ones_s, Y.sum(axis=0))
             )
 
-        on_x = np.asarray(G.kinds)[s] == "IXP"
-        HZ = _solve_complement(A_ss, alpha, on_x, np.column_stack([ones_s, B]))
+        HZ = _solve_complement(A_ss, alpha, s >= G.n_as, np.column_stack([ones_s, B]))
         h, Z = HZ[:, 0], HZ[:, 1:]
         # I - G_ss = M - 1 q^T with q = (alpha/n)*dangling_s + (1-alpha)/n.
         q = (alpha / n) * dang_s + base

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from peergraph.graph import BetaParams, build_graph
 from peergraph.ingest import RawSnapshot, TrafficClass
@@ -112,16 +111,6 @@ def edge_dict(g) -> dict[tuple[int, int], float]:
 
 def random_graph(rng: np.random.Generator, max_as: int = 120, max_ixp: int = 40):
     return build_graph(random_snapshot(rng, max_as, max_ixp))
-
-
-def random_weights(rng: np.random.Generator, n: int, density: float = 0.25) -> sparse.csc_matrix:
-    """Random non-negative sparse weights with a few dangling columns."""
-    mask = rng.random((n, n)) < density
-    np.fill_diagonal(mask, False)
-    W = np.where(mask, rng.random((n, n)), 0.0)
-    kill = rng.random(n) < 0.15  # force some dangling columns
-    W[:, kill] = 0.0
-    return sparse.csc_matrix(W)
 
 
 @pytest.fixture()

@@ -7,18 +7,19 @@ for modularity.  None of it shares code with the package's computational
 paths.
 
 Nine references are the package's earlier paths, kept to check the fast
-ones that replaced them: the PageRank power iteration ``v <- G v``
-(:func:`jacobi_pagerank`), the per-edge weight-matrix loop, the rank table
-of one frozen row per node filtered by a per-node callable
-(:func:`row_rank_table`), the beta sweep that rebuilds the graph and
-cold-starts PageRank at every point, the GEXF export through a networkx
-``DiGraph`` and ``nx.write_gexf``, the graph file as ``json.dumps`` of a
-payload of node records, the dump parser that makes one frozen record
-per row (:func:`record_parse`), the bipartite Louvain that numbers
-communities and super nodes with dicts and reads numpy arrays one element
-at a time (:func:`dict_louvain`, with :func:`dict_first_seen` and
-:func:`dict_aggregate`), and the classification metrics that rescan every
-(predicted, truth) pair three times per country (:func:`rescan_metrics`).
+ones that replaced them: the PageRank power iteration ``v <- G v``, here
+on the dense Google matrix (:func:`jacobi_pagerank`), the per-edge
+weight-matrix loop, the rank table of one frozen row per node filtered by
+a per-node callable (:func:`row_rank_table`), the beta sweep that
+rebuilds the graph and cold-starts PageRank at every point, the GEXF
+export through a networkx ``DiGraph`` and ``nx.write_gexf``, the graph
+file as ``json.dumps`` of a payload of node records, the dump parser that
+makes one frozen record per row (:func:`record_parse`), the bipartite
+Louvain that numbers communities and super nodes with dicts and reads
+numpy arrays one element at a time (:func:`dict_louvain`, with
+:func:`dict_first_seen` and :func:`dict_aggregate`), and the
+classification metrics that rescan every (predicted, truth) pair three
+times per country (:func:`rescan_metrics`).
 """
 from __future__ import annotations
 
@@ -581,23 +582,27 @@ def record_parse(path) -> RecordSnapshot:
     )
 
 
-def jacobi_pagerank(G, tol: float = 1e-10, max_iter: int = 10_000, start=None):
-    """PageRank by the power iteration ``v <- G v``, normalized at every step,
-    until the L1 change of one step drops below ``tol``.
+def jacobi_pagerank(W, alpha: float = 0.85, tol: float = 1e-10, max_iter: int = 10_000,
+                    start=None):
+    """PageRank by the power iteration ``v <- G v`` on ``G = dense_google(W, alpha)``,
+    normalized at every step, until the L1 change of one step drops below ``tol``.
 
+    ``W`` is a dense weight matrix with ``W[i, j]`` the weight of ``j -> i``.
     Starts from the uniform vector or from ``start`` (normalized); returns a
     :class:`~peergraph.spectral.PageRankVector`.
     """
     from peergraph.errors import ConvergenceError
     from peergraph.spectral import PageRankVector
 
+    G = dense_google(W, alpha)
+    n = G.shape[0]
     if start is None:
-        v = np.full(G.N, 1.0 / G.N)
+        v = np.full(n, 1.0 / n)
     else:
         v = np.array(start, dtype=np.float64)
         v /= v.sum()
     for iteration in range(1, max_iter + 1):
-        nxt = G.apply(v)
+        nxt = G @ v
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - v).sum())
         v = nxt

@@ -9,8 +9,11 @@ import pytest
 
 from peergraph import cli
 from peergraph.cli import main
+from peergraph.graph import build_graph
+from peergraph.graphio import SUBSET_CAP, save_graph
+from peergraph.ingest import TrafficClass
 
-from conftest import FIXTURE_SNAPSHOT
+from conftest import FIXTURE_SNAPSHOT, make_snapshot
 
 DATE = "2020-01-01"
 
@@ -74,6 +77,28 @@ def test_unusable_entry_names_file_and_line(tmp_path, capsys, defect):
     assert main(_argv(tmp_path, command, path, str(out))) == 1
     assert capsys.readouterr().err == f"peergraph: {path}: {fragment}\n"
     assert not out.exists()
+
+
+
+def test_subset_over_the_cap_is_refused_at_its_first_extra_entry(tmp_path, capsys):
+    """The cap is checked before an entry is looked up, so no dense block is built."""
+    asns = range(1, SUBSET_CAP + 2)
+    snapshot = make_snapshot([(a, TrafficClass.BALANCED) for a in asns], [(1, "DE")],
+                             [(a, 1, 100.0) for a in asns])
+    graph = str(save_graph(build_graph(snapshot), tmp_path / "graph.json"))
+    subset = tmp_path / "subset.txt"
+    # The extra entry is not even a node, and a bad line follows it.
+    subset.write_text("# the cap\n" + "".join(f"AS{a}\n" for a in asns[:-1]) + "AS0\nfoo\n")
+    out = tmp_path / "out.csv"
+    assert main(["reduce", "--graph", graph, "--subset", str(subset), "--out", str(out)]) == 1
+    line = SUBSET_CAP + 2
+    assert capsys.readouterr().err == (
+        f"peergraph: {subset}: line {line}: entry 1001 is over the cap of 1000 nodes\n"
+    )
+    assert not out.exists()
+
+    subset.write_text("".join(f"AS{a}\n" for a in asns[:-1]))  # exactly the cap
+    assert main(["reduce", "--graph", graph, "--subset", str(subset), "--out", str(out)]) == 0
 
 
 SWEEP = ["sweep", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", DATE]

@@ -1,14 +1,15 @@
 """Google matrix, PageRank, stochastic complementation, temporal change."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from peergraph.errors import CensorError, ConvergenceError, SubsetMismatchError
-from peergraph.graph import BetaParams, build_graph
+from peergraph.graph import BetaParams, _assemble, build_graph
 from peergraph.ingest import TrafficClass
 from peergraph.spectral import (
     GoogleMatrix,
@@ -22,7 +23,7 @@ from peergraph.spectral import (
     relative_change,
 )
 
-from conftest import make_snapshot, random_snapshot, random_weights
+from conftest import ALL_CLASSES, make_snapshot, node_columns, random_graph, random_snapshot
 from oracles import (
     dense_google,
     dense_pagerank,
@@ -34,79 +35,121 @@ from oracles import (
 
 TC = TrafficClass
 
+# A beta of 1 leaves one direction of a class's edges without weight, so the
+# ASes of those classes dangle in one direction or the other.
+BETAS = (BetaParams(), BetaParams(balanced=1.0), BetaParams(mostly=1.0, heavy=1.0))
 
-def two_node_graph() -> GoogleMatrix:
-    W = np.zeros((2, 2))
-    W[1, 0] = 1.0  # single edge node0 -> node1
-    return google_matrix(sparse.csc_matrix(W), alpha=0.85)
+# Inbound and outbound classes swapped: at the default beta (balanced 0) the
+# swap gives every edge's two weights to each other, which inverts every link.
+MIRROR = {
+    TC.HEAVY_INBOUND: TC.HEAVY_OUTBOUND,
+    TC.HEAVY_OUTBOUND: TC.HEAVY_INBOUND,
+    TC.MOSTLY_INBOUND: TC.MOSTLY_OUTBOUND,
+    TC.MOSTLY_OUTBOUND: TC.MOSTLY_INBOUND,
+}
+
+
+def one_edge_graph():
+    """AS10 -> IX1 only: a heavy-outbound AS at beta_heavy = 1 sends nothing back."""
+    snap = make_snapshot([(10, TC.HEAVY_OUTBOUND)], [(1, "DE")], [(10, 1, 5.0)])
+    return build_graph(snap, BetaParams(heavy=1.0))
+
+
+def complete_graph():
+    """Three balanced ASes on three IXPs, every port of the same size."""
+    return build_graph(make_snapshot(
+        [(a, TC.BALANCED) for a in (10, 20, 30)],
+        [(x, "DE") for x in (1, 2, 3)],
+        [(a, x, 100.0) for a in (10, 20, 30) for x in (1, 2, 3)],
+    ))
+
+
+def mirrored(snap):
+    codes = np.array([ALL_CLASSES.index(MIRROR.get(tc, tc)) for tc in ALL_CLASSES], dtype=np.int8)
+    return replace(snap, as_class=codes[snap.as_class])
+
+
+def dense_weights(g, direction: str = "forward", beta: BetaParams | None = None) -> np.ndarray:
+    """The graph's weight matrix, transposed for ``direction="reverse"``."""
+    W = g.weights(beta or g.beta).toarray()
+    return W if direction == "forward" else W.T
 
 
 def dense(G: GoogleMatrix) -> np.ndarray:
-    """``G`` as a dense matrix: the operator applied to every unit vector."""
-    return np.column_stack([G.apply(e) for e in np.eye(G.N)])
+    """``G`` as a dense matrix, from its normalized weights and dangling columns."""
+    return G.alpha * G.normalized_weights.toarray() + (G.alpha * G.dangling + 1 - G.alpha) / G.N
 
 
 # --- Google matrix ---
 
 
 def test_two_node_entries():
-    D = dense(two_node_graph())
+    g = one_edge_graph()
+    D = dense(google_matrix(g, alpha=0.85))
+    assert g.labels == ("AS10", "IX1")
     assert D[1, 0] == pytest.approx(0.925, abs=1e-15)
     assert D[0, 0] == pytest.approx(0.075, abs=1e-15)
-    # node1 is dangling: its column is uniform before and after damping
+    # IX1 is dangling: its column is uniform before and after damping
     assert np.allclose(D[:, 1], [0.5, 0.5], atol=1e-15)
 
 
 def test_alpha_zero_is_uniform():
-    G = google_matrix(random_weights(np.random.default_rng(0), 6), alpha=0.0)
-    assert np.allclose(dense(G), 1.0 / 6.0, atol=1e-15)
+    g = random_graph(np.random.default_rng(0))
+    assert np.allclose(dense(google_matrix(g, alpha=0.0)), 1.0 / g.n_nodes, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_weights_rejected(bad):
-    W = sparse.csc_matrix(np.array([[0.0, bad], [1.0, 0.0]]))
+    """The graph refuses a non-finite port size, so no operator is built over one."""
+    g = one_edge_graph()
     with pytest.raises(ValueError, match="finite"):
-        google_matrix(W)
+        _assemble(*node_columns(g), [10], [1], [bad], g.beta, g.date)
 
 
 def test_alpha_out_of_range():
-    W = random_weights(np.random.default_rng(0), 4)
+    g = random_graph(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        google_matrix(W, alpha=1.0)
+        google_matrix(g, alpha=1.0)
     with pytest.raises(ValueError):
-        google_matrix(W, alpha=-0.1)
+        google_matrix(g, alpha=-0.1)
 
 
 def test_columns_sum_to_one():
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        G = google_matrix(random_weights(rng, int(rng.integers(2, 40))))
-        assert np.abs(dense(G).sum(axis=0) - 1.0).max() < 1e-12
+    for trial in range(10):
+        g = build_graph(random_snapshot(rng), BETAS[trial % 3])
+        for direction in ("forward", "reverse"):
+            D = dense(google_matrix(g, direction=direction))
+            assert np.abs(D.sum(axis=0) - 1.0).max() < 1e-12
 
 
 def test_operator_matches_dense():
-    rng = np.random.default_rng(4)
-    W = random_weights(rng, 25)
-    G = google_matrix(W, 0.85)
-    D = dense_google(W.toarray(), 0.85)
-    v = rng.random(25)
-    assert np.abs(G.apply(v) - D @ v).max() < 1e-13
-    assert np.abs(dense(G) - D).max() < 1e-14
+    snap = random_snapshot(np.random.default_rng(4))
+    for beta in BETAS:
+        g = build_graph(snap, beta)
+        for direction in ("forward", "reverse"):
+            G = google_matrix(g, 0.85, direction)
+            W = dense_weights(g, direction)
+            assert np.abs(dense(G) - dense_google(W, 0.85)).max() < 1e-14
+            assert np.array_equal(G.dangling, W.sum(axis=0) == 0)
+            # The stored blocks are the column-normalized weights between the sides.
+            S = W / np.where(W.sum(axis=0) > 0, W.sum(axis=0), 1.0)
+            n_as = g.n_as
+            assert np.abs(G.to_ixp.toarray() - S[n_as:, :n_as]).max() < 1e-15
+            assert np.abs(G.to_as.toarray() - S[:n_as, n_as:]).max() < 1e-15
 
 
 # --- PageRank ---
 
 
 def test_uniform_on_symmetric_complete_graph():
-    n = 6
-    W = np.ones((n, n)) - np.eye(n)
-    pr = pagerank(google_matrix(sparse.csc_matrix(W)), tol=1e-12)
-    assert np.abs(pr.P - 1.0 / n).max() < 1e-12
+    pr = pagerank(google_matrix(complete_graph()), tol=1e-12)
+    assert np.abs(pr.P - 1.0 / 6).max() < 1e-12
     assert abs(pr.P.sum() - 1.0) < 1e-12
 
 
 def test_two_node_matches_dense_eigenvector():
-    G = two_node_graph()
+    G = google_matrix(one_edge_graph())
     pr = pagerank(G, tol=1e-13)
     oracle = dense_pagerank(dense(G))
     assert np.abs(pr.P - oracle).sum() < 1e-10
@@ -114,84 +157,89 @@ def test_two_node_matches_dense_eigenvector():
 
 
 def test_reverse_equals_forward_on_inverted_graph():
-    rng = np.random.default_rng(5)
-    W = random_weights(rng, 15)
-    a = pagerank(google_matrix(W, direction="reverse"), tol=1e-12)
-    b = pagerank(google_matrix(W.T, direction="forward"), tol=1e-12)
+    snap = random_snapshot(np.random.default_rng(5))
+    a = pagerank(google_matrix(build_graph(snap), direction="reverse"), tol=1e-12)
+    b = pagerank(google_matrix(build_graph(mirrored(snap)), direction="forward"), tol=1e-12)
     assert np.array_equal(a.P, b.P)
 
 
 def test_nonconvergence_raises():
-    W = random_weights(np.random.default_rng(6), 30)
+    g = random_graph(np.random.default_rng(6))
     with pytest.raises(ConvergenceError):
-        pagerank(google_matrix(W), tol=1e-15, max_iter=2)
+        pagerank(google_matrix(g), tol=1e-15, max_iter=2)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
 def test_pagerank_refuses_tol_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        pagerank(google_matrix(random_weights(np.random.default_rng(6), 8)), tol=tol)
+        pagerank(google_matrix(random_graph(np.random.default_rng(6))), tol=tol)
 
 
 def test_warm_start_reaches_the_same_fixed_point():
-    rng = np.random.default_rng(4)
-    W = random_weights(rng, 30)
-    G = google_matrix(W)
+    g = random_graph(np.random.default_rng(4))
+    G = google_matrix(g)
     cold = pagerank(G, tol=1e-13)
     again = pagerank(G, tol=1e-13, start=7.0 * cold.P)  # the start is normalized
     assert again.iterations <= 2
     assert np.abs(again.P - cold.P).max() < 1e-13
 
-    W2 = W.copy()
-    W2.data *= 1.0 + 0.05 * rng.random(W2.nnz)
-    G2 = google_matrix(W2)
+    nearby = BetaParams(balanced=0.05, mostly=0.8, heavy=0.97)
+    G2 = google_matrix(g, beta=nearby)
     reference = pagerank(G2, tol=1e-13)
     warm = pagerank(G2, tol=1e-13, start=cold.P)
     assert warm.iterations < reference.iterations
-    assert np.abs(warm.P - dense_pagerank(dense_google(W2.toarray()))).max() < 1e-11
+    exact = dense_pagerank(dense_google(dense_weights(g, beta=nearby)))
+    assert np.abs(warm.P - exact).max() < 1e-11
 
 
 @pytest.mark.parametrize(
     "start", [np.ones(5), -np.ones(6), np.zeros(6), np.full(6, np.nan), np.full(6, np.inf)]
 )
 def test_bad_start_rejected(start):
-    G = google_matrix(random_weights(np.random.default_rng(1), 6))
+    G = google_matrix(complete_graph())
+    assert G.N == 6
     with pytest.raises(ValueError):
         pagerank(G, start=start)
 
 
 def test_pagerank_permutation_invariance():
+    """Renumbering the ASes and the IXPs permutes the PageRank vector, nothing more."""
     rng = np.random.default_rng(7)
-    n = 20
-    W = random_weights(rng, n)
-    perm = rng.permutation(n)
-    P = sparse.csr_matrix((np.ones(n), (perm, np.arange(n))), shape=(n, n))
-    W_perm = (P @ W @ P.T).tocsc()
-    base = pagerank(google_matrix(W), tol=1e-13).P
-    permuted = pagerank(google_matrix(W_perm), tol=1e-13).P
-    assert np.abs(permuted[perm] - base).max() < 1e-12
+    snap = random_snapshot(rng)
+    new_asn = dict(zip(snap.asn.tolist(), (1000 + rng.permutation(snap.asn.size)).tolist()))
+    new_ixp = dict(zip(snap.ixp_id.tolist(), (1 + rng.permutation(snap.ixp_id.size)).tolist()))
+    renumbered = make_snapshot(
+        [(new_asn[a], ALL_CLASSES[c]) for a, c in zip(snap.asn.tolist(), snap.as_class.tolist())],
+        [(new_ixp[x], c) for x, c in zip(snap.ixp_id.tolist(), snap.ixp_country)],
+        [
+            (new_asn[a], new_ixp[x], s)
+            for a, x, s in zip(snap.port_asn.tolist(), snap.port_ixp_id.tolist(),
+                               snap.port_size.tolist())
+        ],
+    )
+    g, h = build_graph(snap), build_graph(renumbered)
+    where = [h.as_index(new_asn[a]) for a in g.asn.tolist()]
+    where += [h.ixp_index(new_ixp[x]) for x in g.ixp_id.tolist()]
+    assert sorted(where) != where  # the renumbering moved nodes
+    base = pagerank(google_matrix(g), tol=1e-13).P
+    permuted = pagerank(google_matrix(h), tol=1e-13).P
+    assert np.abs(permuted[where] - base).max() < 1e-12
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    beta=st.sampled_from(
-        [BetaParams(), BetaParams(balanced=1.0), BetaParams(mostly=1.0, heavy=1.0)]
-    ),
+    beta=st.sampled_from(BETAS),
     direction=st.sampled_from(["forward", "reverse"]),
 )
 def test_gauss_seidel_matches_power_iteration(seed, beta, direction):
-    """The two-sided sweep against the power iteration it replaced and the dense solve.
-
-    A beta of 1 leaves one direction of a class's edges without weight, so
-    those ASes are dangling.
-    """
+    """The two-sided sweep against the power iteration it replaced and the dense solve."""
     g = build_graph(random_snapshot(np.random.default_rng(seed)), beta)
     G = google_matrix(g, direction=direction)
-    assert [rows.size for rows, _ in G.blocks] == [g.n_ixp, g.n_as]
-    sweep, power = pagerank(G), jacobi_pagerank(G)
-    exact = dense_pagerank(dense_google(g.W.toarray(), 0.85) if direction == "forward"
-                           else dense_google(g.W.T.toarray(), 0.85))
+    assert G.to_ixp.shape == (g.n_ixp, g.n_as) and G.to_as.shape == (g.n_as, g.n_ixp)
+    W = dense_weights(g, direction)
+    sweep, power = pagerank(G), jacobi_pagerank(W)
+    exact = dense_pagerank(dense_google(W, 0.85))
     assert np.abs(sweep.P - power.P).max() <= 1e-9
     assert np.abs(sweep.P - exact).max() <= 1e-9
     assert sweep.iterations <= power.iterations
@@ -207,43 +255,30 @@ def test_gauss_seidel_matches_power_iteration(seed, beta, direction):
 @pytest.mark.parametrize("direction, sweeps", [("forward", 26), ("reverse", 9)])
 def test_gauss_seidel_halves_the_fixture_iterations(fixture_graph, direction, sweeps):
     G = google_matrix(fixture_graph, direction=direction)
-    power = jacobi_pagerank(G)
+    power = jacobi_pagerank(dense_weights(fixture_graph, direction))
     assert (pagerank(G).iterations, power.iterations) == (sweeps, 144)
     assert 2 * sweeps <= power.iterations
 
 
-def test_matrix_without_kinds_sweeps_like_the_power_iteration():
-    W = random_weights(np.random.default_rng(9), 30)
-    G = google_matrix(W)
-    assert len(G.blocks) == 1
-    sweep, power = pagerank(G), jacobi_pagerank(G)
-    assert sweep.iterations == power.iterations
-    assert np.array_equal(sweep.P, power.P)
-
-
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_reweighted_matches_a_fresh_operator(direction):
-    rng = np.random.default_rng(11)
-    W = random_weights(rng, 25)
-    kinds = ["AS"] * 15 + ["IXP"] * 10
-    G = GoogleMatrix(W, direction=direction, kinds=kinds)
-    G.blocks  # built from the old weights; the re-weighted operator must not keep them
-    stored = sparse.csc_matrix(W if direction == "forward" else W.T)
-    data = rng.random(stored.nnz)
-    data[stored.indices < 3] = 0.0  # a zero weight stays a stored entry
-    data[np.repeat(np.arange(25), np.diff(stored.indptr)) == 4] = 0.0  # column 4 dangles
-    new = G.reweighted(data)
-    stored.data = data
-    fresh = GoogleMatrix(stored if direction == "forward" else stored.T, direction=direction,
-                         kinds=kinds)
-    assert np.array_equal(new.dangling, fresh.dangling) and new.dangling[4]
-    assert np.abs(dense(new) - dense(fresh)).max() < 1e-15
-    assert np.abs(pagerank(new, tol=1e-13).P - pagerank(fresh, tol=1e-13).P).max() < 1e-13
-    assert np.abs(pagerank(G, tol=1e-13).P - pagerank(new, tol=1e-13).P).max() > 1e-6
-    with pytest.raises(ValueError, match="data must hold"):
-        G.reweighted(data[1:])
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        G.reweighted(-data)
+    """The operator of a graph at another beta is, bit for bit, that of the graph built at it."""
+    snap = random_snapshot(np.random.default_rng(11))
+    beta = BetaParams(balanced=0.3, mostly=1.0, heavy=1.0)
+    g = build_graph(snap)
+    new = google_matrix(g, direction=direction, beta=beta)
+    fresh = google_matrix(build_graph(snap, beta), direction=direction)
+    for name in ("to_ixp", "to_as"):
+        a, b = getattr(new, name), getattr(fresh, name)
+        assert a.format == b.format
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+        assert a.nnz == g.n_edges  # an edge of zero weight stays a stored entry
+    assert np.array_equal(new.dangling, fresh.dangling) and new.dangling[: g.n_as].any()
+    assert (new.to_ixp.data == 0).any() and (new.to_as.data == 0).any()
+    assert np.array_equal(pagerank(new).P, pagerank(fresh).P)
+    default = pagerank(google_matrix(g, direction=direction), tol=1e-13).P
+    assert np.abs(pagerank(new, tol=1e-13).P - default).max() > 1e-6
 
 
 # --- rank tables ---
@@ -314,10 +349,9 @@ def test_rank_table_matches_row_oracle(data):
 
 
 def test_reverse_rank_equals_forward_rank_of_inverted():
-    rng = np.random.default_rng(8)
-    W = random_weights(rng, 12)
-    rev = pagerank(google_matrix(W, direction="reverse"), tol=1e-12)
-    fwd = pagerank(google_matrix(W.T), tol=1e-12)
+    snap = random_snapshot(np.random.default_rng(8))
+    rev = pagerank(google_matrix(build_graph(snap), direction="reverse"), tol=1e-12)
+    fwd = pagerank(google_matrix(build_graph(mirrored(snap))), tol=1e-12)
     rev_table, fwd_table = rank_table(rev), rank_table(fwd)
     assert rev_table.index.tolist() == fwd_table.index.tolist()
     assert rev_table.value.tolist() == fwd_table.value.tolist()
@@ -327,22 +361,21 @@ def test_reverse_rank_equals_forward_rank_of_inverted():
 
 
 def test_subset_of_all_nodes_returns_g():
-    rng = np.random.default_rng(9)
-    W = random_weights(rng, 8)
-    G = google_matrix(W)
-    R = reduced_google_matrix(G, list(range(8)))
+    g = random_graph(np.random.default_rng(9), max_as=6, max_ixp=3)
+    G = google_matrix(g)
+    R = reduced_google_matrix(G, list(range(g.n_nodes)))
     assert np.abs(R.GR - dense(G)).max() < 1e-14
 
 
 def test_reduction_matches_dense_schur_complement():
     rng = np.random.default_rng(10)
     for trial in range(8):
-        n = int(rng.integers(5, 60))
-        W = random_weights(rng, n)
-        G = google_matrix(W)
-        n_r = int(rng.integers(1, min(n, 8)))
-        subset = list(rng.choice(n, size=n_r, replace=False))
-        oracle = dense_reduction(dense_google(W.toarray()), subset)
+        g = build_graph(random_snapshot(rng, max_as=50, max_ixp=12), BETAS[trial % 3])
+        direction = ("forward", "reverse")[trial % 2]
+        G = google_matrix(g, direction=direction)
+        n_r = int(rng.integers(1, min(g.n_nodes, 8)))
+        subset = [int(i) for i in rng.choice(g.n_nodes, size=n_r, replace=False)]
+        oracle = dense_reduction(dense_google(dense_weights(g, direction)), subset)
         R = reduced_google_matrix(G, subset)
         assert np.abs(R.GR - oracle).max() < 1e-10
         # columns of a stochastic complement keep summing to one
@@ -376,12 +409,8 @@ def test_bipartite_elimination_matches_oracle_and_lu(seed, direction, beta, kind
     g = build_graph(random_snapshot(rng), beta)
     subset = bipartite_subset(g, kind, rng)
     R = reduced_google_matrix(google_matrix(g, direction=direction), subset)
-    # the same weights without node kinds take the dense fallback solve
-    fallback = reduced_google_matrix(GoogleMatrix(g.W, direction=direction), subset)
-    W = g.W.toarray() if direction == "forward" else g.W.T.toarray()
-    oracle = dense_reduction(dense_google(W), subset)
+    oracle = dense_reduction(dense_google(dense_weights(g, direction)), subset)
     assert np.abs(R.GR - oracle).max() < 1e-10
-    assert np.abs(R.GR - fallback.GR).max() <= 1e-12
 
 
 def test_nan_in_complement_fails_residual_gate():
@@ -400,7 +429,7 @@ def test_nan_in_complement_fails_residual_gate():
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
 def test_reduction_refuses_tol_that_is_not_finite_and_positive(tol):
-    G = google_matrix(random_weights(np.random.default_rng(6), 8))
+    G = google_matrix(complete_graph())
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         reduced_google_matrix(G, [0, 1], tol=tol)
 
@@ -408,9 +437,9 @@ def test_reduction_refuses_tol_that_is_not_finite_and_positive(tol):
 def test_restricted_pagerank_is_fixed_point():
     rng = np.random.default_rng(12)
     for direction in ("forward", "reverse"):
-        W = random_weights(rng, 40)
-        G = google_matrix(W, direction=direction)
-        subset = list(rng.choice(40, size=6, replace=False))
+        g = build_graph(random_snapshot(rng), BETAS[2])
+        G = google_matrix(g, direction=direction)
+        subset = [int(i) for i in rng.choice(g.n_nodes, size=6, replace=False)]
         R = reduced_google_matrix(G, subset)
         pr = pagerank(G, tol=1e-13).P[subset]
         pr_norm = pr / pr.sum()
@@ -428,7 +457,7 @@ def test_reduction_computes_no_pagerank(monkeypatch):
 
 
 def test_reduction_rejects_bad_subsets():
-    G = google_matrix(random_weights(np.random.default_rng(1), 5))
+    G = google_matrix(complete_graph())
     with pytest.raises(ValueError):
         reduced_google_matrix(G, [])
     with pytest.raises(ValueError):
