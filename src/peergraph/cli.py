@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import date as Date
 from pathlib import Path
 
@@ -57,7 +58,14 @@ from .ingest import (
     read_lines,
     validate_snapshot,
 )
-from .spectral import google_matrix, pagerank, rank_table, reduced_google_matrix, relative_change
+from .spectral import (
+    censor_diagonal,
+    google_matrix,
+    pagerank,
+    rank_table,
+    reduced_google_matrix,
+    relative_change,
+)
 
 _TYPE_SHORTHAND = {"ISP": TYPE_ISP, "ND": TYPE_NOT_DISCLOSED, "NSP": TYPE_NSP}
 
@@ -289,12 +297,8 @@ def cmd_reduce(args, argv) -> int:
     G = google_matrix(g, alpha=args.alpha, direction=args.direction)
     R = reduced_google_matrix(G, subset, tol=args.tol)
     if g.date is not None:
-        from dataclasses import replace
-
         R = replace(R, date=g.date)
     if args.censor_diagonal:
-        from .spectral import censor_diagonal
-
         R = censor_diagonal(R)
     out = _resolve_out(args.out)
     write_reduced_csv(R, out)

@@ -16,18 +16,23 @@ Local moves require a strictly positive gain; on ties the node keeps its
 current community, and candidate communities are scanned in ascending id
 so the whole procedure is deterministic for a fixed visit order.
 Communities are node-aligned int64 columns numbered by first appearance.
+
+scipy is imported where a sparse matrix is built (:func:`_aggregate`); the
+other sparse matrices here come from the graph's weight matrix.
 """
 from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .graph import PeeringGraph
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _GAIN_EPS = 1e-12
 
@@ -163,6 +168,8 @@ def _aggregate(
     super node, the node -> super node map and the community each super
     node came from (the starting assignment of the next level).
     """
+    from scipy import sparse
+
     node_map = _first_seen(2 * comm + side)
     n_super = int(node_map.max()) + 1
     coo = A.tocoo()

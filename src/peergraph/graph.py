@@ -17,19 +17,24 @@ Each node's total port capacity is a node column as well
 (:attr:`PeeringGraph.capacity`).
 
 ``W[i, j]`` is the weight of the directed link ``j -> i``.
+
+scipy is imported where a sparse matrix is built (:meth:`PeeringGraph.weights`),
+so code that never asks for ``W`` does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EmptyGraphError
 from .ingest import CLASSES, RawSnapshot, TrafficClass, _frozen
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _OUTBOUND = np.array([tc.is_outbound for tc in CLASSES])
 
@@ -195,6 +200,8 @@ class PeeringGraph:
         The entries are :meth:`edge_weights`; zero weights (beta = 1) are
         left out of the sparsity pattern.  Indices are sorted.
         """
+        from scipy import sparse
+
         n = self.n_nodes
         rows = np.concatenate([self.edge_as, self.edge_ixp])
         cols = np.concatenate([self.edge_ixp, self.edge_as])

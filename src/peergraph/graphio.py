@@ -214,38 +214,45 @@ def load_graph(path: str | Path) -> PeeringGraph:
 
 
 def _is_edge_triple(edge: object) -> bool:
-    return (
-        isinstance(edge, list)
-        and len(edge) == 3
-        and all(type(v) is int for v in edge[:2])
-        and type(edge[2]) in (int, float)
-    )
+    """Whether ``edge`` is ``[asn, ixp_id, port_size]``.
+
+    The ids follow the node rule (JSON integers, not booleans, in
+    [1, 2**63)); the port size is a JSON number, not a boolean, that a
+    float holds.
+    """
+    if not (type(edge) is list and len(edge) == 3 and type(edge[2]) in (int, float)):
+        return False
+    try:
+        float(edge[2])
+    except OverflowError:
+        return False
+    return all(type(v) is int and 0 < v < 2**63 for v in edge[:2])
 
 
 def _edge_columns(path, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(asn, ixp_id, port size) columns of a list of ``[asn, ixp_id, ps]`` triples."""
+    """(asn, ixp_id, port size) columns of a list of ``[asn, ixp_id, ps]`` triples.
+
+    The id columns are int64 and never pass through a float; each edge
+    must be a triple by :func:`_is_edge_triple`.
+    """
     if not isinstance(edges, list):
         raise SnapshotFormatError(f"{path}: edges must be a list")
     try:
-        table = np.array(edges, dtype=np.float64)
-        if table.size == 0:
-            table = table.reshape(0, 3)
-        if table.shape != (len(edges), 3):
-            raise ValueError("not a list of triples")
-        with np.errstate(invalid="ignore"):
-            asn, ixp_id = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
-        exact = (asn == table[:, 0]) & (ixp_id == table[:, 1])
+        # A JSON value that is not a list either is not iterable or yields
+        # strings, which the type check below refuses.
+        asn, ixp_id, port_size = zip(*edges, strict=True) if edges else ((), (), ())
+        typed = {*map(type, asn), *map(type, ixp_id)} <= {int}
+        if typed and {*map(type, port_size)} <= {int, float}:
+            n = len(edges)
+            asn, ixp_id = np.fromiter(asn, np.int64, n), np.fromiter(ixp_id, np.int64, n)
+            if min(asn.min(initial=1), ixp_id.min(initial=1)) > 0:
+                return asn, ixp_id, np.fromiter(port_size, np.float64, n)
     except (TypeError, ValueError, OverflowError):
-        exact = np.zeros(len(edges), dtype=bool)
-    if not exact.all():
-        k = next(
-            (i for i, edge in enumerate(edges) if not _is_edge_triple(edge)),
-            int(np.flatnonzero(~exact)[0]),
-        )
-        raise SnapshotFormatError(
-            f"{path}: edges[{k}] = {edges[k]!r} is not an [asn, ixp_id, port_size] triple"
-        )
-    return asn, ixp_id, table[:, 2]
+        pass
+    k = next(i for i, edge in enumerate(edges) if not _is_edge_triple(edge))
+    raise SnapshotFormatError(
+        f"{path}: edges[{k}] = {edges[k]!r} is not an [asn, ixp_id, port_size] triple"
+    )
 
 
 # Attribute text escaped as xml.etree.ElementTree writes it.

@@ -31,20 +31,25 @@ term, so one solve of the sparse part plus a Sherman-Morrison correction
 handles all right-hand sides at once.  ``A_ss`` links only ASes to IXPs,
 so eliminating the complement's ASes leaves one dense system over its
 IXPs.
+
+scipy is imported where a sparse matrix is built, not at module level, so
+the functions that only read rank tables or reduced matrices do not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CensorError, ConvergenceError, SubsetMismatchError
 from .graph import BetaParams, PeeringGraph
 from .ingest import _frozen
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-10
@@ -77,6 +82,8 @@ class GoogleMatrix:
     @cached_property
     def normalized_weights(self) -> sparse.csc_matrix:
         """Normalized weights over all nodes (dangling columns all-zero), from the two blocks."""
+        from scipy import sparse
+
         return sparse.bmat([[None, self.to_as], [self.to_ixp, None]], format="csc")
 
 
@@ -93,6 +100,8 @@ def google_matrix(
     inverts every link.  Each node's out-weight is summed over its edges
     in edge order.
     """
+    from scipy import sparse
+
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if direction not in ("forward", "reverse"):
@@ -255,6 +264,8 @@ class ReducedGoogleMatrix:
 
 
 def _slice_blocks(A: sparse.csc_matrix, r: np.ndarray, s: np.ndarray):
+    from scipy import sparse
+
     cols_r = A[:, r].tocsr()
     A_rr = cols_r[r, :]
     A_sr = cols_r[s, :]

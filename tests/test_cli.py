@@ -334,16 +334,48 @@ def test_build_and_gexf_export_run_without_networkx(fixture_graph, tmp_path):
     assert (tmp_path / "graph.gexf").read_bytes() == expected.read_bytes()
 
 
-def test_cli_import_leaves_out_the_slow_scipy_modules():
-    # The package needs only scipy.sparse; no command uses these modules, and
-    # importing them would add to the start-up time of every command.
-    slow = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg", "scipy.optimize")
-    result = run_python(
-        "import sys, peergraph.cli\n"
-        f"print([m for m in {slow!r} if m in sys.modules])"
-    )
+SCIPY_PROBE = """
+import json, sys
+from peergraph.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print("probe", json.dumps(["import", 0, scipy_loaded()]))
+for argv in json.loads(sys.argv[1]):
+    rc = main(argv)
+    print("probe", json.dumps([argv[0], rc, scipy_loaded()]))
+"""
+
+
+def test_commands_that_build_no_sparse_matrix_never_import_scipy(workdir, reduced, tmp_path):
+    # scipy.sparse is imported where a sparse matrix is built, so the package
+    # import and these six commands start without paying for it.
+    graph = str(workdir / "graph.json")
+    out = str(tmp_path)
+    commands = [
+        ["ingest", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", DATE, "--validate",
+         "--reference-asn", "64500", "--out", f"{out}/ingest.json"],
+        ["build", "--snapshot", str(FIXTURE_SNAPSHOT), "--date", DATE, "--out", f"{out}/g.json"],
+        ["classify", "--graph", graph, "--truth", str(DATA_DIR / "asorg_fixture.csv"),
+         "--out", f"{out}/classify.csv"],
+        ["export", "--graph", graph, "--format", "edgelist", "--out", f"{out}/edges.csv"],
+        ["diff", "--reduced", str(reduced[0]), str(reduced[1]), "--out", f"{out}/diff.csv"],
+        ["timeseries", "--snapshot", str(FIXTURE_SNAPSHOT), DATE, "--out", f"{out}/ts.csv"],
+        # rank builds the Google operator: the probe must see scipy arrive.
+        ["rank", "--graph", graph, "--out", f"{out}/rank.csv"],
+    ]
+    result = run_python(SCIPY_PROBE, json.dumps(commands))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    steps = [
+        json.loads(line.removeprefix("probe "))
+        for line in result.stdout.splitlines()
+        if line.startswith("probe ")
+    ]
+    assert [name for name, _, _ in steps] == ["import"] + [argv[0] for argv in commands]
+    assert all(rc == 0 for _, rc, _ in steps), steps
+    assert [loaded for _, _, loaded in steps[:-1]] == [[]] * (len(steps) - 1)
+    assert "scipy.sparse" in steps[-1][2]
 
 
 def test_lone_surrogate_name_is_an_invalid_network(tmp_path):

@@ -165,6 +165,11 @@ LOAD_DEFECTS = {
     "AS id beyond int64": (lambda p: p["as_nodes"][3].update(asn=2**70), "as_nodes[3]"),
     "AS id zero": (lambda p: p["as_nodes"][0].update(asn=0), "as_nodes[0]"),
     "negative IXP id": (lambda p: p["ixp_nodes"][0].update(id=-1), "ixp_nodes[0]"),
+    # Edge fields follow the node rule: an id is a JSON integer, never a
+    # boolean or a float, and a port size is a JSON number, never a boolean.
+    "boolean IXP id in edge": (lambda p: _first_edge(p).__setitem__(1, True), "edges[0]"),
+    "float asn in edge": (lambda p: _first_edge(p).__setitem__(0, 64500.0), "edges[0]"),
+    "boolean port size": (lambda p: _first_edge(p).__setitem__(2, True), "edges[0]"),
 }
 
 
@@ -180,6 +185,21 @@ def test_load_rejects_defective_graph(fixture_graph, tmp_path, defect):
         load_graph(path)
     assert str(path) in str(info.value)
     assert fragment in str(info.value)
+
+
+def test_edge_ids_beyond_float_precision_round_trip(fixture_graph, tmp_path):
+    big = 2**60 + 1  # float64 rounds it to 2**60
+    path = tmp_path / "graph.json"
+    save_graph(fixture_graph, path)
+    payload = json.loads(path.read_text())
+    payload["as_nodes"].append(dict(payload["as_nodes"][0], asn=big))
+    payload["edges"].append([big, 1, 5.0])
+    path.write_text(json.dumps(payload))
+    loaded = load_graph(path)
+    assert (big, 1, 5.0) in loaded.edge_list()
+    save_graph(loaded, path)
+    assert [big, 1, 5.0] in json.loads(path.read_text())["edges"]
+    assert load_graph(path).edge_list() == loaded.edge_list()
 
 
 def test_load_sorts_unsorted_records(fixture_graph, tmp_path):
