@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest -> build -> rank/reduce/diff/classify/cluster/...
 
-Every output file is written atomically and paired with a
-``<output>.manifest.json`` naming the command, the parameter set and the
-SHA-256 digests of all inputs and outputs, so identical inputs and flags
-reproduce identical bytes.
+Every output file is written atomically.  Each command returns the paths
+it wrote, and :func:`main` pairs each with a ``<output>.manifest.json``.
+The manifest is made from the parsed flags alone: the command line, every
+flag except the output paths (defaults included, input paths as given),
+and the SHA-256 digests of all input and output files.  Identical inputs
+and flags reproduce identical bytes.
 """
 from __future__ import annotations
 
@@ -85,12 +87,32 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifests(argv: list[str], params: dict, inputs: list[Path], outputs: list[Path]) -> None:
+# Flags (by argparse dest) that are not parameters: the subcommand, its
+# handler and the output paths.
+_NOT_PARAMETERS = ("command", "func", "out", "metrics_out", "coverage_out", "profile_out")
+# Flags that name input files.  A timeseries --snapshot value is a list of
+# [PATH, DATE] pairs, of which only the path is a file.
+_INPUT_FLAGS = ("snapshot", "graph", "subset", "reduced", "truth", "exclude", "apnic", "probes")
+
+
+def _input_paths(args) -> list[Path]:
+    paths = []
+    for dest in _INPUT_FLAGS:
+        value = getattr(args, dest, None)
+        values = [value] if isinstance(value, str) else value or []
+        paths.extend(Path(v if isinstance(v, str) else v[0]) for v in values if v)
+    return paths
+
+
+def _write_manifests(argv: list[str], args, outputs: list[Path]) -> None:
+    """Write ``<output>.manifest.json`` next to each of ``outputs``."""
+    if not outputs:
+        return
     manifest = {
         "command": argv,
-        "parameters": params,
+        "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
         "tool_version": __version__,
-        "inputs": {str(p): _digest(p) for p in inputs},
+        "inputs": {str(p): _digest(p) for p in _input_paths(args)},
         "outputs": {str(p): _digest(p) for p in outputs},
     }
     text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
@@ -180,24 +202,40 @@ def _check_k(flag: str, k: int, g) -> None:
 
 
 def _read_asns(path: str) -> dict[int, int]:
-    """Line number -> AS number of each entry of a probe or exclusion file."""
-    asns = {}
+    """AS number -> line number of each entry of a probe or exclusion file, in file order.
+
+    Raises :class:`SnapshotFormatError` naming the file, and the line of an
+    entry that is not an AS number or repeats one; or naming the file when it
+    lists no AS.
+    """
+    lines: dict[int, int] = {}
     for n, line in enumerate(read_lines(path, SnapshotFormatError), start=1):
         token = line.split("#", 1)[0].strip()
-        if token:
-            try:
-                asns[n] = int(token[2:] if token[:2].upper() == "AS" else token)
-            except ValueError as exc:
-                message = f"{path}: line {n}: {token!r} is not an AS number"
-                raise SnapshotFormatError(message) from exc
-    return asns
+        if not token:
+            continue
+        try:
+            asn = int(token[2:] if token[:2].upper() == "AS" else token)
+        except ValueError as exc:
+            message = f"{path}: line {n}: {token!r} is not an AS number"
+            raise SnapshotFormatError(message) from exc
+        if asn in lines:
+            raise SnapshotFormatError(f"{path}: line {n}: AS{asn} repeats line {lines[asn]}")
+        lines[asn] = n
+    if not lines:
+        raise SnapshotFormatError(f"{path}: the file lists no AS")
+    return lines
+
+
+def _parse_countries(text: str) -> list[str]:
+    """Country codes of a comma list, stripped and upper-cased."""
+    return [c.strip().upper() for c in text.split(",") if c.strip()]
 
 
 def _beta_from_args(args) -> BetaParams:
     return BetaParams(balanced=args.beta_b, mostly=args.beta_m, heavy=args.beta_h)
 
 
-def cmd_ingest(args, argv) -> int:
+def cmd_ingest(args) -> list[Path]:
     snapshot = parse_snapshot(args.snapshot, _parse_date("--date", args.date))
     rep = snapshot.report
     print(
@@ -245,35 +283,20 @@ def cmd_ingest(args, argv) -> int:
             ],
         }
         atomic_write_text(out, json.dumps(summary, sort_keys=True, indent=1) + "\n")
-        _write_manifests(
-            argv,
-            {"date": args.date, "validate": args.validate, "outlier_factor": args.outlier_factor},
-            [Path(args.snapshot)],
-            [out],
-        )
-    return 0
+        return [out]
+    return []
 
 
-def cmd_build(args, argv) -> int:
+def cmd_build(args) -> list[Path]:
     snapshot = parse_snapshot(args.snapshot, _parse_date("--date", args.date))
     g = build_graph(snapshot, _beta_from_args(args), min_members=args.min_members)
     out = _resolve_out(args.out)
     save_graph(g, out)
     print(f"built graph: {g.n_as} ASes, {g.n_ixp} IXPs, {g.n_edges} links -> {out}")
-    _write_manifests(
-        argv,
-        {
-            "date": args.date,
-            "beta": {"balanced": args.beta_b, "mostly": args.beta_m, "heavy": args.beta_h},
-            "min_members": args.min_members,
-        },
-        [Path(args.snapshot)],
-        [out],
-    )
-    return 0
+    return [out]
 
 
-def cmd_rank(args, argv) -> int:
+def cmd_rank(args) -> list[Path]:
     g = load_graph(args.graph)
     G = google_matrix(g, alpha=args.alpha, direction=args.direction)
     pr = pagerank(G, tol=args.tol)
@@ -282,16 +305,10 @@ def cmd_rank(args, argv) -> int:
     out = _resolve_out(args.out)
     write_rank_csv(g, table, out)
     print(f"ranked {len(table)} nodes ({args.direction}) in {pr.iterations} iterations -> {out}")
-    _write_manifests(
-        argv,
-        {"direction": args.direction, "alpha": args.alpha, "tol": args.tol, "only": args.only},
-        [Path(args.graph)],
-        [out],
-    )
-    return 0
+    return [out]
 
 
-def cmd_reduce(args, argv) -> int:
+def cmd_reduce(args) -> list[Path]:
     g = load_graph(args.graph)
     subset = read_subset_file(args.subset, g)
     G = google_matrix(g, alpha=args.alpha, direction=args.direction)
@@ -303,21 +320,10 @@ def cmd_reduce(args, argv) -> int:
     out = _resolve_out(args.out)
     write_reduced_csv(R, out)
     print(f"reduced matrix over {len(subset)} nodes ({args.direction}) -> {out}")
-    _write_manifests(
-        argv,
-        {
-            "direction": args.direction,
-            "alpha": args.alpha,
-            "tol": args.tol,
-            "censor_diagonal": args.censor_diagonal,
-        },
-        [Path(args.graph), Path(args.subset)],
-        [out],
-    )
-    return 0
+    return [out]
 
 
-def cmd_diff(args, argv) -> int:
+def cmd_diff(args) -> list[Path]:
     earlier = load_reduced_csv(args.reduced[0])
     later = load_reduced_csv(args.reduced[1])
     cap = tuple(args.cap) if args.cap else None
@@ -326,16 +332,10 @@ def cmd_diff(args, argv) -> int:
     write_change_csv(change, out)
     undefined = int(change.undefined.sum())
     print(f"diffed {len(change.labels)}x{len(change.labels)} cells ({undefined} undefined) -> {out}")
-    _write_manifests(
-        argv,
-        {"cap": list(cap) if cap else None},
-        [Path(p) for p in args.reduced],
-        [out],
-    )
-    return 0
+    return [out]
 
 
-def cmd_classify(args, argv) -> int:
+def cmd_classify(args) -> list[Path]:
     g = load_graph(args.graph)
     as_country = load_as_countries(args.truth) if args.truth else None
     assignment = classify_countries(g, rule=args.rule)
@@ -346,9 +346,8 @@ def cmd_classify(args, argv) -> int:
     outputs = [out]
     print(f"classified {g.n_as} ASes ({assignment.count(TIED)} tied) -> {out}")
 
-    inputs = [Path(args.graph)]
     if as_country is not None:
-        countries = args.countries.split(",") if args.countries else sorted(
+        countries = _parse_countries(args.countries) if args.countries else sorted(
             set(assignment) - {TIED}
         )
         metric_rows = [["country", "precision", "recall", "f1", "support"]]
@@ -356,14 +355,11 @@ def cmd_classify(args, argv) -> int:
             metric_rows.append(
                 [row.country, repr(row.precision), repr(row.recall), repr(row.f1), row.support]
             )
-        metrics_out = _resolve_out(args.metrics_out or (str(out) + ".metrics.csv"))
+        metrics_out = _resolve_out(args.metrics_out or args.out + ".metrics.csv")
         atomic_write_text(metrics_out, _csv_text(metric_rows))
         outputs.append(metrics_out)
-        inputs.append(Path(args.truth))
         print(f"classification metrics for {len(countries)} countries -> {metrics_out}")
-
-    _write_manifests(argv, {"rule": args.rule}, inputs, outputs)
-    return 0
+    return outputs
 
 
 def _ranked_nodes(g, table) -> list[list]:
@@ -374,7 +370,7 @@ def _ranked_nodes(g, table) -> list[list]:
     ]
 
 
-def cmd_hypergiants(args, argv) -> int:
+def cmd_hypergiants(args) -> list[Path]:
     g = load_graph(args.graph)
     _check_k("--k", args.k, g)
     table = top_hypergiants(g, k=args.k, alpha=args.alpha, tol=args.tol)
@@ -382,20 +378,17 @@ def cmd_hypergiants(args, argv) -> int:
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     print(f"top {args.k} diffusive ASes -> {out}")
-    _write_manifests(
-        argv, {"k": args.k, "alpha": args.alpha, "tol": args.tol}, [Path(args.graph)], [out]
-    )
-    return 0
+    return [out]
 
 
-def cmd_receivers(args, argv) -> int:
+def cmd_receivers(args) -> list[Path]:
     g = load_graph(args.graph)
     _check_k("--hypergiants-k", args.hypergiants_k, g)
-    countries = [c.strip().upper() for c in args.countries.split(",") if c.strip()]
+    countries = _parse_countries(args.countries)
     types = frozenset(
         _TYPE_SHORTHAND.get(t.strip().upper(), t.strip()) for t in args.types.split(",")
     )
-    exclusions = list(_read_asns(args.exclude).values()) if args.exclude else []
+    exclusions = list(_read_asns(args.exclude)) if args.exclude else []
     shares = load_market_shares(args.apnic) if args.apnic else None
     assignment = classify_countries(g, rule=args.rule)
     giants = top_hypergiants(g, k=args.hypergiants_k, alpha=args.alpha, tol=args.tol)
@@ -415,36 +408,20 @@ def cmd_receivers(args, argv) -> int:
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     outputs = [out]
-    inputs = [Path(args.graph)] + ([Path(args.exclude)] if args.exclude else [])
     print(f"traffic receivers for {len(countries)} countries -> {out}")
 
     if shares is not None:
         coverage = eums_coverage(g, receivers, shares)
         cov_rows = [["country", "eums_pct"]]
         cov_rows.extend([c, repr(coverage[c])] for c in countries)
-        coverage_out = _resolve_out(args.coverage_out or (str(out) + ".coverage.csv"))
+        coverage_out = _resolve_out(args.coverage_out or args.out + ".coverage.csv")
         atomic_write_text(coverage_out, _csv_text(cov_rows))
         outputs.append(coverage_out)
-        inputs.extend(Path(p) for p in args.apnic)
         print(f"market-share coverage -> {coverage_out}")
-
-    _write_manifests(
-        argv,
-        {
-            "countries": countries,
-            "types": sorted(types),
-            "hypergiants_k": args.hypergiants_k,
-            "rule": args.rule,
-            "alpha": args.alpha,
-            "tol": args.tol,
-        },
-        inputs,
-        outputs,
-    )
-    return 0
+    return outputs
 
 
-def cmd_sweep(args, argv) -> int:
+def cmd_sweep(args) -> list[Path]:
     date = _parse_date("--date", args.date)
     grid_h, grid_m = _parse_grid("--grid-h", args.grid_h), _parse_grid("--grid-m", args.grid_m)
     if not any(b < 1.0 for b in grid_h):
@@ -452,7 +429,7 @@ def cmd_sweep(args, argv) -> int:
         raise PeergraphError(message)
     probes = _read_asns(args.probes) if args.probes else None
     g = build_graph(parse_snapshot(args.snapshot, date), _beta_from_args(args))
-    for n, asn in (probes or {}).items():
+    for asn, n in (probes or {}).items():
         if not g.contains_as(asn):
             message = f"{args.probes}: line {n}: AS{asn} is not a node of the graph"
             raise SnapshotFormatError(message)
@@ -460,7 +437,7 @@ def cmd_sweep(args, argv) -> int:
         g,
         grid_heavy=grid_h,
         grid_mostly=grid_m,
-        probes=None if probes is None else list(probes.values()),
+        probes=None if probes is None else list(probes),
         alpha=args.alpha,
         tol=args.tol,
     )
@@ -480,22 +457,10 @@ def cmd_sweep(args, argv) -> int:
         f"swept {len(report.grid_heavy)}x{len(report.grid_mostly)} grid points "
         f"for {len(report.rows)} probes in {report.iterations} PageRank iterations -> {out}"
     )
-    _write_manifests(
-        argv,
-        {
-            "grid_h": args.grid_h,
-            "grid_m": args.grid_m,
-            "beta_default": {"balanced": args.beta_b, "mostly": args.beta_m, "heavy": args.beta_h},
-            "alpha": args.alpha,
-            "tol": args.tol,
-        },
-        [Path(args.snapshot)] + ([Path(args.probes)] if args.probes else []),
-        [out],
-    )
-    return 0
+    return [out]
 
 
-def cmd_cluster(args, argv) -> int:
+def cmd_cluster(args) -> list[Path]:
     g = load_graph(args.graph)
     partition = louvain_bipartite(symmetrize(g), g.n_as, seed=args.seed, shuffle=args.shuffle)
     rows = [["node", "type", "name", "community"]]
@@ -523,14 +488,10 @@ def cmd_cluster(args, argv) -> int:
         atomic_write_text(profile_out, _csv_text(prof_rows))
         outputs.append(profile_out)
         print(f"cluster profiles -> {profile_out}")
-
-    _write_manifests(
-        argv, {"seed": args.seed, "shuffle": args.shuffle}, [Path(args.graph)], outputs
-    )
-    return 0
+    return outputs
 
 
-def cmd_export(args, argv) -> int:
+def cmd_export(args) -> list[Path]:
     g = load_graph(args.graph)
     out = _resolve_out(args.out)
     if args.format == "gexf":
@@ -540,11 +501,10 @@ def cmd_export(args, argv) -> int:
     else:
         outputs = [export_weight_csv(g, out)]
     print(f"exported {args.format} -> {', '.join(str(p) for p in outputs)}")
-    _write_manifests(argv, {"format": args.format}, [Path(args.graph)], outputs)
-    return 0
+    return outputs
 
 
-def cmd_timeseries(args, argv) -> int:
+def cmd_timeseries(args) -> list[Path]:
     pairs = sorted(
         ((Path(path), _parse_date("--snapshot DATE", date)) for path, date in args.snapshot),
         key=lambda item: item[1],
@@ -574,13 +534,7 @@ def cmd_timeseries(args, argv) -> int:
             f"{fit.slope_after:.6g} Mbit/day "
             f"({fit.slope_before / 1e3:.4g} / {fit.slope_after / 1e3:.4g} Gbit/day)"
         )
-    _write_manifests(
-        argv,
-        {"fit": args.fit, "dates": [d.isoformat() for _, d in pairs]},
-        [path for path, _ in pairs],
-        [out],
-    )
-    return 0
+    return [out]
 
 
 def _add_beta_flags(parser: argparse.ArgumentParser) -> None:
@@ -719,11 +673,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        return args.func(args, ["peergraph", *argv])
+        outputs = args.func(args)
+        _write_manifests(["peergraph", *argv], args, outputs)
     except (PeergraphError, OSError) as exc:
         message = str(exc).strip() or exc.__class__.__name__
         print(f"peergraph: {message.splitlines()[0]}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

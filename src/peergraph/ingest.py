@@ -54,26 +54,11 @@ class TrafficClass(Enum):
 
     @property
     def short(self) -> str:
-        return _RATIO_SHORT[self]
+        """The initials of the class name: ``B``, ``HI``, ``HO``, ``MI``, ``MO``, ``ND``."""
+        return "".join(word[0] for word in self.value.split())
 
 
-_RATIO_BY_TEXT = {
-    "balanced": TrafficClass.BALANCED,
-    "heavy inbound": TrafficClass.HEAVY_INBOUND,
-    "heavy outbound": TrafficClass.HEAVY_OUTBOUND,
-    "mostly inbound": TrafficClass.MOSTLY_INBOUND,
-    "mostly outbound": TrafficClass.MOSTLY_OUTBOUND,
-    "not disclosed": TrafficClass.NOT_DISCLOSED,
-}
-
-_RATIO_SHORT = {
-    TrafficClass.BALANCED: "B",
-    TrafficClass.HEAVY_INBOUND: "HI",
-    TrafficClass.HEAVY_OUTBOUND: "HO",
-    TrafficClass.MOSTLY_INBOUND: "MI",
-    TrafficClass.MOSTLY_OUTBOUND: "MO",
-    TrafficClass.NOT_DISCLOSED: "ND",
-}
+_RATIO_BY_TEXT = {tc.value.lower(): tc for tc in TrafficClass}
 
 
 # Traffic-class code of an AS or an edge: the class's position in this tuple.

@@ -7,7 +7,9 @@ cells are compared numerically.
 """
 from __future__ import annotations
 
+import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from peergraph.cli import main
+from peergraph.cli import build_parser, main
 
 from conftest import DATA_DIR, FIXTURE_SNAPSHOT, GOLDEN_DIR
 
@@ -173,6 +175,21 @@ def test_classify_matches_golden(workdir, tmp_path):
     assert int(metrics["US"][4]) == 12
 
 
+def test_classify_countries_parse_like_receivers(workdir, tmp_path):
+    # Both commands strip and upper-case the comma list.
+    tables = []
+    for countries in ("DE,US", "de, US"):
+        metrics = tmp_path / f"metrics_{len(tables)}.csv"
+        assert main([
+            "classify", "--graph", str(workdir / "graph.json"),
+            "--truth", str(DATA_DIR / "asorg_fixture.csv"), "--countries", countries,
+            "--metrics-out", str(metrics), "--out", str(tmp_path / "classify.csv"),
+        ]) == 0
+        tables.append(metrics.read_bytes())
+    assert [row[0] for row in read_csv(metrics)[1][1:]] == ["DE", "US"]
+    assert tables[0] == tables[1]
+
+
 def test_hypergiants_matches_golden(workdir, tmp_path):
     out = tmp_path / "giants.csv"
     assert main([
@@ -276,8 +293,6 @@ def test_manifest_digests_cover_inputs_and_outputs(workdir):
     assert manifest["tool_version"]
     assert str(FIXTURE_SNAPSHOT) in manifest["inputs"]
     assert str(workdir / "graph.json") in manifest["outputs"]
-    import hashlib
-
     digest = hashlib.sha256((workdir / "graph.json").read_bytes()).hexdigest()
     assert manifest["outputs"][str(workdir / "graph.json")] == digest
 
@@ -295,6 +310,96 @@ def test_output_dir_env_override(workdir, tmp_path, monkeypatch, capsys):
         "rank", "--graph", str(workdir / "graph.json"), "--out", "relative.csv",
     ]) == 0
     assert (tmp_path / "relative.csv").exists()
+
+    # A relative directory prefixes the default names of secondary outputs once.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PEERGRAPH_OUTPUT_DIR", "outdir")
+    graph = str(workdir / "graph.json")
+    assert main([
+        "classify", "--graph", graph, "--truth", str(DATA_DIR / "asorg_fixture.csv"),
+        "--out", "c.csv",
+    ]) == 0
+    assert main([
+        "receivers", "--graph", graph, "--countries", "DE",
+        "--apnic", str(DATA_DIR / "apnic_fixture.csv"), "--out", "r.csv",
+    ]) == 0
+    written = sorted(p.name for p in (tmp_path / "outdir").iterdir())
+    assert written == sorted(
+        name + suffix
+        for name in ("c.csv", "c.csv.metrics.csv", "r.csv", "r.csv.coverage.csv")
+        for suffix in ("", ".manifest.json")
+    )
+    manifest = json.loads((tmp_path / "outdir" / "c.csv.manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["outdir/c.csv", "outdir/c.csv.metrics.csv"]
+
+
+# Flags (by argparse dest) that name output files; a manifest records every
+# other flag as a parameter.
+OUTPUT_FLAGS = {"out", "metrics_out", "coverage_out", "profile_out"}
+
+
+def _contract_cases(graph, reduced, tmp):
+    """Case name -> (argv without --out, the input files that argv names)."""
+    snapshot, subset = str(FIXTURE_SNAPSHOT), str(GOLDEN_DIR / "subset.txt")
+    truth, apnic = str(DATA_DIR / "asorg_fixture.csv"), str(DATA_DIR / "apnic_fixture.csv")
+    exclude, later = tmp / "exclude.txt", tmp / "later.json"
+    exclude.write_text("AS64501\n")
+    later.write_bytes(FIXTURE_SNAPSHOT.read_bytes())
+    cases = {
+        "ingest": (["ingest", "--snapshot", snapshot, "--date", DATE, "--validate",
+                    "--reference-asn", "64500"], [snapshot]),
+        "build": (["build", "--snapshot", snapshot, "--date", DATE], [snapshot]),
+        "rank": (["rank", "--graph", graph, "--only", "AS"], [graph]),
+        "reduce": (["reduce", "--graph", graph, "--subset", subset], [graph, subset]),
+        "diff": (["diff", "--reduced", *reduced], reduced),
+        "classify": (["classify", "--graph", graph, "--truth", truth, "--countries", "DE,US",
+                      "--metrics-out", str(tmp / "metrics.csv")], [graph, truth]),
+        "hypergiants": (["hypergiants", "--graph", graph, "--k", "5"], [graph]),
+        "receivers": (["receivers", "--graph", graph, "--countries", "DE,US",
+                       "--hypergiants-k", "5", "--exclude", str(exclude), "--apnic", apnic,
+                       "--coverage-out", str(tmp / "coverage.csv")], [graph, str(exclude), apnic]),
+        "sweep": (["sweep", "--snapshot", snapshot, "--date", DATE, "--grid-h", "0.9",
+                   "--grid-m", "0.7", "--probes", subset], [snapshot, subset]),
+        "cluster": (["cluster", "--graph", graph, "--profile-out", str(tmp / "profiles.csv")],
+                    [graph]),
+        "timeseries": (["timeseries", "--snapshot", snapshot, DATE,
+                        "--snapshot", str(later), "2020-02-01"], [snapshot, str(later)]),
+    }
+    for fmt in ("gexf", "edgelist", "csv"):
+        cases[f"export {fmt}"] = (["export", "--graph", graph, "--format", fmt], [graph])
+    return cases
+
+
+def _parser_dests(command):
+    """The argparse dests of ``command``'s flags, read from the CLI's own parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)
+    }
+
+
+CONTRACT_CASES = [
+    "build", "classify", "cluster", "diff", "export csv", "export edgelist", "export gexf",
+    "hypergiants", "ingest", "rank", "receivers", "reduce", "sweep", "timeseries",
+]
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_manifest_records_every_flag_and_digests_every_file(workdir, reduced, tmp_path, case):
+    cases = _contract_cases(str(workdir / "graph.json"), [str(p) for p in reduced], tmp_path)
+    argv, inputs = cases[case]
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    manifests = sorted(tmp_path.glob("*.manifest.json"))
+    assert manifests
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == ["peergraph", *argv]
+        assert set(manifest["parameters"]) == _parser_dests(argv[0]) - OUTPUT_FLAGS
+        assert sorted(manifest["inputs"]) == sorted(inputs)
+        assert str(path).removesuffix(".manifest.json") in manifest["outputs"]
+        for file, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert hashlib.sha256(Path(file).read_bytes()).hexdigest() == digest, file
 
 
 # Runs in a fresh interpreter in which ``import networkx`` fails.

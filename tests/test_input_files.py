@@ -56,15 +56,21 @@ def test_unknown_subset_entry_names_file_and_line(tmp_path, capsys):
     assert err == f"peergraph: {subset}: line 3: 'foo' is not a node of the graph\n"
 
 
-# Each case writes a subset or probe file whose entries are numbers, but not
-# ones the command can use; the message names the file and, where an entry
-# is at fault, its line.
+# Each case writes a subset, probe or exclusion file whose entries are
+# numbers, but not ones the command can use; the message names the file and,
+# where an entry is at fault, its line.
 ENTRY_DEFECTS = {
     "repeated subset entry": (
         "reduce", "AS64500\n# again, by number\n64500\n", "line 3: '64500' repeats node AS64500"
     ),
     "empty subset": ("reduce", "# nothing\n\n", "the subset lists no node"),
     "absent probe": ("sweep", "64500\nAS99999\n", "line 2: AS99999 is not a node of the graph"),
+    "repeated probe": ("sweep", "64500\nAS64500\n", "line 2: AS64500 repeats line 1"),
+    "empty probe file": ("sweep", "# no probes\n", "the file lists no AS"),
+    "repeated exclusion": (
+        "receivers", "as64501\n# again, by number\n64501\n", "line 3: AS64501 repeats line 1"
+    ),
+    "empty exclusion file": ("receivers", "\n", "the file lists no AS"),
 }
 
 
