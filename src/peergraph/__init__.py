@@ -8,7 +8,6 @@ from .analysis import (
     classification_metrics,
     classify_countries,
     eums_coverage,
-    info_ratio_summary,
     top_hypergiants,
     traffic_receivers,
 )

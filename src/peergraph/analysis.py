@@ -3,10 +3,10 @@
 Covers the country attribution of ASes from their IXP memberships, its
 validation against registration data, the extraction of highly diffusive
 ASes (reverse PageRank) and of per-country traffic receivers (forward
-PageRank), end-user market-share coverage, traffic-class summaries and
-the beta sensitivity sweep.  Every analysis takes a built
-:class:`~peergraph.graph.PeeringGraph`; the outside data are the plain
-dicts that :func:`~peergraph.ingest.load_as_countries` and
+PageRank), end-user market-share coverage and the beta sensitivity sweep.
+Every analysis takes a built :class:`~peergraph.graph.PeeringGraph`; the
+outside data are the plain dicts that
+:func:`~peergraph.ingest.load_as_countries` and
 :func:`~peergraph.ingest.load_market_shares` return.
 """
 from __future__ import annotations
@@ -195,28 +195,6 @@ def eums_coverage(
             total += shares.get((asn, country), 0.0)
         coverage[country] = total
     return coverage
-
-
-@dataclass(frozen=True)
-class ClassShares:
-    count_pct: float
-    capacity_pct: float
-
-
-def info_ratio_summary(g: PeeringGraph) -> dict[TrafficClass, ClassShares]:
-    """Share of the AS population and of the total port capacity per traffic class."""
-    capacity_per_as = g.capacity[: g.n_as]
-    counts = np.bincount(g.as_class, minlength=len(CLASSES)).tolist()
-    capacity = np.bincount(g.as_class, weights=capacity_per_as, minlength=len(CLASSES)).tolist()
-    total_count = sum(counts)
-    total_capacity = sum(capacity)
-    return {
-        tc: ClassShares(
-            count_pct=100.0 * counts[code] / total_count,
-            capacity_pct=100.0 * capacity[code] / total_capacity,
-        )
-        for code, tc in enumerate(CLASSES)
-    }
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Every output file is written atomically.  Each command returns the paths
 it wrote, and :func:`main` pairs each with a ``<output>.manifest.json``.
 The manifest is made from the parsed flags alone: the command line, every
 flag except the output paths (defaults included, input paths as given),
-and the SHA-256 digests of all input and output files.  Identical inputs
-and flags reproduce identical bytes.
+and the SHA-256 digests of all input and output files.  Inputs are
+digested before the command runs, so they are recorded as the command
+read them.  Identical inputs and flags reproduce identical bytes.
 """
 from __future__ import annotations
 
@@ -104,7 +105,7 @@ def _input_paths(args) -> list[Path]:
     return paths
 
 
-def _write_manifests(argv: list[str], args, outputs: list[Path]) -> None:
+def _write_manifests(argv: list[str], args, inputs: dict[str, str], outputs: list[Path]) -> None:
     """Write ``<output>.manifest.json`` next to each of ``outputs``."""
     if not outputs:
         return
@@ -112,7 +113,7 @@ def _write_manifests(argv: list[str], args, outputs: list[Path]) -> None:
         "command": argv,
         "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
         "tool_version": __version__,
-        "inputs": {str(p): _digest(p) for p in _input_paths(args)},
+        "inputs": inputs,
         "outputs": {str(p): _digest(p) for p in outputs},
     }
     text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
@@ -226,9 +227,17 @@ def _read_asns(path: str) -> dict[int, int]:
     return lines
 
 
+def _parse_list(flag: str, text: str) -> list[str]:
+    """The stripped, non-empty items of a comma list; refuses a list with none."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise PeergraphError(f"{flag} {text!r} lists nothing")
+    return items
+
+
 def _parse_countries(text: str) -> list[str]:
-    """Country codes of a comma list, stripped and upper-cased."""
-    return [c.strip().upper() for c in text.split(",") if c.strip()]
+    """Country codes of a ``--countries`` comma list, upper-cased."""
+    return [c.upper() for c in _parse_list("--countries", text)]
 
 
 def _beta_from_args(args) -> BetaParams:
@@ -336,6 +345,7 @@ def cmd_diff(args) -> list[Path]:
 
 
 def cmd_classify(args) -> list[Path]:
+    countries = None if args.countries is None else _parse_countries(args.countries)
     g = load_graph(args.graph)
     as_country = load_as_countries(args.truth) if args.truth else None
     assignment = classify_countries(g, rule=args.rule)
@@ -347,9 +357,8 @@ def cmd_classify(args) -> list[Path]:
     print(f"classified {g.n_as} ASes ({assignment.count(TIED)} tied) -> {out}")
 
     if as_country is not None:
-        countries = _parse_countries(args.countries) if args.countries else sorted(
-            set(assignment) - {TIED}
-        )
+        if countries is None:
+            countries = sorted(set(assignment) - {TIED})
         metric_rows = [["country", "precision", "recall", "f1", "support"]]
         for row in classification_metrics(g, assignment, as_country, countries):
             metric_rows.append(
@@ -382,12 +391,12 @@ def cmd_hypergiants(args) -> list[Path]:
 
 
 def cmd_receivers(args) -> list[Path]:
-    g = load_graph(args.graph)
-    _check_k("--hypergiants-k", args.hypergiants_k, g)
     countries = _parse_countries(args.countries)
     types = frozenset(
-        _TYPE_SHORTHAND.get(t.strip().upper(), t.strip()) for t in args.types.split(",")
+        _TYPE_SHORTHAND.get(t.upper(), t) for t in _parse_list("--types", args.types)
     )
+    g = load_graph(args.graph)
+    _check_k("--hypergiants-k", args.hypergiants_k, g)
     exclusions = list(_read_asns(args.exclude)) if args.exclude else []
     shares = load_market_shares(args.apnic) if args.apnic else None
     assignment = classify_countries(g, rule=args.rule)
@@ -673,8 +682,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
+        inputs = {str(p): _digest(p) for p in _input_paths(args)}
         outputs = args.func(args)
-        _write_manifests(["peergraph", *argv], args, outputs)
+        _write_manifests(["peergraph", *argv], args, inputs, outputs)
     except (PeergraphError, OSError) as exc:
         message = str(exc).strip() or exc.__class__.__name__
         print(f"peergraph: {message.splitlines()[0]}", file=sys.stderr)

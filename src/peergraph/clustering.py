@@ -17,8 +17,8 @@ current community, and candidate communities are scanned in ascending id
 so the whole procedure is deterministic for a fixed visit order.
 Communities are node-aligned int64 columns numbered by first appearance.
 
-scipy is imported where a sparse matrix is built (:func:`_aggregate`); the
-other sparse matrices here come from the graph's weight matrix.
+scipy is imported where a sparse matrix is built (:func:`symmetrize` and
+:func:`_aggregate`).
 """
 from __future__ import annotations
 
@@ -40,11 +40,19 @@ _GAIN_EPS = 1e-12
 def symmetrize(g: PeeringGraph) -> sparse.csr_matrix:
     """The undirected weights ``A = W + W^T`` as CSR with sorted indices.
 
-    An edge with port size ps and coefficient beta contributes
+    Each edge puts the sum of its two directed weights at (AS, IXP) and at
+    (IXP, AS): an edge with port size ps and coefficient beta contributes
     ``(2 - beta) * ps``.  Node order is the graph's: ASes are nodes
     ``0 .. g.n_as - 1``.
     """
-    A = (g.W + g.W.T).tocsr()
+    from scipy import sparse
+
+    into_as, into_ixp = g.edge_weights(g.beta)
+    weight = into_as + into_ixp
+    rows = np.concatenate([g.edge_as, g.edge_ixp])
+    cols = np.concatenate([g.edge_ixp, g.edge_as])
+    n = g.n_nodes
+    A = sparse.csr_matrix((np.concatenate([weight, weight]), (rows, cols)), shape=(n, n))
     A.sort_indices()
     return A
 

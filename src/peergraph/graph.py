@@ -9,17 +9,14 @@ carries ``(1 - beta) * ps`` with a per-class beta coefficient.
 
 A graph stores its aggregated edges as columns sorted by (asn, ixp_id):
 AS node index, IXP node index, port size and the AS's traffic-class code.
-The weight matrix is one vectorized function of those columns and a
-:class:`BetaParams` (:meth:`PeeringGraph.weights`, whose entries are the
-per-edge :meth:`PeeringGraph.edge_weights`), so re-weighting a graph for
-another beta reuses its edges without rebuilding the graph.
-Each node's total port capacity is a node column as well
-(:attr:`PeeringGraph.capacity`).
-
-``W[i, j]`` is the weight of the directed link ``j -> i``.
-
-scipy is imported where a sparse matrix is built (:meth:`PeeringGraph.weights`),
-so code that never asks for ``W`` does not load it.
+They are the graph's one copy of its edges: the directed weights are one
+vectorized function of them and a :class:`BetaParams`
+(:meth:`PeeringGraph.edge_weights`, listed as links by
+:meth:`PeeringGraph.links`), so re-weighting a graph for another beta
+reuses its edges without rebuilding the graph.  Each node's total port
+capacity is a node column as well (:attr:`PeeringGraph.capacity`).  The
+links as a sparse matrix, ``PeeringGraph.W``, are kept only for the
+benchmark tracer.
 """
 from __future__ import annotations
 
@@ -89,11 +86,12 @@ class PeeringGraph:
     - ``port_size``: aggregated port size, finite and positive;
     - ``edge_class``: traffic-class code of the AS.
 
-    ``W`` is :meth:`weights` at the graph's own ``beta``, and ``capacity``
-    is the read-only float64 node column of total port capacity: the sum
-    of the port sizes of a node's edges, in edge order.  ``by_ixp`` is the
-    read-only permutation that sorts the edges by (ixp_id, asn), computed
-    once per graph; the Google operator stores the edges in that order.
+    ``capacity`` is the read-only float64 node column of total port
+    capacity: the sum of the port sizes of a node's edges, in edge order.
+    ``by_ixp`` is the read-only permutation that sorts the edges by
+    (ixp_id, asn), computed once per graph; the Google operator stores the
+    edges in that order.  ``W`` is :meth:`links` as a sparse matrix, kept
+    only for the benchmark tracer.
     """
 
     date: Date | None
@@ -175,11 +173,6 @@ class PeeringGraph:
         """The (asn, ixp_id) of each edge, in edge order."""
         return self.asn[self.edge_as], self.ixp_id[self.edge_ixp - self.n_as]
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        """The aggregated edges as (asn, ixp_id, port size), sorted."""
-        asn, ixp_id = self.edge_ids()
-        return list(zip(asn.tolist(), ixp_id.tolist(), self.port_size.tolist()))
-
     def edge_weights(self, beta: BetaParams) -> tuple[np.ndarray, np.ndarray]:
         """The two directed weights of every edge under ``beta``, in edge order.
 
@@ -194,26 +187,33 @@ class PeeringGraph:
             np.where(outbound, self.port_size, minor),
         )
 
-    def weights(self, beta: BetaParams) -> sparse.csr_matrix:
-        """Directed weight matrix of this graph's edges under ``beta``.
+    def links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source, target, weight) of every directed link of positive weight.
 
-        The entries are :meth:`edge_weights`; zero weights (beta = 1) are
-        left out of the sparsity pattern.  Indices are sorted.
+        The weights are :meth:`edge_weights` at the graph's own ``beta``:
+        first the links IXP -> AS, then AS -> IXP, each in edge order.
+        Links of zero weight (beta = 1) are left out.
         """
-        from scipy import sparse
-
-        n = self.n_nodes
-        rows = np.concatenate([self.edge_as, self.edge_ixp])
-        cols = np.concatenate([self.edge_ixp, self.edge_as])
-        data = np.concatenate(self.edge_weights(beta))
-        keep = data > 0.0
-        W = sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
-        W.sort_indices()
-        return W
+        into_as, into_ixp = self.edge_weights(self.beta)
+        source = np.concatenate([self.edge_ixp, self.edge_as])
+        target = np.concatenate([self.edge_as, self.edge_ixp])
+        weight = np.concatenate([into_as, into_ixp])
+        keep = weight > 0.0
+        return source[keep], target[keep], weight[keep]
 
     @cached_property
     def W(self) -> sparse.csr_matrix:
-        return self.weights(self.beta)
+        """:meth:`links` as CSR with sorted indices: ``W[i, j]`` is the link ``j -> i``.
+
+        No command reads it; it is kept because the benchmark tracer reports
+        ``W.nnz`` as the graph size.  scipy is imported only here.
+        """
+        from scipy import sparse
+
+        source, target, weight = self.links()
+        W = sparse.csr_matrix((weight, (target, source)), shape=(self.n_nodes, self.n_nodes))
+        W.sort_indices()
+        return W
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

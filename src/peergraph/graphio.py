@@ -71,8 +71,8 @@ def save_graph(g: PeeringGraph, path: str | Path) -> Path:
     """Serialize a graph to the native JSON format.
 
     The file stores the aggregated edge list (asn, ixp_id, port size), the
-    node metadata tables and the beta coefficients; the weight matrix is
-    rebuilt exactly on load.  The text is what ``json.dumps(payload,
+    node metadata tables and the beta coefficients; the directed weights
+    are rebuilt exactly on load.  The text is what ``json.dumps(payload,
     sort_keys=True, indent=1)`` gives, built from the graph's columns.
     """
     as_nodes = list(map(
@@ -309,12 +309,12 @@ def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
             labels, g.names, g.kinds, countries, capacity
         )
     ]
-    by_source = g.W.tocsc()  # W[target, source]; row indices stay sorted
-    sources = np.repeat(np.arange(g.n_nodes), np.diff(by_source.indptr))
+    source, target, weight = g.links()
+    order = np.lexsort((target, source))
     edges = [
         f'      <edge source="{labels[s]}" target="{labels[t]}" id="{k}" weight="{w!r}" />\n'
         for k, (s, t, w) in enumerate(
-            zip(sources.tolist(), by_source.indices.tolist(), by_source.data.tolist())
+            zip(source[order].tolist(), target[order].tolist(), weight[order].tolist())
         )
     ]
     date = f' lastmodifieddate="{g.date.isoformat()}"' if g.date else ""
@@ -326,6 +326,9 @@ def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
         *_gexf_list("edges", edges),
         "  </graph>\n</gexf>\n",
     ])
+    # Free the pieces before the text is encoded, so that they and the encoded
+    # bytes are never held at once: this is the largest text the package writes.
+    del nodes, edges
     if not text.isascii():
         # Lone surrogates in names become character references, as
         # ElementTree writes them.
@@ -368,10 +371,9 @@ def export_edgelist(g: PeeringGraph, path: str | Path) -> list[Path]:
 
 def export_weight_csv(g: PeeringGraph, path: str | Path) -> Path:
     """Directed weighted edge triples (source, target, weight)."""
-    coo = g.W.tocoo()
+    labels = g.labels
     triples = sorted(
-        (g.labels[src], g.labels[dst], float(w))
-        for dst, src, w in zip(coo.row, coo.col, coo.data)
+        (labels[s], labels[t], w) for s, t, w in zip(*(column.tolist() for column in g.links()))
     )
     rows = [["source", "target", "weight"]]
     rows.extend([s, t, repr(w)] for s, t, w in triples)

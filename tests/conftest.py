@@ -10,6 +10,8 @@ import pytest
 from peergraph.graph import BetaParams, build_graph
 from peergraph.ingest import RawSnapshot, TrafficClass
 
+from oracles import edge_list
+
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURE_SNAPSHOT = DATA_DIR / "fixture_snapshot.json"
@@ -106,7 +108,7 @@ def random_snapshot(
 
 def edge_dict(g) -> dict[tuple[int, int], float]:
     """(asn, ixp_id) -> aggregated port size of a graph's edges."""
-    return {(asn, ixp_id): ps for asn, ixp_id, ps in g.edge_list()}
+    return {(asn, ixp_id): ps for asn, ixp_id, ps in edge_list(g)}
 
 
 def random_graph(rng: np.random.Generator, max_as: int = 120, max_ixp: int = 40):

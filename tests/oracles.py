@@ -19,7 +19,8 @@ Louvain that numbers communities and super nodes with dicts and reads
 numpy arrays one element at a time (:func:`dict_louvain`, with
 :func:`dict_first_seen` and :func:`dict_aggregate`), and the
 classification metrics that rescan every (predicted, truth) pair three
-times per country (:func:`rescan_metrics`).
+times per country (:func:`rescan_metrics`).  :func:`edge_list` is the
+graph's old list view of its edges, which only the tests read.
 """
 from __future__ import annotations
 
@@ -378,12 +379,19 @@ def cold_sweep(snapshot, grid_h, grid_m, probes, beta_default, alpha, tol) -> di
     return result
 
 
+def edge_list(g) -> list[tuple[int, int, float]]:
+    """The aggregated edges of a graph as (asn, ixp_id, port size), in edge order."""
+    asn, ixp_id = g.edge_ids()
+    return list(zip(asn.tolist(), ixp_id.tolist(), g.port_size.tolist()))
+
+
 def networkx_gexf(g) -> str:
     """GEXF text of a graph written by networkx from a ``DiGraph``.
 
     Nodes are added in index order with their label and attributes, then
-    one edge per stored entry of ``W`` in COO order.  The ``<meta>``
-    header names the day of writing and the networkx version.
+    one edge per directed link of positive weight, its weight worked out
+    edge by edge from the AS's class, in (source, target) order.  The
+    ``<meta>`` header names the day of writing and the networkx version.
     """
     import io
 
@@ -399,9 +407,17 @@ def networkx_gexf(g) -> str:
             country=country,
             port_capacity=float(g.capacity[i]),
         )
-    coo = g.W.tocoo()
-    for dst, src, weight in zip(coo.row, coo.col, coo.data):
-        graph.add_edge(g.labels[src], g.labels[dst], weight=float(weight))
+    classes = tuple(TrafficClass)
+    as_class = g.as_class.tolist()
+    links = []
+    for a, x, ps in zip(g.edge_as.tolist(), g.edge_ixp.tolist(), g.port_size.tolist()):
+        tc = classes[as_class[a]]
+        minor = (1.0 - g.beta.for_class(tc)) * ps
+        to_as, to_ixp = (minor, ps) if tc.is_outbound else (ps, minor)
+        links += [(x, a, to_as), (a, x, to_ixp)]
+    for src, dst, weight in sorted(links):
+        if weight > 0.0:
+            graph.add_edge(g.labels[src], g.labels[dst], weight=weight)
     buffer = io.BytesIO()
     nx.write_gexf(graph, buffer)
     return buffer.getvalue().decode("utf-8")
@@ -431,7 +447,7 @@ def json_graph_text(g) -> str:
             {"id": ixp_id, "name": name, "country": country}
             for ixp_id, name, country in zip(g.ixp_id.tolist(), g.ixp_name, g.ixp_country)
         ],
-        "edges": [list(edge) for edge in g.edge_list()],
+        "edges": [list(edge) for edge in edge_list(g)],
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 

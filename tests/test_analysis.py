@@ -14,7 +14,6 @@ from peergraph.analysis import (
     classify_countries,
     default_probes,
     eums_coverage,
-    info_ratio_summary,
     top_hypergiants,
     traffic_receivers,
 )
@@ -301,34 +300,6 @@ def test_eums_absent_country_is_zero():
     tables = traffic_receivers(g, classify_countries(g), ["DE"], hypergiant_asns=[1])
     coverage = eums_coverage(g, tables, {})
     assert coverage == {"DE": 0.0}
-
-
-# --- info_ratio summary ---
-
-
-def test_all_balanced_summary():
-    g = build_graph(make_snapshot([(5, TC.BALANCED)], [(1, "DE")], [(5, 1, 10.0)]))
-    shares = info_ratio_summary(g)
-    assert shares[TC.BALANCED].count_pct == 100.0
-    assert shares[TC.BALANCED].capacity_pct == 100.0
-
-
-def test_summary_shares():
-    snap = make_snapshot(
-        [(1, TC.HEAVY_OUTBOUND), (2, TC.BALANCED)],
-        [(1, "DE")],
-        [(1, 1, 90.0), (2, 1, 10.0)],
-    )
-    shares = info_ratio_summary(build_graph(snap))
-    assert shares[TC.HEAVY_OUTBOUND].capacity_pct == pytest.approx(90.0)
-    assert shares[TC.BALANCED].capacity_pct == pytest.approx(10.0)
-    assert shares[TC.HEAVY_OUTBOUND].count_pct == pytest.approx(50.0)
-
-
-def test_summary_sums_to_hundred(fixture_graph):
-    shares = info_ratio_summary(fixture_graph)
-    assert sum(s.count_pct for s in shares.values()) == pytest.approx(100.0, abs=1e-9)
-    assert sum(s.capacity_pct for s in shares.values()) == pytest.approx(100.0, abs=1e-9)
 
 
 # --- beta stability sweep ---

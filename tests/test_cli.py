@@ -304,6 +304,40 @@ def test_missing_input_is_single_line_error(tmp_path, capsys):
     assert err.startswith("peergraph:") and err.count("\n") == 1
 
 
+def test_manifest_digests_an_input_as_it_was_before_the_run(workdir, tmp_path):
+    # An output written over its own input: the manifest records the graph the
+    # command read, not the rank table that replaced it.
+    graph = tmp_path / "g.json"
+    graph.write_bytes((workdir / "graph.json").read_bytes())
+    before = hashlib.sha256(graph.read_bytes()).hexdigest()
+    assert main(["rank", "--graph", str(graph), "--out", str(graph)]) == 0
+    manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+    after = hashlib.sha256(graph.read_bytes()).hexdigest()
+    assert before != after
+    assert manifest["inputs"] == {str(graph): before}
+    assert manifest["outputs"] == {str(graph): after}
+
+
+# A comma list with no item: the flag and the command's other arguments.
+EMPTY_LISTS = {
+    "receivers --countries": ("--countries", ["receivers", "--countries", ","]),
+    "classify --countries": ("--countries", [
+        "classify", "--truth", str(DATA_DIR / "asorg_fixture.csv"), "--countries", ",",
+    ]),
+    "receivers --types": ("--types", ["receivers", "--countries", "DE", "--types", ","]),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_LISTS))
+def test_an_empty_list_flag_is_refused(workdir, tmp_path, capsys, case):
+    flag, argv = EMPTY_LISTS[case]
+    out = tmp_path / "out" / "table.csv"
+    rc = main([*argv, "--graph", str(workdir / "graph.json"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"peergraph: {flag} ','")
+    assert not out.parent.exists()
+
+
 def test_output_dir_env_override(workdir, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PEERGRAPH_OUTPUT_DIR", str(tmp_path))
     assert main([
@@ -455,7 +489,7 @@ for argv in json.loads(sys.argv[1]):
 
 def test_commands_that_build_no_sparse_matrix_never_import_scipy(workdir, reduced, tmp_path):
     # scipy.sparse is imported where a sparse matrix is built, so the package
-    # import and these six commands start without paying for it.
+    # import and these eight commands start without paying for it.
     graph = str(workdir / "graph.json")
     out = str(tmp_path)
     commands = [
@@ -465,6 +499,8 @@ def test_commands_that_build_no_sparse_matrix_never_import_scipy(workdir, reduce
         ["classify", "--graph", graph, "--truth", str(DATA_DIR / "asorg_fixture.csv"),
          "--out", f"{out}/classify.csv"],
         ["export", "--graph", graph, "--format", "edgelist", "--out", f"{out}/edges.csv"],
+        ["export", "--graph", graph, "--format", "gexf", "--out", f"{out}/graph.gexf"],
+        ["export", "--graph", graph, "--format", "csv", "--out", f"{out}/weights.csv"],
         ["diff", "--reduced", str(reduced[0]), str(reduced[1]), "--out", f"{out}/diff.csv"],
         ["timeseries", "--snapshot", str(FIXTURE_SNAPSHOT), DATE, "--out", f"{out}/ts.csv"],
         # rank builds the Google operator: the probe must see scipy arrive.

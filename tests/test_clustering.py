@@ -28,7 +28,9 @@ from oracles import (
     dict_aggregate,
     dict_first_seen,
     dict_louvain,
+    loop_weight_matrix,
 )
+from test_graphio import BETAS
 
 TC = TrafficClass
 
@@ -59,8 +61,16 @@ def test_heavy_outbound_edge_sums_both_directions():
     assert A[g.as_index(1), g.ixp_index(1)] == 100.0 + (1.0 - 0.95) * 100.0
 
 
-def test_symmetrization_is_exact(fixture_graph):
-    A = symmetrize(fixture_graph)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), beta=BETAS)
+def test_symmetrization_is_exact(seed, beta):
+    snap = random_snapshot(np.random.default_rng(seed))
+    A = symmetrize(build_graph(snap, beta))
+    Wl = loop_weight_matrix(snap, beta)
+    expected = (Wl + Wl.T).tocsr()
+    expected.sort_indices()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, part), getattr(expected, part)), part
     assert (A != A.T).nnz == 0
 
 

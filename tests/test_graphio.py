@@ -45,8 +45,12 @@ from conftest import (
     make_snapshot,
     node_columns,
     random_graph,
+    random_snapshot,
 )
-from oracles import json_graph_text, networkx_gexf
+from oracles import edge_list, json_graph_text, loop_weight_matrix, networkx_gexf
+
+# The default beta and the all-ones beta, which leaves links of zero weight.
+BETAS = st.sampled_from([BetaParams(), BetaParams(balanced=1.0, mostly=1.0, heavy=1.0)])
 
 TC = TrafficClass
 
@@ -196,10 +200,10 @@ def test_edge_ids_beyond_float_precision_round_trip(fixture_graph, tmp_path):
     payload["edges"].append([big, 1, 5.0])
     path.write_text(json.dumps(payload))
     loaded = load_graph(path)
-    assert (big, 1, 5.0) in loaded.edge_list()
+    assert (big, 1, 5.0) in edge_list(loaded)
     save_graph(loaded, path)
     assert [big, 1, 5.0] in json.loads(path.read_text())["edges"]
-    assert load_graph(path).edge_list() == loaded.edge_list()
+    assert edge_list(load_graph(path)) == edge_list(loaded)
 
 
 def test_load_sorts_unsorted_records(fixture_graph, tmp_path):
@@ -211,7 +215,7 @@ def test_load_sorts_unsorted_records(fixture_graph, tmp_path):
     path.write_text(json.dumps(payload))
     loaded = load_graph(path)
     assert column_values(loaded, NODE_COLUMNS) == column_values(fixture_graph, NODE_COLUMNS)
-    assert loaded.edge_list() == fixture_graph.edge_list()
+    assert edge_list(loaded) == edge_list(fixture_graph)
     assert (loaded.W != fixture_graph.W).nnz == 0
 
 
@@ -255,7 +259,7 @@ def test_edgelist_export_writes_nothing_for_text_utf8_cannot_hold(fixture_graph,
     ixp_name = tuple("\ud800bad" if i == 2 else name for i, name in enumerate(ixp_name))
     g = _assemble(
         as_columns, (ixp_id, ixp_name, ixp_country),
-        *zip(*fixture_graph.edge_list()), fixture_graph.beta, fixture_graph.date,
+        *zip(*edge_list(fixture_graph)), fixture_graph.beta, fixture_graph.date,
     )
     with pytest.raises(UnicodeEncodeError):
         export_edgelist(g, tmp_path / "e.csv")
@@ -411,15 +415,35 @@ def test_edgelist_export(fixture_graph, tmp_path):
     assert len(lines) == 1 + fixture_graph.n_edges
 
 
-def test_weight_csv_export(tmp_path):
-    snap = make_snapshot([(1, TC.HEAVY_OUTBOUND)], [(1, "DE")], [(1, 1, 100.0)])
-    g = build_graph(snap)
-    out = tmp_path / "w.csv"
-    export_weight_csv(g, out)
-    lines = out.read_text().splitlines()
+def loop_labels(snap) -> list[str]:
+    """Node labels in the order of :func:`oracles.loop_weight_matrix`."""
+    positive = snap.port_size > 0.0
+    as_ids = sorted(set(snap.port_asn[positive].tolist()))
+    ixp_ids = sorted(set(snap.port_ixp_id[positive].tolist()))
+    return [f"AS{a}" for a in as_ids] + [f"IX{x}" for x in ixp_ids]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), beta=BETAS)
+def test_weight_csv_export(seed, beta):
+    one_edge = build_graph(make_snapshot([(1, TC.HEAVY_OUTBOUND)], [(1, "DE")], [(1, 1, 100.0)]))
+    snap = random_snapshot(np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = export_weight_csv(one_edge, Path(tmp) / "one.csv").read_text().splitlines()
+        text = export_weight_csv(build_graph(snap, beta), Path(tmp) / "w.csv").read_text()
     assert lines[0] == "source,target,weight"
     assert "AS1,IX1,100.0" in lines
     assert f"IX1,AS1,{(1.0 - 0.95) * 100.0!r}" in lines
+
+    # Every stored entry of the loop oracle, as sorted (source, target) label triples.
+    labels = loop_labels(snap)
+    coo = loop_weight_matrix(snap, beta).tocoo()
+    triples = sorted(
+        (labels[src], labels[dst], w)
+        for dst, src, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+    )
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows == [["source", "target", "weight"], *([s, t, repr(w)] for s, t, w in triples)]
 
 
 def test_gexf_export_parses(fixture_graph, tmp_path):
@@ -459,7 +483,6 @@ AWKWARD_TEXT = st.text(st.sampled_from("&<>\"'\t\n\r aZ0éß中\U0001f600\ud800"
 JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\t\n aZ0é中\U0001f600\ud800'), max_size=6)
 # Text a graph file can hold: no lone surrogate.
 FILE_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\t\n aZ0é中\U0001f600'), max_size=6)
-BETAS = st.sampled_from([BetaParams(), BetaParams(balanced=1.0, mostly=1.0, heavy=1.0)])
 
 
 def relabelled_graph(seed, beta, names, countries, date, edgeless):
@@ -477,7 +500,7 @@ def relabelled_graph(seed, beta, names, countries, date, edgeless):
         [_pick(names[::-1], i, name) for i, name in enumerate(g.ixp_name)],
         [_pick(countries, i, country) for i, country in enumerate(g.ixp_country)],
     )
-    edges = [] if edgeless else g.edge_list()
+    edges = [] if edgeless else edge_list(g)
     asn, ixp_id, ps = zip(*edges) if edges else ((), (), ())
     return _assemble(as_columns, ixp_columns, asn, ixp_id, ps, beta, date)
 

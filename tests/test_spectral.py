@@ -71,7 +71,7 @@ def mirrored(snap):
 
 def dense_weights(g, direction: str = "forward", beta: BetaParams | None = None) -> np.ndarray:
     """The graph's weight matrix, transposed for ``direction="reverse"``."""
-    W = g.weights(beta or g.beta).toarray()
+    W = replace(g, beta=beta or g.beta).W.toarray()
     return W if direction == "forward" else W.T
 
 
