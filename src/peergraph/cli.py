@@ -529,21 +529,28 @@ def cmd_timeseries(args) -> list[Path]:
             )
     snapshots = [parse_snapshot(path, date) for path, date in pairs]
     series = capacity_timeseries(snapshots)
-    fit = fit_breakpoint(series) if args.fit else None
     rows = [["date", "total_capacity_mbit"]]
     rows.extend([d.isoformat(), repr(v)] for d, v in series)
     out = _resolve_out(args.out)
     atomic_write_text(out, _csv_text(rows))
     print(f"capacity series over {len(series)} snapshots -> {out}")
+    if not args.fit:
+        return [out]
 
-    if fit is not None:
-        # Input unit is Mbit/s per day; report Gbit/day alongside.
-        print(
-            f"breakpoint {fit.breakpoint}: slopes {fit.slope_before:.6g} / "
-            f"{fit.slope_after:.6g} Mbit/day "
-            f"({fit.slope_before / 1e3:.4g} / {fit.slope_after / 1e3:.4g} Gbit/day)"
-        )
-    return [out]
+    fit = fit_breakpoint(series)
+    fit_out = _resolve_out(args.out + ".fit.csv")
+    atomic_write_text(fit_out, _csv_text([
+        ["breakpoint", "slope_before_mbit_per_day", "slope_after_mbit_per_day", "sse"],
+        [fit.breakpoint.isoformat(), repr(fit.slope_before), repr(fit.slope_after),
+         repr(fit.sse)],
+    ]))
+    # Input unit is Mbit/s per day; report Gbit/day alongside.
+    print(
+        f"breakpoint {fit.breakpoint}: slopes {fit.slope_before:.6g} / "
+        f"{fit.slope_after:.6g} Mbit/day "
+        f"({fit.slope_before / 1e3:.4g} / {fit.slope_after / 1e3:.4g} Gbit/day) -> {fit_out}"
+    )
+    return [out, fit_out]
 
 
 def _add_beta_flags(parser: argparse.ArgumentParser) -> None:
@@ -669,7 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("PATH", "DATE"),
         help="repeatable snapshot/date pair",
     )
-    p.add_argument("--fit", action="store_true", help="piecewise-linear breakpoint fit")
+    p.add_argument(
+        "--fit", action="store_true", help="piecewise-linear breakpoint fit, to <out>.fit.csv"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_timeseries)
 

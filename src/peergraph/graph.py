@@ -254,7 +254,9 @@ def _assemble(
 
     ``as_columns`` is (asn, traffic-class code, name, scope, type) and
     ``ixp_columns`` is (ixp_id, name, country), one entry per node in any
-    order.  Nodes are sorted by id and edges by (asn, ixp_id).  Raises
+    order.  Nodes are sorted by id and edges by (asn, ixp_id); the edges
+    are sorted only when they are not already in that order, as those of
+    a saved graph always are.  Raises
     ``ValueError`` naming the record when a node id is listed twice, an
     edge names an unlisted node or appears twice, or a port size is not
     finite and positive.
@@ -265,7 +267,7 @@ def _assemble(
 
     edge_asn = np.asarray(edge_asn, dtype=np.int64)
     edge_ixp_id = np.asarray(edge_ixp_id, dtype=np.int64)
-    port_size = np.asarray(port_size, dtype=np.float64)
+    port_size = np.array(port_size, dtype=np.float64)
     bad = ~(np.isfinite(port_size) & (port_size > 0.0))
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
@@ -282,9 +284,12 @@ def _assemble(
             f"edge AS{edge_asn[k]}-IX{edge_ixp_id[k]} names a node that is not listed"
         )
 
-    order = np.lexsort((x, a))
-    a, x = a[order], x[order]
-    repeated = (a[1:] == a[:-1]) & (x[1:] == x[:-1])
+    step_a, step_x = np.diff(a), np.diff(x)
+    if np.any((step_a < 0) | ((step_a == 0) & (step_x < 0))):
+        order = np.lexsort((x, a))
+        a, x, port_size = a[order], x[order], port_size[order]
+        step_a, step_x = np.diff(a), np.diff(x)
+    repeated = (step_a == 0) & (step_x == 0)
     if repeated.any():
         k = int(np.flatnonzero(repeated)[0])
         raise ValueError(f"edge AS{asn[a[k]]}-IX{ixp_id[x[k]]} is listed twice")
@@ -302,7 +307,7 @@ def _assemble(
         ixp_country=ixp_country,
         edge_as=_frozen(a),
         edge_ixp=_frozen(asn.size + x),
-        port_size=_frozen(port_size[order]),
+        port_size=_frozen(port_size),
         edge_class=_frozen(as_class[a]),
     )
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import SnapshotFormatError
 from .graph import BetaParams, PeeringGraph, _assemble
-from .ingest import CLASSES, _is_utf8, _not_utf8, csv_rows, read_lines
+from .ingest import CLASSES, _collector_paused, _is_utf8, _not_utf8, csv_rows, read_lines
 from .spectral import ChangeMatrix, RankTable, ReducedGoogleMatrix
 
 GRAPH_FORMAT = "peergraph-graph"
@@ -169,6 +169,7 @@ def _node_error(path, key: str, records: list) -> SnapshotFormatError:
     return SnapshotFormatError(f"{path}: {key} is malformed")
 
 
+@_collector_paused
 def load_graph(path: str | Path) -> PeeringGraph:
     """Load a graph produced by :func:`save_graph`.
 
@@ -179,6 +180,9 @@ def load_graph(path: str | Path) -> PeeringGraph:
     is missing, a node field has the wrong JSON type or holds a lone
     surrogate, a node id is listed twice, an edge names an unlisted node
     or is listed twice, or a port size is not finite and positive.
+
+    The cyclic garbage collector is paused during the call: the decoded
+    file holds no cycle, so a collection over it would only cost time.
     """
     data = Path(path).read_bytes()
     try:

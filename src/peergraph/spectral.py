@@ -298,7 +298,9 @@ def _solve_complement(
     a = np.flatnonzero(~on_x)
     A_xa = A_ss[x][:, a]
     A_ax = A_ss[a][:, x]
-    K = np.eye(x.size) - alpha**2 * (A_xa @ A_ax).toarray()
+    K = (A_xa @ A_ax).toarray()
+    K *= -(alpha**2)
+    K.flat[:: x.size + 1] += 1.0
     Y = np.empty_like(rhs)
     Y[x] = np.linalg.solve(K, rhs[x] + alpha * (A_xa @ rhs[a]))
     Y[a] = rhs[a] + alpha * (A_ax @ Y[x])
@@ -349,11 +351,11 @@ def reduced_google_matrix(
         ones_s = np.ones(s.size)
 
         def apply_G_ss(Y: np.ndarray) -> np.ndarray:
-            return (
-                alpha * (A_ss @ Y)
-                + (alpha / n) * np.outer(ones_s, dang_s @ Y)
-                + base * np.outer(ones_s, Y.sum(axis=0))
-            )
+            # The dangling and teleport terms are the same in every row.
+            GY = alpha * (A_ss @ Y)
+            GY += (alpha / n) * (dang_s @ Y)
+            GY += base * Y.sum(axis=0)
+            return GY
 
         HZ = _solve_complement(A_ss, alpha, s >= G.n_as, np.column_stack([ones_s, B]))
         h, Z = HZ[:, 0], HZ[:, 1:]

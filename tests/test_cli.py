@@ -286,6 +286,14 @@ def test_timeseries_fit(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "breakpoint" in printed  # constant series: slopes are zero
     assert "0 / 0 Gbit/day" in printed
+    # The fit goes to a table named from --out; the first of tied breakpoints wins.
+    fit = tmp_path / "series.csv.fit.csv"
+    assert fit.read_text().splitlines() == [
+        "breakpoint,slope_before_mbit_per_day,slope_after_mbit_per_day,sse",
+        "2020-01-02,0.0,0.0,0.0",
+    ]
+    manifest = json.loads((tmp_path / "series.csv.fit.csv.manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == [str(out), str(fit)]
 
 
 def test_manifest_digests_cover_inputs_and_outputs(workdir):
@@ -399,6 +407,12 @@ def _contract_cases(graph, reduced, tmp):
         "timeseries": (["timeseries", "--snapshot", snapshot, DATE,
                         "--snapshot", str(later), "2020-02-01"], [snapshot, str(later)]),
     }
+    dated = []  # --snapshot PATH DATE over four dated copies of the fixture
+    for month in ("03", "04", "05", "06"):
+        path = tmp / f"dump_{month}.json"
+        path.write_bytes(FIXTURE_SNAPSHOT.read_bytes())
+        dated += ["--snapshot", str(path), f"2020-{month}-01"]
+    cases["timeseries fit"] = (["timeseries", "--fit", *dated], dated[1::3])
     for fmt in ("gexf", "edgelist", "csv"):
         cases[f"export {fmt}"] = (["export", "--graph", graph, "--format", fmt], [graph])
     return cases
@@ -415,6 +429,7 @@ def _parser_dests(command):
 CONTRACT_CASES = [
     "build", "classify", "cluster", "diff", "export csv", "export edgelist", "export gexf",
     "hypergiants", "ingest", "rank", "receivers", "reduce", "sweep", "timeseries",
+    "timeseries fit",
 ]
 
 

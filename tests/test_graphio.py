@@ -156,6 +156,10 @@ LOAD_DEFECTS = {
         lambda p: p["ixp_nodes"].insert(0, dict(p["ixp_nodes"][-1])), "is listed twice"
     ),
     "duplicate edge": (lambda p: p["edges"].append(list(_first_edge(p))), "is listed twice"),
+    # In sorted position, so the loader finds the edges in order and does not sort.
+    "adjacent duplicate edge": (
+        lambda p: p["edges"].insert(1, list(_first_edge(p))), "AS64500-IX1 is listed twice"
+    ),
     "unlisted AS": (lambda p: p["edges"].append([99999, 1, 10.0]), "AS99999-IX1"),
     "unlisted IXP": (lambda p: p["edges"].append([64500, 99, 10.0]), "AS64500-IX99"),
     "NaN port size": (lambda p: _first_edge(p).__setitem__(2, float("nan")), "nan"),
@@ -217,6 +221,23 @@ def test_load_sorts_unsorted_records(fixture_graph, tmp_path):
     assert column_values(loaded, NODE_COLUMNS) == column_values(fixture_graph, NODE_COLUMNS)
     assert edge_list(loaded) == edge_list(fixture_graph)
     assert (loaded.W != fixture_graph.W).nnz == 0
+
+
+# Edges 0 and 1 of the saved fixture graph share their AS; edges 4 and 5 do not.
+@pytest.mark.parametrize("k", [0, 4])
+def test_load_sorts_one_swapped_pair_of_edges(fixture_graph, tmp_path, k):
+    path = tmp_path / "graph.json"
+    save_graph(fixture_graph, path)
+    saved = path.read_bytes()
+    payload = json.loads(saved)
+    edges = payload["edges"]
+    edges[k], edges[k + 1] = edges[k + 1], edges[k]
+    path.write_text(json.dumps(payload))
+    loaded = load_graph(path)
+    assert column_values(loaded, NODE_COLUMNS) == column_values(fixture_graph, NODE_COLUMNS)
+    assert edge_list(loaded) == edge_list(fixture_graph)
+    save_graph(loaded, path)
+    assert path.read_bytes() == saved
 
 
 # Each case gives one node field of the saved fixture graph the wrong JSON

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import tempfile
 from datetime import date as Date
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peergraph.errors import GroundTruthFormatError, PeergraphError, SnapshotFormatError
+from peergraph.graph import build_graph
+from peergraph.graphio import load_graph, save_graph
 from peergraph.ingest import (
     CLASSES,
     TrafficClass,
@@ -24,7 +27,14 @@ from peergraph.ingest import (
     validate_snapshot,
 )
 
-from conftest import FIXTURE_SNAPSHOT, SNAPSHOT_COLUMNS, make_snapshot, snapshot_fields
+from conftest import (
+    FIXTURE_SNAPSHOT,
+    SNAPSHOT_COLUMNS,
+    column_values,
+    make_snapshot,
+    random_snapshot,
+    snapshot_fields,
+)
 from oracles import record_parse
 
 D = Date(2020, 1, 1)
@@ -362,6 +372,90 @@ def outlier_snapshot(big_capacity: float):
         ixps=[(1, "DE")],
         memberships=[(1, 1, 100.0), (2, 1, big_capacity)],
     )
+
+
+def dump_records(snap):
+    """The net, ix and netixlan records of a dump that parses to ``snap``'s columns."""
+    net = [
+        {"asn": a, "name": n, "info_ratio": CLASSES[c].value, "info_scope": s, "info_type": t}
+        for a, c, n, s, t in zip(
+            snap.asn.tolist(), snap.as_class.tolist(), snap.as_name, snap.as_scope, snap.as_type
+        )
+    ]
+    ix = [
+        {"id": i, "name": n, "country": c}
+        for i, n, c in zip(snap.ixp_id.tolist(), snap.ixp_name, snap.ixp_country)
+    ]
+    netixlan = [
+        {"asn": a, "ix_id": x, "speed": s}
+        for a, x, s in zip(
+            snap.port_asn.tolist(), snap.port_ixp_id.tolist(), snap.port_size.tolist()
+        )
+    ]
+    return net, ix, netixlan
+
+
+@pytest.fixture()
+def decoders(tmp_path):
+    """Each function that decodes a JSON file, with a valid input for it.
+
+    The inputs hold thousands of records: decoding one with the collector
+    on runs collections.
+    """
+    snap = random_snapshot(np.random.default_rng(0), max_as=3000, max_ixp=300)
+    dump = write_dump(tmp_path, *dump_records(snap))
+    assert column_values(parse_snapshot(dump, D), SNAPSHOT_COLUMNS) == column_values(
+        snap, SNAPSHOT_COLUMNS
+    )
+    graph = save_graph(build_graph(snap), tmp_path / "graph.json")
+    return {"parse_snapshot": (lambda path: parse_snapshot(path, D), dump),
+            "load_graph": (load_graph, graph)}
+
+
+@pytest.fixture()
+def collections():
+    """The generation of each collection that starts while the test runs."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    yield started
+    gc.callbacks.remove(record)
+
+
+@pytest.mark.parametrize("decoder", ["parse_snapshot", "load_graph"])
+def test_decoding_runs_no_collection(decoders, collections, decoder):
+    decode, path = decoders[decoder]
+    assert gc.isenabled()
+    json.loads(path.read_bytes())
+    assert collections, "the input is too small for the collector to run"
+    collections.clear()
+    decode(path)
+    assert collections == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("decoder", ["parse_snapshot", "load_graph"])
+def test_decoding_restores_the_collector_state(decoders, tmp_path, decoder):
+    decode, path = decoders[decoder]
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{")
+    with pytest.raises(SnapshotFormatError):
+        decode(not_json)
+    assert gc.isenabled()
+    # A caller that paused the collector finds it paused still.
+    gc.disable()
+    try:
+        decode(path)
+        assert not gc.isenabled()
+        with pytest.raises(SnapshotFormatError):
+            decode(not_json)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_outlier_hundredfold_flagged():
