@@ -47,28 +47,42 @@ def classify_countries(g: PeeringGraph, rule: str = "strict") -> tuple[str, ...]
     in node order (aligned with ``g.asn``).  IXPs without a country label
     do not vote.  Under the default strict rule an AS is "Tied" unless one
     country holds more than half of the votes; ``rule="plurality"`` only
-    requires a unique maximum.
+    requires a unique maximum.  Under either rule a winner is unique.
+
+    The votes are counted in one pass over the edge columns: each
+    (AS, country) pair is one integer, and ``np.unique`` counts them.
     """
     if rule not in ("strict", "plurality"):
         raise ValueError("rule must be 'strict' or 'plurality'")
-    votes: list[Counter] = [Counter() for _ in range(g.n_as)]
-    for a, x in zip(g.edge_as.tolist(), g.edge_ixp.tolist()):
-        country = g.ixp_country[x - g.n_as]
-        if country:
-            votes[a][country] += 1
+    codes: dict[str, int] = {}
+    ixp_code = np.array(
+        [codes.setdefault(c, len(codes)) if c else -1 for c in g.ixp_country], dtype=np.int64
+    )
+    country = ixp_code[g.edge_ixp - g.n_as]
+    voting = country >= 0
+    voter = g.edge_as[voting]
+    pairs, counts = np.unique(voter * len(codes) + country[voting], return_counts=True)
+    pair_as, pair_country = np.divmod(pairs, max(len(codes), 1))
 
-    assignment = []
-    for counter in votes:
-        if not counter:
-            assignment.append(TIED)
-            continue
-        ranked = counter.most_common()
-        top_country, top_count = ranked[0]
-        if rule == "strict":
-            winner = top_count * 2 > sum(counter.values())
-        else:
-            winner = len(ranked) == 1 or ranked[1][1] < top_count
-        assignment.append(top_country if winner else TIED)
+    # Per AS, its pairs by descending count: the first is the top country.
+    order = np.lexsort((-counts, pair_as))
+    pair_as, pair_country, counts = pair_as[order], pair_country[order], counts[order]
+    first = np.flatnonzero(np.diff(pair_as, prepend=-1) != 0)
+    has_second = np.diff(pair_as, append=-1)[first] == 0
+    top = np.zeros(g.n_as, dtype=np.int64)
+    top[pair_as[first]] = counts[first]
+    second = np.zeros(g.n_as, dtype=np.int64)
+    second[pair_as[first[has_second]]] = counts[first[has_second] + 1]
+    if rule == "strict":
+        wins = top * 2 > np.bincount(voter, minlength=g.n_as)
+    else:
+        wins = top > second
+
+    names = list(codes)
+    assignment = [TIED] * g.n_as
+    winners = first[wins[pair_as[first]]]
+    for a, c in zip(pair_as[winners].tolist(), pair_country[winners].tolist()):
+        assignment[a] = names[c]
     return tuple(assignment)
 
 
@@ -234,6 +248,39 @@ def default_probes(g: PeeringGraph) -> tuple[int, ...]:
     return tuple(probes)
 
 
+# Coefficients of the solved points behind a grid point along one axis,
+# nearest first, by how many there are: none, then constant, then linear
+# extrapolation.  Each nonempty set sums to 1.
+_STENCIL = ((), (1.0,), (2.0, -1.0))
+
+
+def _extrapolated_start(
+    default: np.ndarray, before: Sequence[Sequence[np.ndarray]], row: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Start vector for the next grid point of ``row``, from the points solved around it.
+
+    ``row`` holds the vectors solved so far in the current grid row, and
+    ``before`` the rows above it, nearest first; the point's column is
+    ``len(row)``.  With ``E_i`` and ``E_j`` the extrapolations along the
+    two axes (:data:`_STENCIL`), the start is ``E_i V + E_j V - E_i E_j V``,
+    or ``default`` at the first point.  The coefficients sum to 1, so the
+    start sums to at least 1 once clipped at 0.
+    """
+    j = len(row)
+    ci, cj = _STENCIL[min(len(before), 2)], _STENCIL[min(j, 2)]
+    if not ci and not cj:
+        return default
+    start = np.zeros_like(default)
+    for a, c in enumerate(ci):
+        start += c * before[a][j]
+    for b, c in enumerate(cj):
+        start += c * row[j - 1 - b]
+    for a, c in enumerate(ci):
+        for b, d in enumerate(cj):
+            start -= c * d * before[a][j - 1 - b]
+    return np.maximum(start, 0.0, out=start)
+
+
 def beta_stability_sweep(
     g: PeeringGraph,
     grid_heavy: Sequence[float],
@@ -247,16 +294,23 @@ def beta_stability_sweep(
     The default point is ``g.beta``; each grid point keeps its
     ``balanced`` coefficient.  Each point builds the operator of ``g`` in
     both directions under its beta (:func:`google_matrix`), over the edges
-    of the built graph.  PageRank in each direction starts from the
-    previous point's vector in the same direction (the default point
-    starts from the uniform vector), and only the probes are ranked
-    (:func:`rank_positions`).  The report carries the ranks at the
-    default point plus the maximum rank variation (and, for diagnostics,
-    the maximum value variation) over the whole grid, and the total
-    PageRank iterations.  ``beta_heavy = 1`` is excluded: it silences
-    heavy-outbound ASes entirely.  ``probes`` defaults to
-    :func:`default_probes`; a probe that is not an AS of the graph raises
-    ``ValueError``.
+    of the built graph, and only the probes are ranked
+    (:func:`rank_positions`).  The sweep is a continuation solve: in each
+    direction the default point starts from the uniform vector, and grid
+    point (i, j) (i over ``grid_heavy``, j over ``grid_mostly``) starts
+    from a second-order extrapolation of the points already solved in its
+    row and column (:func:`_extrapolated_start`); the first grid point
+    starts from the default point's vector.  Extrapolation is by grid
+    index, not by beta spacing, so any grid order works.  The start only
+    changes how many iterations a point takes, not its fixed point.  At
+    most three grid rows of vectors are held at a time.
+
+    The report carries the ranks at the default point plus the maximum
+    rank variation (and, for diagnostics, the maximum value variation)
+    over the whole grid, and the total PageRank iterations.
+    ``beta_heavy = 1`` is excluded: it silences heavy-outbound ASes
+    entirely.  ``probes`` defaults to :func:`default_probes`; a probe that
+    is not an AS of the graph raises ``ValueError``.
     """
     grid_h = tuple(b for b in grid_heavy if b < 1.0)
     grid_m = tuple(grid_mostly)
@@ -269,24 +323,28 @@ def beta_stability_sweep(
         raise ValueError(f"probe AS{missing} is not a node of the graph")
     idx = np.array([g.as_index(asn) for asn in probe_asns], dtype=np.int64)
 
-    # Row 0 of each table is the default point, the other rows the grid.
-    betas = [g.beta] + [
-        BetaParams(balanced=g.beta.balanced, mostly=bm, heavy=bh)
-        for bh in grid_h
-        for bm in grid_m
-    ]
-    previous = {"forward": None, "reverse": None}
     ranks = {"forward": [], "reverse": []}
     values = {"forward": [], "reverse": []}
     iterations = 0
-    for beta in betas:
-        for direction in ("forward", "reverse"):
-            G = google_matrix(g, alpha, direction, beta)
-            pr = pagerank(G, tol=tol, start=previous[direction])
-            previous[direction] = pr.P
-            iterations += pr.iterations
-            ranks[direction].append(rank_positions(pr.P, idx))
-            values[direction].append(pr.P[idx])
+
+    def solve(direction: str, beta: BetaParams, start: np.ndarray | None) -> np.ndarray:
+        nonlocal iterations
+        pr = pagerank(google_matrix(g, alpha, direction, beta), tol=tol, start=start)
+        iterations += pr.iterations
+        # Row 0 of each table is the default point, the other rows the grid.
+        ranks[direction].append(rank_positions(pr.P, idx))
+        values[direction].append(pr.P[idx])
+        return pr.P
+
+    for direction in ("forward", "reverse"):
+        default = solve(direction, g.beta, None)
+        before: list[list[np.ndarray]] = []
+        for bh in grid_h:
+            row: list[np.ndarray] = []
+            for bm in grid_m:
+                beta = BetaParams(balanced=g.beta.balanced, mostly=bm, heavy=bh)
+                row.append(solve(direction, beta, _extrapolated_start(default, before, row)))
+            before = [row, *before[:1]]
     pr_ranks, rpr_ranks = np.stack(ranks["forward"]), np.stack(ranks["reverse"])
     pr_vals, rpr_vals = np.stack(values["forward"]), np.stack(values["reverse"])
 

@@ -11,6 +11,7 @@ read them.  Identical inputs and flags reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -129,8 +130,8 @@ def _parse_date(flag: str, text: str) -> Date:
 
 
 # Points per sweep axis.  The paper's grid has 20; at PeeringDB scale one
-# point costs two PageRank solves (about 25 ms), so 100 x 100 points bound a
-# sweep to about four minutes.
+# point costs two PageRank solves from an extrapolated start (about 5 ms), so
+# 100 x 100 points bound a sweep to about a minute (44 s on 2 vCPUs).
 GRID_COUNT_CAP = 100
 
 
@@ -685,10 +686,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process.
+
+    Parsing leaves no state in it.  A parser holds about a thousand objects
+    in reference cycles, which only the cyclic collector frees, so building
+    one per call would cost an in-process caller a few ms per command.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_flags(args)
         inputs = {str(p): _digest(p) for p in _input_paths(args)}

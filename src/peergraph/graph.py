@@ -90,8 +90,10 @@ class PeeringGraph:
     capacity: the sum of the port sizes of a node's edges, in edge order.
     ``by_ixp`` is the read-only permutation that sorts the edges by
     (ixp_id, asn), computed once per graph; the Google operator stores the
-    edges in that order.  ``W`` is :meth:`links` as a sparse matrix, kept
-    only for the benchmark tracer.
+    edges in that order, under the sparse pattern ``ixp_pattern``.
+    ``outbound`` marks the edges whose AS declares outbound traffic.
+    ``W`` is :meth:`links` as a sparse matrix, kept only for the benchmark
+    tracer.
     """
 
     date: Date | None
@@ -169,6 +171,25 @@ class PeeringGraph:
     def by_ixp(self) -> np.ndarray:
         return _frozen(np.lexsort((self.edge_as, self.edge_ixp)))
 
+    @cached_property
+    def ixp_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, indptr) of the edges grouped by IXP, in :attr:`by_ixp` order.
+
+        Entry ``k`` of ``indices`` is the AS node index of the ``k``-th edge
+        in that order, and the edges of IXP ``n_as + x`` are those from
+        ``indptr[x]`` to ``indptr[x + 1]``: the pattern of a sparse matrix
+        with one row (CSR) or column (CSC) per IXP.  Both are int32, the
+        index type scipy would otherwise convert them to at every build.
+        """
+        at_ixp = self.edge_ixp[self.by_ixp]
+        indptr = np.searchsorted(at_ixp, np.arange(self.n_as, self.n_nodes + 1))
+        indices = self.edge_as[self.by_ixp]
+        return _frozen(indices.astype(np.int32)), _frozen(indptr.astype(np.int32))
+
+    @cached_property
+    def outbound(self) -> np.ndarray:
+        return _frozen(_OUTBOUND[self.edge_class])
+
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """The (asn, ixp_id) of each edge, in edge order."""
         return self.asn[self.edge_as], self.ixp_id[self.edge_ixp - self.n_as]
@@ -181,10 +202,9 @@ class PeeringGraph:
         """
         coef = np.array([1.0 - beta.for_class(tc) for tc in CLASSES])
         minor = coef[self.edge_class] * self.port_size
-        outbound = _OUTBOUND[self.edge_class]
         return (
-            np.where(outbound, minor, self.port_size),
-            np.where(outbound, self.port_size, minor),
+            np.where(self.outbound, minor, self.port_size),
+            np.where(self.outbound, self.port_size, minor),
         )
 
     def links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -63,9 +63,10 @@ class GoogleMatrix:
     The normalized weights are kept as their two nonzero blocks: ``to_ixp``
     (IXP rows, AS columns) as CSR and ``to_as`` (AS rows, IXP columns) as
     CSC, so that both products of a PageRank sweep loop over the IXPs.
-    Both blocks share one ``indptr`` and ``indices``: row ``x`` of
+    Both blocks have one pattern, the graph's cached
+    :attr:`~peergraph.graph.PeeringGraph.ixp_pattern`: row ``x`` of
     ``to_ixp`` and column ``x`` of ``to_as`` hold the edges of IXP ``x``
-    by ascending AS (:attr:`~peergraph.graph.PeeringGraph.by_ixp`).  An
+    by ascending AS.  An
     edge of zero weight (a beta of 1) stays a stored zero.  ``dangling``
     marks the nodes without out-weight, whose columns of ``G`` are uniform.
     """
@@ -109,12 +110,11 @@ def google_matrix(
     into_as, into_ixp = g.edge_weights(g.beta if beta is None else beta)
     if direction == "reverse":
         into_as, into_ixp = into_ixp, into_as
-    n, order = g.n_nodes, g.by_ixp
+    n, order, pattern = g.n_nodes, g.by_ixp, g.ixp_pattern
     out_weight = np.bincount(
         np.concatenate([g.edge_as, g.edge_ixp]), np.concatenate([into_ixp, into_as]), n
     )
     scale = np.divide(1.0, out_weight, out=np.zeros(n), where=out_weight > 0)
-    pattern = g.edge_as[order], np.searchsorted(g.edge_ixp[order], np.arange(g.n_as, n + 1))
     return GoogleMatrix(
         alpha=float(alpha),
         direction=direction,

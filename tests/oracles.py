@@ -6,7 +6,7 @@ matrix via explicit block inversion and exhaustive set-partition search
 for modularity.  None of it shares code with the package's computational
 paths.
 
-Nine references are the package's earlier paths, kept to check the fast
+Ten references are the package's earlier paths, kept to check the fast
 ones that replaced them: the PageRank power iteration ``v <- G v``, here
 on the dense Google matrix (:func:`jacobi_pagerank`), the per-edge
 weight-matrix loop, the rank table of one frozen row per node filtered by
@@ -17,16 +17,18 @@ file as ``json.dumps`` of a payload of node records, the dump parser that
 makes one frozen record per row (:func:`record_parse`), the bipartite
 Louvain that numbers communities and super nodes with dicts and reads
 numpy arrays one element at a time (:func:`dict_louvain`, with
-:func:`dict_first_seen` and :func:`dict_aggregate`), and the
-classification metrics that rescan every (predicted, truth) pair three
-times per country (:func:`rescan_metrics`).  :func:`edge_list` is the
-graph's old list view of its edges, which only the tests read.
+:func:`dict_first_seen` and :func:`dict_aggregate`), the country
+attribution that counts each AS's votes in a ``Counter``
+(:func:`counter_countries`), and the classification metrics that rescan
+every (predicted, truth) pair three times per country
+(:func:`rescan_metrics`).  :func:`edge_list` is the graph's old list view
+of its edges, which only the tests read.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,6 +246,29 @@ def dict_louvain(A, n_as: int, seed: int = 0, shuffle: bool = False):
         level, side, node_map, init_comm = dict_aggregate(level, side, comm)
         node_of = node_map[node_of]
     return final, history[-1], tuple(history)
+
+
+def counter_countries(g, rule: str = "strict") -> tuple[str, ...]:
+    """Country of each AS by a per-AS ``Counter`` of its IXPs' countries ("Tied" if none wins)."""
+    votes: list[Counter] = [Counter() for _ in range(g.n_as)]
+    for a, x in zip(g.edge_as.tolist(), g.edge_ixp.tolist()):
+        country = g.ixp_country[x - g.n_as]
+        if country:
+            votes[a][country] += 1
+
+    assignment = []
+    for counter in votes:
+        if not counter:
+            assignment.append("Tied")
+            continue
+        ranked = counter.most_common()
+        top_country, top_count = ranked[0]
+        if rule == "strict":
+            winner = top_count * 2 > sum(counter.values())
+        else:
+            winner = len(ranked) == 1 or ranked[1][1] < top_count
+        assignment.append(top_country if winner else "Tied")
+    return tuple(assignment)
 
 
 def rescan_metrics(assignments: dict[int, str], as_country: dict[int, str], countries):

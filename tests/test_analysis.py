@@ -1,14 +1,18 @@
 """Country classification, hypergiants, receivers, market share, beta sweep."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from peergraph import analysis
 from peergraph.analysis import (
     PROBES_PER_CLASS,
     TIED,
+    _extrapolated_start,
     beta_stability_sweep,
     classification_metrics,
     classify_countries,
@@ -23,7 +27,7 @@ from peergraph.ingest import TrafficClass
 from peergraph.spectral import RankTable, google_matrix, pagerank
 
 from conftest import FIXTURE_SNAPSHOT, make_snapshot, random_snapshot
-from oracles import cold_sweep, dense_google, dense_pagerank, rescan_metrics
+from oracles import cold_sweep, counter_countries, dense_google, dense_pagerank, rescan_metrics
 
 TC = TrafficClass
 
@@ -84,6 +88,37 @@ def test_classification_invariant_under_ixp_relabeling():
         [(10, 7, 5.0), (10, 8, 5.0), (10, 9, 5.0)],
     )
     assert classify_countries(build_graph(snap_a)) == classify_countries(build_graph(snap_b))
+
+
+def test_odd_country_codes_and_ties_match_the_counter_oracle():
+    ixps = [(1, "DE"), (2, "DE\x00"), (3, "ÅÖ"), (4, ""), (5, "FR"), (6, "DE\x00"), (7, "ÅÖ")]
+    votes = {
+        10: [4],  # only an IXP without a country: no vote
+        11: [1, 2],  # "DE" and "DE\x00" are two countries, tied
+        12: [2, 6, 3],  # two of three
+        13: [3, 7, 1, 5],  # two of four: a plurality, not a majority
+        14: [1, 5, 4],  # tied; the unlabeled IXP does not vote
+    }
+    snap = make_snapshot(
+        [(asn, TC.BALANCED) for asn in votes],
+        ixps,
+        [(asn, x, 10.0) for asn, xs in votes.items() for x in xs],
+    )
+    g = build_graph(snap)
+    expected = {
+        "strict": (TIED, TIED, "DE\x00", TIED, TIED),
+        "plurality": (TIED, TIED, "DE\x00", "ÅÖ", TIED),
+    }
+    for rule, assignment in expected.items():
+        assert classify_countries(g, rule) == assignment == counter_countries(g, rule)
+
+
+@pytest.mark.parametrize("rule", ["strict", "plurality"])
+@pytest.mark.parametrize("seed", range(12))
+def test_classification_matches_counter_oracle_on_random_snapshots(seed, rule):
+    countries = ("DE", "US", "BR", "", "DE\x00", "ÅÖ")
+    g = build_graph(random_snapshot(np.random.default_rng(seed), countries=countries))
+    assert classify_countries(g, rule) == counter_countries(g, rule)
 
 
 # --- classification metrics ---
@@ -416,6 +451,95 @@ def test_sweep_matches_cold_reference_on_random_snapshots(seed, beta_default):
     assert_sweep_matches_cold_reference(
         snap, (0.5, 0.9, 1.0), (0.6, 0.8, 1.0), beta_default, tol=1e-13
     )
+
+
+# Four grid points per axis below beta_heavy = 1, so that the second-order
+# start is used along both axes and across them.
+LARGE_GRID = ((0.5, 0.7, 0.9, 0.95, 1.0), (0.6, 0.7, 0.8, 1.0))
+
+
+def large_grid_snapshot():
+    snap = random_snapshot(np.random.default_rng(7), max_as=400, max_ixp=60)
+    assert snap.asn.size >= 200
+    return snap
+
+
+def test_sweep_matches_cold_reference_on_a_large_grid():
+    assert_sweep_matches_cold_reference(
+        large_grid_snapshot(), *LARGE_GRID, BetaParams(), tol=1e-13
+    )
+
+
+def previous_point_iterations(g, grid_h, grid_m) -> int:
+    """Iterations of the sweep when each point starts from the previous point's vector."""
+    betas = [g.beta] + [
+        BetaParams(balanced=g.beta.balanced, mostly=bm, heavy=bh)
+        for bh in grid_h
+        if bh < 1.0
+        for bm in grid_m
+    ]
+    total = 0
+    for direction in ("forward", "reverse"):
+        P = None
+        for beta in betas:
+            pr = pagerank(google_matrix(g, direction=direction, beta=beta), start=P)
+            P, total = pr.P, total + pr.iterations
+    return total
+
+
+def test_extrapolated_start_saves_iterations():
+    g = build_graph(large_grid_snapshot())
+    report = beta_stability_sweep(g, *LARGE_GRID)
+    assert report.iterations < previous_point_iterations(g, *LARGE_GRID)
+
+
+def test_extrapolated_start_is_exact_where_each_axis_is_quadratic():
+    # From the third point on along both axes, E_i V + E_j V - E_i E_j V
+    # reproduces any grid of vectors whose only cross term is linear in each
+    # index.  First-order coefficients or a wrong sign do not.
+    base, u, w, z, p, q = np.random.default_rng(0).random((6, 50))
+
+    def V(i, j):
+        return 10.0 + base + i * u + j * w + i * j * z + i * i * p + j * j * q
+
+    default = V(0, 0)
+    before: list[list[np.ndarray]] = []
+    for i in range(4):
+        row: list[np.ndarray] = []
+        for j in range(5):
+            start = _extrapolated_start(default, before, row)
+            if (i, j) == (0, 0):
+                assert start is default
+            if i >= 2 and j >= 2:
+                np.testing.assert_allclose(start, V(i, j), rtol=1e-12)
+            row.append(V(i, j))
+        before = [row, *before[:1]]
+
+
+GRID_VALUES = st.lists(st.sampled_from([0.0, 0.5, 0.9, 0.95, 1.0]), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_h=GRID_VALUES, grid_m=GRID_VALUES)
+def test_every_extrapolated_start_is_a_valid_start(grid_h, grid_m):
+    # Repeated values and beta = 1 (zero-weight links) in either grid.
+    assume(any(b < 1.0 for b in grid_h))
+    g = build_graph(random_snapshot(np.random.default_rng(3), max_as=40, max_ixp=10))
+    starts = []
+
+    def recording_pagerank(G, tol, start):
+        starts.append(start)
+        return pagerank(G, tol=tol, start=start)
+
+    with mock.patch.object(analysis, "pagerank", recording_pagerank):
+        beta_stability_sweep(g, grid_h, grid_m)
+    points = sum(b < 1.0 for b in grid_h) * len(grid_m)
+    assert len(starts) == 2 * (1 + points)
+    assert [s is None for s in starts] == [True] + [False] * points + [True] + [False] * points
+    for start in starts:
+        if start is not None:
+            assert np.isfinite(start).all() and start.min() >= 0.0
+            assert start.sum() >= 1.0 - 1e-12
 
 
 def test_default_probes_pick_top_capacity_per_class(fixture_graph):

@@ -451,6 +451,29 @@ def test_manifest_records_every_flag_and_digests_every_file(workdir, reduced, tm
             assert hashlib.sha256(Path(file).read_bytes()).hexdigest() == digest, file
 
 
+def test_main_builds_its_parser_once(workdir, reduced, tmp_path, monkeypatch):
+    import peergraph.cli as cli
+
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    cases = _contract_cases(str(workdir / "graph.json"), [str(p) for p in reduced], tmp_path)
+    # The repeated --snapshot of "timeseries fit" appends to a list: a parser
+    # that kept it from one call would grow it in the next.
+    texts = []
+    calls = (("timeseries fit", "t.csv"), ("receivers", "r.csv"), ("timeseries fit", "t.csv"))
+    for case, out in calls:
+        assert main(cases[case][0] + ["--out", str(tmp_path / out)]) == 0
+        texts.append((tmp_path / (out + ".manifest.json")).read_text())
+    assert built == [1]
+    assert texts[0] == texts[2]
+
+
 # Runs in a fresh interpreter in which ``import networkx`` fails.
 WITHOUT_NETWORKX = """
 import sys
