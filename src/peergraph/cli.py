@@ -74,13 +74,18 @@ from .spectral import (
 _TYPE_SHORTHAND = {"ISP": TYPE_ISP, "ND": TYPE_NOT_DISCLOSED, "NSP": TYPE_NSP}
 
 
-def _resolve_out(path: str) -> Path:
-    """Relative outputs land in $PEERGRAPH_OUTPUT_DIR when it is set."""
-    p = Path(path)
+# Flags (by argparse dest) that name output files.
+_OUTPUT_FLAGS = ("out", "metrics_out", "coverage_out", "profile_out")
+
+
+def _resolve_outputs(args) -> None:
+    """Each output flag as a Path; a relative one lands in $PEERGRAPH_OUTPUT_DIR if set."""
     base = os.environ.get("PEERGRAPH_OUTPUT_DIR")
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
+    for dest in _OUTPUT_FLAGS:
+        value = getattr(args, dest, None)
+        if value:
+            path = Path(value)
+            setattr(args, dest, Path(base) / path if base and not path.is_absolute() else path)
 
 
 def _digest(path: Path) -> str:
@@ -91,7 +96,7 @@ def _digest(path: Path) -> str:
 
 # Flags (by argparse dest) that are not parameters: the subcommand, its
 # handler and the output paths.
-_NOT_PARAMETERS = ("command", "func", "out", "metrics_out", "coverage_out", "profile_out")
+_NOT_PARAMETERS = ("command", "func", *_OUTPUT_FLAGS)
 # Flags that name input files.  A timeseries --snapshot value is a list of
 # [PATH, DATE] pairs, of which only the path is a file.
 _INPUT_FLAGS = ("snapshot", "graph", "subset", "reduced", "truth", "exclude", "apnic", "probes")
@@ -278,7 +283,6 @@ def cmd_ingest(args) -> list[Path]:
         print(f"outliers above {args.outlier_factor}x reference: {len(outliers)}")
 
     if args.out:
-        out = _resolve_out(args.out)
         summary = {
             "date": snapshot.date.isoformat(),
             "networks": rep.networks,
@@ -292,18 +296,17 @@ def cmd_ingest(args) -> list[Path]:
                 for o in outliers
             ],
         }
-        atomic_write_text(out, json.dumps(summary, sort_keys=True, indent=1) + "\n")
-        return [out]
+        atomic_write_text(args.out, json.dumps(summary, sort_keys=True, indent=1) + "\n")
+        return [args.out]
     return []
 
 
 def cmd_build(args) -> list[Path]:
     snapshot = parse_snapshot(args.snapshot, _parse_date("--date", args.date))
     g = build_graph(snapshot, _beta_from_args(args), min_members=args.min_members)
-    out = _resolve_out(args.out)
-    save_graph(g, out)
-    print(f"built graph: {g.n_as} ASes, {g.n_ixp} IXPs, {g.n_edges} links -> {out}")
-    return [out]
+    save_graph(g, args.out)
+    print(f"built graph: {g.n_as} ASes, {g.n_ixp} IXPs, {g.n_edges} links -> {args.out}")
+    return [args.out]
 
 
 def cmd_rank(args) -> list[Path]:
@@ -312,10 +315,12 @@ def cmd_rank(args) -> list[Path]:
     pr = pagerank(G, tol=args.tol)
     keep = np.array(g.kinds) == args.only if args.only else None
     table = rank_table(pr, keep=keep)
-    out = _resolve_out(args.out)
-    write_rank_csv(g, table, out)
-    print(f"ranked {len(table)} nodes ({args.direction}) in {pr.iterations} iterations -> {out}")
-    return [out]
+    write_rank_csv(g, table, args.out)
+    print(
+        f"ranked {len(table)} nodes ({args.direction}) in {pr.iterations} iterations "
+        f"-> {args.out}"
+    )
+    return [args.out]
 
 
 def cmd_reduce(args) -> list[Path]:
@@ -327,10 +332,9 @@ def cmd_reduce(args) -> list[Path]:
         R = replace(R, date=g.date)
     if args.censor_diagonal:
         R = censor_diagonal(R)
-    out = _resolve_out(args.out)
-    write_reduced_csv(R, out)
-    print(f"reduced matrix over {len(subset)} nodes ({args.direction}) -> {out}")
-    return [out]
+    write_reduced_csv(R, args.out)
+    print(f"reduced matrix over {len(subset)} nodes ({args.direction}) -> {args.out}")
+    return [args.out]
 
 
 def cmd_diff(args) -> list[Path]:
@@ -338,11 +342,13 @@ def cmd_diff(args) -> list[Path]:
     later = load_reduced_csv(args.reduced[1])
     cap = tuple(args.cap) if args.cap else None
     change = relative_change(earlier, later, cap=cap)
-    out = _resolve_out(args.out)
-    write_change_csv(change, out)
+    write_change_csv(change, args.out)
     undefined = int(change.undefined.sum())
-    print(f"diffed {len(change.labels)}x{len(change.labels)} cells ({undefined} undefined) -> {out}")
-    return [out]
+    print(
+        f"diffed {len(change.labels)}x{len(change.labels)} cells ({undefined} undefined) "
+        f"-> {args.out}"
+    )
+    return [args.out]
 
 
 def cmd_classify(args) -> list[Path]:
@@ -352,10 +358,9 @@ def cmd_classify(args) -> list[Path]:
     assignment = classify_countries(g, rule=args.rule)
     rows = [["asn", "name", "country"]]
     rows.extend(map(list, zip(g.asn.tolist(), g.as_name, assignment)))
-    out = _resolve_out(args.out)
-    atomic_write_text(out, _csv_text(rows))
-    outputs = [out]
-    print(f"classified {g.n_as} ASes ({assignment.count(TIED)} tied) -> {out}")
+    atomic_write_text(args.out, _csv_text(rows))
+    outputs = [args.out]
+    print(f"classified {g.n_as} ASes ({assignment.count(TIED)} tied) -> {args.out}")
 
     if as_country is not None:
         if countries is None:
@@ -365,7 +370,7 @@ def cmd_classify(args) -> list[Path]:
             metric_rows.append(
                 [row.country, repr(row.precision), repr(row.recall), repr(row.f1), row.support]
             )
-        metrics_out = _resolve_out(args.metrics_out or args.out + ".metrics.csv")
+        metrics_out = args.metrics_out or Path(f"{args.out}.metrics.csv")
         atomic_write_text(metrics_out, _csv_text(metric_rows))
         outputs.append(metrics_out)
         print(f"classification metrics for {len(countries)} countries -> {metrics_out}")
@@ -385,10 +390,9 @@ def cmd_hypergiants(args) -> list[Path]:
     _check_k("--k", args.k, g)
     table = top_hypergiants(g, k=args.k, alpha=args.alpha, tol=args.tol)
     rows = [["rank", "node", "name", "value"], *_ranked_nodes(g, table)]
-    out = _resolve_out(args.out)
-    atomic_write_text(out, _csv_text(rows))
-    print(f"top {args.k} diffusive ASes -> {out}")
-    return [out]
+    atomic_write_text(args.out, _csv_text(rows))
+    print(f"top {args.k} diffusive ASes -> {args.out}")
+    return [args.out]
 
 
 def cmd_receivers(args) -> list[Path]:
@@ -415,16 +419,15 @@ def cmd_receivers(args) -> list[Path]:
     rows = [["country", "rank", "node", "name", "value"]]
     for country in countries:
         rows.extend([country, *row] for row in _ranked_nodes(g, receivers[country]))
-    out = _resolve_out(args.out)
-    atomic_write_text(out, _csv_text(rows))
-    outputs = [out]
-    print(f"traffic receivers for {len(countries)} countries -> {out}")
+    atomic_write_text(args.out, _csv_text(rows))
+    outputs = [args.out]
+    print(f"traffic receivers for {len(countries)} countries -> {args.out}")
 
     if shares is not None:
         coverage = eums_coverage(g, receivers, shares)
         cov_rows = [["country", "eums_pct"]]
         cov_rows.extend([c, repr(coverage[c])] for c in countries)
-        coverage_out = _resolve_out(args.coverage_out or args.out + ".coverage.csv")
+        coverage_out = args.coverage_out or Path(f"{args.out}.coverage.csv")
         atomic_write_text(coverage_out, _csv_text(cov_rows))
         outputs.append(coverage_out)
         print(f"market-share coverage -> {coverage_out}")
@@ -461,13 +464,12 @@ def cmd_sweep(args) -> list[Path]:
             row.delta_pr_rank, repr(row.rpr_value), row.rpr_rank, row.delta_rpr_rank,
             repr(row.delta_pr_value), repr(row.delta_rpr_value),
         ])
-    out = _resolve_out(args.out)
-    atomic_write_text(out, _csv_text(rows))
+    atomic_write_text(args.out, _csv_text(rows))
     print(
         f"swept {len(report.grid_heavy)}x{len(report.grid_mostly)} grid points "
-        f"for {len(report.rows)} probes in {report.iterations} PageRank iterations -> {out}"
+        f"for {len(report.rows)} probes in {report.iterations} PageRank iterations -> {args.out}"
     )
-    return [out]
+    return [args.out]
 
 
 def cmd_cluster(args) -> list[Path]:
@@ -475,11 +477,11 @@ def cmd_cluster(args) -> list[Path]:
     partition = louvain_bipartite(symmetrize(g), g.n_as, seed=args.seed, shuffle=args.shuffle)
     rows = [["node", "type", "name", "community"]]
     rows.extend(map(list, zip(g.labels, g.kinds, g.names, partition.communities.tolist())))
-    out = _resolve_out(args.out)
-    atomic_write_text(out, _csv_text(rows))
-    outputs = [out]
+    atomic_write_text(args.out, _csv_text(rows))
+    outputs = [args.out]
     print(
-        f"{partition.n_communities} communities, modularity {partition.modularity:.6f} -> {out}"
+        f"{partition.n_communities} communities, modularity {partition.modularity:.6f} "
+        f"-> {args.out}"
     )
 
     if args.profile_out:
@@ -494,22 +496,20 @@ def cmd_cluster(args) -> list[Path]:
                 p.community, repr(p.capacity_share_pct), repr(p.ixp_share_pct),
                 p.n_ixps, p.n_as, p.n_countries, table,
             ])
-        profile_out = _resolve_out(args.profile_out)
-        atomic_write_text(profile_out, _csv_text(prof_rows))
-        outputs.append(profile_out)
-        print(f"cluster profiles -> {profile_out}")
+        atomic_write_text(args.profile_out, _csv_text(prof_rows))
+        outputs.append(args.profile_out)
+        print(f"cluster profiles -> {args.profile_out}")
     return outputs
 
 
 def cmd_export(args) -> list[Path]:
     g = load_graph(args.graph)
-    out = _resolve_out(args.out)
     if args.format == "gexf":
-        outputs = [export_gexf(g, out)]
+        outputs = [export_gexf(g, args.out)]
     elif args.format == "edgelist":
-        outputs = export_edgelist(g, out)
+        outputs = export_edgelist(g, args.out)
     else:
-        outputs = [export_weight_csv(g, out)]
+        outputs = [export_weight_csv(g, args.out)]
     print(f"exported {args.format} -> {', '.join(str(p) for p in outputs)}")
     return outputs
 
@@ -532,14 +532,13 @@ def cmd_timeseries(args) -> list[Path]:
     series = capacity_timeseries(snapshots)
     rows = [["date", "total_capacity_mbit"]]
     rows.extend([d.isoformat(), repr(v)] for d, v in series)
-    out = _resolve_out(args.out)
-    atomic_write_text(out, _csv_text(rows))
-    print(f"capacity series over {len(series)} snapshots -> {out}")
+    atomic_write_text(args.out, _csv_text(rows))
+    print(f"capacity series over {len(series)} snapshots -> {args.out}")
     if not args.fit:
-        return [out]
+        return [args.out]
 
     fit = fit_breakpoint(series)
-    fit_out = _resolve_out(args.out + ".fit.csv")
+    fit_out = Path(f"{args.out}.fit.csv")
     atomic_write_text(fit_out, _csv_text([
         ["breakpoint", "slope_before_mbit_per_day", "slope_after_mbit_per_day", "sse"],
         [fit.breakpoint.isoformat(), repr(fit.slope_before), repr(fit.slope_after),
@@ -551,7 +550,7 @@ def cmd_timeseries(args) -> list[Path]:
         f"{fit.slope_after:.6g} Mbit/day "
         f"({fit.slope_before / 1e3:.4g} / {fit.slope_after / 1e3:.4g} Gbit/day) -> {fit_out}"
     )
-    return [out, fit_out]
+    return [args.out, fit_out]
 
 
 def _add_beta_flags(parser: argparse.ArgumentParser) -> None:
@@ -700,6 +699,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parser().parse_args(argv)
+    _resolve_outputs(args)
     try:
         _check_flags(args)
         inputs = {str(p): _digest(p) for p in _input_paths(args)}

@@ -201,7 +201,7 @@ class PeeringGraph:
         the AS's declared direction and ``(1 - beta) * ps`` in the other.
         """
         coef = np.array([1.0 - beta.for_class(tc) for tc in CLASSES])
-        minor = coef[self.edge_class] * self.port_size
+        minor = np.take(coef, self.edge_class) * self.port_size
         return (
             np.where(self.outbound, minor, self.port_size),
             np.where(self.outbound, self.port_size, minor),

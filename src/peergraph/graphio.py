@@ -440,42 +440,45 @@ def write_reduced_csv(R: ReducedGoogleMatrix, path: str | Path) -> Path:
 def load_reduced_csv(path: str | Path) -> ReducedGoogleMatrix:
     """Read a reduced matrix written by :func:`write_reduced_csv`.
 
-    Raises :class:`SnapshotFormatError` naming the file and the line when
-    the file is not UTF-8, the comment line holds a bad direction,
-    censoring flag, alpha or date, a label is listed twice, a row is
-    ragged or its label is not the header's label at that position, a
-    cell is not a finite number, or the csv module refuses a line.
+    Line 1 must be the comment ``# peergraph=reduced`` with all four keys
+    (direction, censored, alpha, date); there are no defaults.  Raises
+    :class:`SnapshotFormatError` naming the file and the line when the
+    file is not UTF-8, line 1 is not that comment, misses a key or holds a
+    bad direction, censoring flag, alpha or date, a label is listed twice,
+    a row is ragged or its label is not the header's label at that
+    position, a cell is not a finite number, or the csv module refuses a
+    line.
     """
     lines = read_lines(path, SnapshotFormatError)
-    meta: dict[str, str] = {}
-    skipped = 0  # lines before the header row
-    if lines and lines[0].startswith("#"):
-        meta = _parse_meta(lines[0])
-        lines, skipped = lines[1:], 1
+    meta = _parse_meta(lines[0]) if lines and lines[0].startswith("#") else {}
     try:
-        direction = meta.get("direction", "forward")
+        if meta.get("peergraph") != "reduced":
+            raise ValueError("not a reduced-matrix CSV (expected '# peergraph=reduced ...')")
+        missing = [k for k in ("direction", "censored", "alpha", "date") if k not in meta]
+        if missing:
+            raise ValueError(f"the comment line has no {', '.join(missing)}")
+        direction = meta["direction"]
         if direction not in ("forward", "reverse"):
             raise ValueError(f"direction {direction!r} is not forward or reverse")
-        censored = meta.get("censored", "0")
+        censored = meta["censored"]
         if censored not in ("0", "1"):
             raise ValueError(f"censored {censored!r} is not 0 or 1")
-        alpha = float(meta.get("alpha", "0.85"))
+        alpha = float(meta["alpha"])
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"alpha {alpha!r} is not in [0, 1)")
-        date_text = meta.get("date", "-")
-        date = Date.fromisoformat(date_text) if date_text not in ("-", "") else None
+        date = None if meta["date"] == "-" else Date.fromisoformat(meta["date"])
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: line 1: {exc}") from exc
 
-    reader = csv_rows(path, lines, SnapshotFormatError, offset=skipped)
+    reader = csv_rows(path, lines[1:], SnapshotFormatError, offset=1)
     _, header = next(reader, (None, None))
     if not header or header[0] != "node":
-        raise SnapshotFormatError(f"{path}: not a reduced-matrix CSV")
+        raise SnapshotFormatError(f"{path}: line 2: not a 'node' header row")
     labels = tuple(header[1:])
     if len(set(labels)) < len(labels):
         twice = next(label for k, label in enumerate(labels) if label in labels[:k])
         raise SnapshotFormatError(
-            f"{path}: line {skipped + 1}: label {twice!r} is listed twice"
+            f"{path}: line 2: label {twice!r} is listed twice"
         )
     rows: list[list[float]] = []
     for line, row in reader:

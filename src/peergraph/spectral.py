@@ -9,7 +9,8 @@ weight matrix (``S[i, j] = W[i, j] / w_out(j)``) and columns without
 out-weight are replaced by the uniform column ``1/N``.  ``G`` is kept
 implicit: applying it costs ``O(nnz + N)``.  The graph is bipartite, every
 link joining an AS and an IXP, so ``S`` is two blocks: the links into the
-IXPs and the links into the ASes.
+IXPs and the links into the ASes.  These two sparse blocks are the
+operator's only form; no N x N matrix is built.
 
 PageRank is the fixed point of ``G``, found by two-sided Gauss-Seidel.
 One sweep updates the IXP entries from the current vector, then the AS
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date as Date
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -66,9 +66,10 @@ class GoogleMatrix:
     Both blocks have one pattern, the graph's cached
     :attr:`~peergraph.graph.PeeringGraph.ixp_pattern`: row ``x`` of
     ``to_ixp`` and column ``x`` of ``to_as`` hold the edges of IXP ``x``
-    by ascending AS.  An
-    edge of zero weight (a beta of 1) stays a stored zero.  ``dangling``
-    marks the nodes without out-weight, whose columns of ``G`` are uniform.
+    by ascending AS.  The two blocks are the operator's only form: PageRank
+    and the stochastic complement both read them directly.  An edge of zero
+    weight (a beta of 1) stays a stored zero.  ``dangling`` marks the nodes
+    without out-weight, whose columns of ``G`` are uniform.
     """
 
     alpha: float
@@ -79,13 +80,6 @@ class GoogleMatrix:
     to_ixp: sparse.csr_matrix
     to_as: sparse.csc_matrix
     dangling: np.ndarray
-
-    @cached_property
-    def normalized_weights(self) -> sparse.csc_matrix:
-        """Normalized weights over all nodes (dangling columns all-zero), from the two blocks."""
-        from scipy import sparse
-
-        return sparse.bmat([[None, self.to_as], [self.to_ixp, None]], format="csc")
 
 
 def google_matrix(
@@ -263,30 +257,24 @@ class ReducedGoogleMatrix:
     date: Date | None = None
 
 
-def _slice_blocks(A: sparse.csc_matrix, r: np.ndarray, s: np.ndarray):
-    from scipy import sparse
-
-    cols_r = A[:, r].tocsr()
-    A_rr = cols_r[r, :]
-    A_sr = cols_r[s, :]
-    if s.size:
-        cols_s = A[:, s].tocsr()
-        A_rs = cols_s[r, :]
-        A_ss = cols_s[s, :]
-    else:
-        A_rs = sparse.csr_matrix((r.size, 0))
-        A_ss = sparse.csr_matrix((0, 0))
-    return A_rr, A_rs, A_sr, A_ss
+def _dense_block(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Normalized weights ``A[rows][:, cols]`` over node indices, dense, from the two blocks."""
+    out = np.zeros((rows.size, cols.size))
+    row_as, col_as = rows < G.n_as, cols < G.n_as
+    out[np.ix_(row_as, ~col_as)] = G.to_as[:, cols[~col_as] - G.n_as][rows[row_as]].toarray()
+    out[np.ix_(~row_as, col_as)] = G.to_ixp[rows[~row_as] - G.n_as][:, cols[col_as]].toarray()
+    return out
 
 
 def _solve_complement(
-    A_ss: sparse.csr_matrix, alpha: float, on_x: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve ``(I - alpha * A_ss) Y = rhs`` over the complement.
+    A_xa: sparse.csr_matrix, A_ax: sparse.csc_matrix, alpha: float, b: np.ndarray
+) -> None:
+    """Overwrite ``b`` with the solution ``Y`` of ``(I - alpha * A_ss) Y = b``.
 
-    ``on_x`` marks the complement's IXPs (``x``); the rest are ASes
-    (``a``).  Every link joins an AS and an IXP, so eliminating ``a`` is
-    exact and leaves the dense system
+    The complement lists its ASes (``a``) before its IXPs (``x``), and
+    ``A_xa`` and ``A_ax`` are the only nonzero blocks of ``A_ss``: every
+    link joins an AS and an IXP.  So eliminating ``a`` is exact and leaves
+    the dense system
 
         (I - alpha^2 A_xa A_ax) y_x = b_x + alpha A_xa b_a,
         y_a = b_a + alpha A_ax y_x.
@@ -294,17 +282,12 @@ def _solve_complement(
     Columns of ``A`` sum to at most 1, so ``K = I - alpha^2 A_xa A_ax`` is
     strictly column diagonally dominant with ``||K^-1||_1 <= 1 / (1 - alpha^2)``.
     """
-    x = np.flatnonzero(on_x)
-    a = np.flatnonzero(~on_x)
-    A_xa = A_ss[x][:, a]
-    A_ax = A_ss[a][:, x]
+    n_a = A_ax.shape[0]
     K = (A_xa @ A_ax).toarray()
     K *= -(alpha**2)
-    K.flat[:: x.size + 1] += 1.0
-    Y = np.empty_like(rhs)
-    Y[x] = np.linalg.solve(K, rhs[x] + alpha * (A_xa @ rhs[a]))
-    Y[a] = rhs[a] + alpha * (A_ax @ Y[x])
-    return Y
+    K.flat[:: K.shape[0] + 1] += 1.0
+    b[n_a:] = np.linalg.solve(K, b[n_a:] + alpha * (A_xa @ b[:n_a]))
+    b[:n_a] += alpha * (A_ax @ b[n_a:])
 
 
 def reduced_google_matrix(
@@ -332,52 +315,42 @@ def reduced_google_matrix(
     if r.min() < 0 or r.max() >= G.N:
         raise ValueError("subset index out of range")
 
-    alpha, n = G.alpha, G.N
-    in_r = np.zeros(n, dtype=bool)
-    in_r[r] = True
-    s = np.flatnonzero(~in_r)
-
-    A_rr, A_rs, A_sr, A_ss = _slice_blocks(G.normalized_weights, r, s)
-    dang_r = G.dangling[r].astype(np.float64)
+    alpha, n, n_as = G.alpha, G.N, G.n_as
+    s = np.setdiff1d(np.arange(n), r, assume_unique=True)
+    n_sa = int(np.searchsorted(s, n_as))  # s ascends: its ASes come first
+    s_a, s_x = s[:n_sa], s[n_sa:] - n_as
+    A_xa, A_ax = G.to_ixp[s_x][:, s_a], G.to_as[s_a][:, s_x]
     dang_s = G.dangling[s].astype(np.float64)
     base = (1.0 - alpha) / n
 
+    def from_complement(AY: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """``G_.s @ Y`` from ``AY = A_.s @ Y``; dangling and teleport fill every row alike."""
+        GY = alpha * AY
+        GY += (alpha / n) * (dang_s @ Y)
+        GY += base * Y.sum(axis=0)
+        return GY
+
     # Dense G_rr and G_sr blocks (columns indexed by the subset order).
-    G_rr = alpha * A_rr.toarray() + (alpha / n) * dang_r[None, :] + base
-    if s.size == 0:
-        GR = G_rr
-    else:
-        B = alpha * A_sr.toarray() + (alpha / n) * dang_r[None, :] + base
-        ones_s = np.ones(s.size)
-
-        def apply_G_ss(Y: np.ndarray) -> np.ndarray:
-            # The dangling and teleport terms are the same in every row.
-            GY = alpha * (A_ss @ Y)
-            GY += (alpha / n) * (dang_s @ Y)
-            GY += base * Y.sum(axis=0)
-            return GY
-
-        HZ = _solve_complement(A_ss, alpha, s >= G.n_as, np.column_stack([ones_s, B]))
-        h, Z = HZ[:, 0], HZ[:, 1:]
-        # I - G_ss = M - 1 q^T with q = (alpha/n)*dangling_s + (1-alpha)/n.
-        q = (alpha / n) * dang_s + base
-        denom = 1.0 - float(q @ h)
-        Y = Z + np.outer(h, q @ Z) / denom
-        residual = float(np.abs(Y - apply_G_ss(Y) - B).sum(axis=0).max())
-        if not residual <= max(tol, 1e-9):
-            raise ConvergenceError(
-                f"complement solve residual {residual:.3e} exceeds tolerance"
-            )
-        G_rsY = (
-            alpha * (A_rs @ Y)
-            + (alpha / n) * np.outer(np.ones(r.size), dang_s @ Y)
-            + base * np.outer(np.ones(r.size), Y.sum(axis=0))
-        )
-        GR = G_rr + G_rsY
-
+    G_r = alpha * _dense_block(G, np.concatenate([r, s]), r) + (alpha / n) * G.dangling[r] + base
+    G_rr, B = G_r[: r.size], G_r[r.size :]
+    HZ = np.column_stack([np.ones(s.size), B])
+    _solve_complement(A_xa, A_ax, alpha, HZ)
+    h, Z = HZ[:, 0], HZ[:, 1:]
+    # I - G_ss = M - 1 q^T with q = (alpha/n)*dangling_s + (1-alpha)/n.
+    q = (alpha / n) * dang_s + base
+    Y = Z + np.outer(h, q @ Z) / (1.0 - float(q @ h))
+    G_ssY = from_complement(np.vstack([A_ax @ Y[n_sa:], A_xa @ Y[:n_sa]]), Y)
+    residual = float(np.abs(Y - G_ssY - B).sum(axis=0).max())
+    if not residual <= max(tol, 1e-9):
+        raise ConvergenceError(f"complement solve residual {residual:.3e} exceeds tolerance")
+    # A_rs @ Y, one sparse product per side of r.
+    r_as = r < n_as
+    A_rsY = np.empty((r.size, Y.shape[1]))
+    A_rsY[r_as] = G.to_as[r[r_as]][:, s_x] @ Y[n_sa:]
+    A_rsY[~r_as] = G.to_ixp[r[~r_as] - n_as][:, s_a] @ Y[:n_sa]
     return ReducedGoogleMatrix(
         labels=tuple(G.labels[i] for i in r),
-        GR=np.asfortranarray(GR),
+        GR=np.asfortranarray(G_rr + from_complement(A_rsY, Y)),
         direction=G.direction,
         alpha=alpha,
     )

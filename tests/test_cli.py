@@ -155,6 +155,16 @@ def test_diff_rejects_subset_mismatch(workdir, reduced, tmp_path, capsys):
     assert err.startswith("peergraph:") and "subset" in err
 
 
+def test_diff_refuses_a_diff_file(reduced, tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    assert main(["diff", "--reduced", str(reduced[0]), str(reduced[1]), "--out", str(d)]) == 0
+    out = tmp_path / "dd.csv"
+    assert main(["diff", "--reduced", str(d), str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"peergraph: {d}: line 1: not a reduced-matrix CSV")
+    assert not out.exists()
+
+
 def test_classify_matches_golden(workdir, tmp_path):
     out = tmp_path / "classify.csv"
     rc = main([
@@ -365,14 +375,28 @@ def test_output_dir_env_override(workdir, tmp_path, monkeypatch, capsys):
         "receivers", "--graph", graph, "--countries", "DE",
         "--apnic", str(DATA_DIR / "apnic_fixture.csv"), "--out", "r.csv",
     ]) == 0
+    series = [
+        arg for day in ("01", "02", "03", "04")
+        for arg in ("--snapshot", str(FIXTURE_SNAPSHOT), f"2020-01-{day}")
+    ]
+    assert main(["timeseries", *series, "--fit", "--out", "t.csv"]) == 0
+    assert main(["cluster", "--graph", graph, "--profile-out", "p.csv", "--out", "k.csv"]) == 0
+    assert main(["export", "--graph", graph, "--format", "edgelist", "--out", "e.csv"]) == 0
     written = sorted(p.name for p in (tmp_path / "outdir").iterdir())
     assert written == sorted(
         name + suffix
-        for name in ("c.csv", "c.csv.metrics.csv", "r.csv", "r.csv.coverage.csv")
+        for name in (
+            "c.csv", "c.csv.metrics.csv", "r.csv", "r.csv.coverage.csv", "t.csv",
+            "t.csv.fit.csv", "k.csv", "p.csv", "e.csv", "e_as_nodes.csv", "e_ixp_nodes.csv",
+        )
         for suffix in ("", ".manifest.json")
     )
     manifest = json.loads((tmp_path / "outdir" / "c.csv.manifest.json").read_text())
     assert sorted(manifest["outputs"]) == ["outdir/c.csv", "outdir/c.csv.metrics.csv"]
+    manifest = json.loads((tmp_path / "outdir" / "e_as_nodes.csv.manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == [
+        "outdir/e.csv", "outdir/e_as_nodes.csv", "outdir/e_ixp_nodes.csv",
+    ]
 
 
 # Flags (by argparse dest) that name output files; a manifest records every

@@ -329,6 +329,10 @@ REDUCED_DEFECTS = {
     "bad date": (_edit_line(1, b"date=2020-01-01", b"date=2020-13-01"), "line 1"),
     "bad direction": (_edit_line(1, b"direction=reverse", b"direction=up"), "line 1"),
     "non-UTF-8 bytes": (_edit_line(4, b"AS64501", b"AS6450\xff"), "line 4"),
+    "no comment line": (lambda lines: lines.pop(0), "line 1"),
+    "diff file": (_edit_line(1, b"peergraph=reduced", b"peergraph=diff"), "line 1"),
+    "missing key": (_edit_line(1, b" censored=1", b""), "line 1: the comment line has no censored"),
+    "no header row": (_edit_line(2, b"node,", b"nodes,"), "line 2"),
 }
 
 

@@ -261,7 +261,8 @@ def test_oversized_field_names_file_and_line(tmp_path, capsys, command):
         path.write_text(f"# asn,country\n64500,{OVERSIZED}\n")
         argv = _argv(tmp_path, command, path, str(out))
     else:
-        path.write_text(f"# peergraph=reduced direction=reverse\nnode,AS1,{OVERSIZED}\n")
+        meta = "# peergraph=reduced direction=reverse censored=0 alpha=0.85 date=-"
+        path.write_text(f"{meta}\nnode,AS1,{OVERSIZED}\n")
         argv = ["diff", "--reduced", str(path), str(path), "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -76,8 +76,11 @@ def dense_weights(g, direction: str = "forward", beta: BetaParams | None = None)
 
 
 def dense(G: GoogleMatrix) -> np.ndarray:
-    """``G`` as a dense matrix, from its normalized weights and dangling columns."""
-    return G.alpha * G.normalized_weights.toarray() + (G.alpha * G.dangling + 1 - G.alpha) / G.N
+    """``G`` as a dense matrix, from its two blocks and its dangling columns."""
+    A = np.zeros((G.N, G.N))
+    A[: G.n_as, G.n_as :] = G.to_as.toarray()
+    A[G.n_as :, : G.n_as] = G.to_ixp.toarray()
+    return G.alpha * A + (G.alpha * G.dangling + 1 - G.alpha) / G.N
 
 
 # --- Google matrix ---
@@ -413,7 +416,8 @@ def test_bipartite_elimination_matches_oracle_and_lu(seed, direction, beta, kind
     assert np.abs(R.GR - oracle).max() < 1e-10
 
 
-def test_nan_in_complement_fails_residual_gate():
+@pytest.mark.parametrize("block", ["to_ixp", "to_as"])
+def test_nan_in_complement_fails_residual_gate(block):
     snap = make_snapshot(
         [(10, TC.BALANCED), (20, TC.BALANCED)],
         [(1, "DE"), (2, "DE")],
@@ -421,8 +425,12 @@ def test_nan_in_complement_fails_residual_gate():
     )
     g = build_graph(snap)
     G = google_matrix(g)
-    # corrupt the link AS20 -> IX2, which lies inside the complement of {AS10}
-    G.normalized_weights[g.ixp_index(2), g.as_index(20)] = np.nan
+    # corrupt the link AS20 -> IX2 or IX2 -> AS20, both inside the complement of {AS10}
+    x, a = g.ixp_index(2) - g.n_as, g.as_index(20)
+    if block == "to_ixp":
+        G.to_ixp[x, a] = np.nan
+    else:
+        G.to_as[a, x] = np.nan
     with pytest.raises(ConvergenceError):
         reduced_google_matrix(G, [g.as_index(10)])
 
