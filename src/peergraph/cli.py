@@ -38,7 +38,7 @@ from .analysis import (
 )
 from .clustering import cluster_profiles, louvain_bipartite, symmetrize
 from .errors import PeergraphError, SnapshotFormatError
-from .graph import BetaParams, build_graph, fit_breakpoint
+from .graph import BetaParams, PeeringGraph, build_graph, fit_breakpoint
 from .graphio import (
     atomic_write_text,
     export_edgelist,
@@ -250,8 +250,27 @@ def _beta_from_args(args) -> BetaParams:
     return BetaParams(balanced=args.beta_b, mostly=args.beta_m, heavy=args.beta_h)
 
 
+def _dump_graph(path, date, args, min_members: int = 1) -> PeeringGraph:
+    """The graph of the dump at ``path``; a graph that cannot be built names the file."""
+    snapshot, beta = parse_snapshot(path, date), _beta_from_args(args)
+    try:
+        return build_graph(snapshot, beta, min_members=min_members)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+
+
+def _capacity_point(path, snapshot) -> tuple[Date, float]:
+    """The (date, total port capacity) of ``snapshot``; a total that overflows names the file."""
+    try:
+        (point,) = capacity_timeseries([snapshot])
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+    return point
+
+
 def cmd_ingest(args) -> list[Path]:
     snapshot = parse_snapshot(args.snapshot, _parse_date("--date", args.date))
+    total = _capacity_point(args.snapshot, snapshot)[1]
     rep = snapshot.report
     print(
         f"parsed {args.snapshot}: {rep.networks} networks, {rep.ixps} ixps, "
@@ -290,7 +309,7 @@ def cmd_ingest(args) -> list[Path]:
             "memberships": rep.memberships,
             "dropped_total": dropped,
             "report": rep.__dict__,
-            "total_capacity_mbit": sum(snapshot.port_size.tolist()),
+            "total_capacity_mbit": total,
             "outliers": [
                 {"asn": o.asn, "name": o.name, "total_capacity": o.total_capacity}
                 for o in outliers
@@ -302,8 +321,7 @@ def cmd_ingest(args) -> list[Path]:
 
 
 def cmd_build(args) -> list[Path]:
-    snapshot = parse_snapshot(args.snapshot, _parse_date("--date", args.date))
-    g = build_graph(snapshot, _beta_from_args(args), min_members=args.min_members)
+    g = _dump_graph(args.snapshot, _parse_date("--date", args.date), args, args.min_members)
     save_graph(g, args.out)
     print(f"built graph: {g.n_as} ASes, {g.n_ixp} IXPs, {g.n_edges} links -> {args.out}")
     return [args.out]
@@ -441,7 +459,7 @@ def cmd_sweep(args) -> list[Path]:
         message = f"--grid-h {args.grid_h!r} leaves no grid point (beta_heavy = 1 is excluded)"
         raise PeergraphError(message)
     probes = _read_asns(args.probes) if args.probes else None
-    g = build_graph(parse_snapshot(args.snapshot, date), _beta_from_args(args))
+    g = _dump_graph(args.snapshot, date, args)
     for asn, n in (probes or {}).items():
         if not g.contains_as(asn):
             message = f"{args.probes}: line {n}: AS{asn} is not a node of the graph"
@@ -528,8 +546,7 @@ def cmd_timeseries(args) -> list[Path]:
             raise PeergraphError(
                 f"--snapshot DATE {repeated.isoformat()} is given twice; --fit needs distinct dates"
             )
-    snapshots = [parse_snapshot(path, date) for path, date in pairs]
-    series = capacity_timeseries(snapshots)
+    series = tuple(_capacity_point(path, parse_snapshot(path, date)) for path, date in pairs)
     rows = [["date", "total_capacity_mbit"]]
     rows.extend([d.isoformat(), repr(v)] for d, v in series)
     atomic_write_text(args.out, _csv_text(rows))

@@ -279,7 +279,9 @@ def _assemble(
     a saved graph always are.  Raises
     ``ValueError`` naming the record when a node id is listed twice, an
     edge names an unlisted node or appears twice, or a port size is not
-    finite and positive.
+    finite and positive.  It also refuses a graph in which a node's port
+    capacity or the total over all ASes is not finite, naming the first
+    node at which a sum overflows (the ASes in order, then the IXPs).
     """
     asn, as_class, as_name, as_scope, as_type = _sorted_nodes("AS", *as_columns)
     ixp_id, ixp_name, ixp_country = _sorted_nodes("IXP", *ixp_columns)
@@ -292,7 +294,7 @@ def _assemble(
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         raise ValueError(
-            f"edge AS{edge_asn[k]}-IX{edge_ixp_id[k]} has port size {port_size[k]!r}; "
+            f"edge AS{edge_asn[k]}-IX{edge_ixp_id[k]} has port size {float(port_size[k])!r}; "
             "port sizes must be finite and positive"
         )
     a, as_listed = _positions(asn, edge_asn)
@@ -314,7 +316,7 @@ def _assemble(
         k = int(np.flatnonzero(repeated)[0])
         raise ValueError(f"edge AS{asn[a[k]]}-IX{ixp_id[x[k]]} is listed twice")
 
-    return PeeringGraph(
+    g = PeeringGraph(
         date=date,
         beta=beta,
         asn=asn,
@@ -330,6 +332,12 @@ def _assemble(
         port_size=_frozen(port_size),
         edge_class=_frozen(as_class[a]),
     )
+    with np.errstate(over="ignore"):
+        sums = np.concatenate([np.cumsum(g.capacity[: g.n_as]), g.capacity[g.n_as :]])
+    if not np.isfinite(sums).all():
+        label = g.labels[int(np.flatnonzero(~np.isfinite(sums))[0])]
+        raise ValueError(f"port capacity sums past the float range at {label}")
+    return g
 
 
 def build_graph(

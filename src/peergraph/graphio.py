@@ -12,10 +12,11 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from datetime import date as Date
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,18 +37,29 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     """Write bytes to ``path`` via a temp file in the same directory."""
+    with _atomic_file(path) as handle:
+        handle.write(data)
+    return Path(path)
+
+
+@contextmanager
+def _atomic_file(path: str | Path, **text) -> Iterator[IO]:
+    """A temp file beside ``path``, renamed to ``path`` when the block ends.
+
+    The file is binary, or text with the :func:`open` keywords ``text``.
+    If the block raises, the temp file is removed and ``path`` is untouched.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w" if text else "wb", **text) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return path
 
 
 # Records of the graph file as json.dumps(payload, sort_keys=True, indent=1)
@@ -283,10 +295,13 @@ _GEXF_GRAPH = (
 )
 
 
-def _gexf_list(tag: str, items: list[str]) -> list[str]:
-    if not items:
-        return [f"    <{tag} />\n"]
-    return [f"    <{tag}>\n", *items, f"    </{tag}>\n"]
+def _write_gexf_list(out: IO[str], tag: str, count: int, items: Iterable[str]) -> None:
+    if not count:
+        out.write(f"    <{tag} />\n")
+        return
+    out.write(f"    <{tag}>\n")
+    out.writelines(items)
+    out.write(f"    </{tag}>\n")
 
 
 def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
@@ -296,12 +311,15 @@ def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
     nonzero weight with a ``weight`` attribute.  Nodes are in index order
     and edges are grouped by source in node order, targets ascending, with
     ids counting from 0.  The header records the snapshot date and the
-    package version, so equal graphs give equal bytes.
+    package version, so equal graphs give equal bytes.  Each record is
+    written as it is formatted, through one UTF-8 text stream; lone
+    surrogates in names become character references, as ElementTree
+    writes them.
     """
     labels = g.labels
     countries = ("",) * g.n_as + g.ixp_country
     capacity = g.capacity.tolist()
-    nodes = [
+    nodes = (
         f'      <node id="{label}" label="{(name or label).translate(_XML_ATTR)}">\n'
         "        <attvalues>\n"
         f'          <attvalue for="0" value="{kind}" />\n'
@@ -312,32 +330,24 @@ def export_gexf(g: PeeringGraph, path: str | Path) -> Path:
         for label, name, kind, country, cap in zip(
             labels, g.names, g.kinds, countries, capacity
         )
-    ]
+    )
     source, target, weight = g.links()
     order = np.lexsort((target, source))
-    edges = [
+    edges = (
         f'      <edge source="{labels[s]}" target="{labels[t]}" id="{k}" weight="{w!r}" />\n'
         for k, (s, t, w) in enumerate(
             zip(source[order].tolist(), target[order].tolist(), weight[order].tolist())
         )
-    ]
+    )
     date = f' lastmodifieddate="{g.date.isoformat()}"' if g.date else ""
-    text = "".join([
-        _GEXF_ROOT,
-        f"  <meta{date}>\n    <creator>peergraph {__version__}</creator>\n  </meta>\n",
-        _GEXF_GRAPH,
-        *_gexf_list("nodes", nodes),
-        *_gexf_list("edges", edges),
-        "  </graph>\n</gexf>\n",
-    ])
-    # Free the pieces before the text is encoded, so that they and the encoded
-    # bytes are never held at once: this is the largest text the package writes.
-    del nodes, edges
-    if not text.isascii():
-        # Lone surrogates in names become character references, as
-        # ElementTree writes them.
-        text = text.encode("utf-8", "xmlcharrefreplace").decode("utf-8")
-    return atomic_write_text(path, text)
+    with _atomic_file(path, encoding="utf-8", errors="xmlcharrefreplace", newline="") as out:
+        out.write(_GEXF_ROOT)
+        out.write(f"  <meta{date}>\n    <creator>peergraph {__version__}</creator>\n  </meta>\n")
+        out.write(_GEXF_GRAPH)
+        _write_gexf_list(out, "nodes", g.n_nodes, nodes)
+        _write_gexf_list(out, "edges", source.size, edges)
+        out.write("  </graph>\n</gexf>\n")
+    return Path(path)
 
 
 def export_edgelist(g: PeeringGraph, path: str | Path) -> list[Path]:

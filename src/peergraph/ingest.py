@@ -432,7 +432,19 @@ def load_market_shares(paths: Sequence[str | Path]) -> dict[tuple[int, str], flo
 def capacity_timeseries(
     snapshots: Sequence[RawSnapshot],
 ) -> tuple[tuple[Date, float], ...]:
-    """Per-date total of all membership port sizes, in input order."""
+    """Per-date total of all membership port sizes, in input order.
+
+    Raises ``ValueError`` naming the AS of the first membership at which a
+    total overflows the float range.
+    """
     if not snapshots:
         raise ValueError("need at least one snapshot")
-    return tuple((s.date, float(sum(s.port_size.tolist()))) for s in snapshots)
+    series = []
+    for s in snapshots:
+        total = float(sum(s.port_size.tolist()))
+        if not math.isfinite(total):
+            with np.errstate(over="ignore"):
+                k = int(np.flatnonzero(~np.isfinite(np.cumsum(s.port_size)))[0])
+            raise ValueError(f"port capacity sums past the float range at AS{s.port_asn[k]}")
+        series.append((s.date, total))
+    return tuple(series)

@@ -21,17 +21,19 @@ theory; Arasu, Novak, Tomkins, Tomlin, "PageRank computation and the
 structure of the web", WWW 2002).
 
 The reduced matrix for a node subset ``r`` (complement ``s``) is the
-stochastic complement
+stochastic complement (Meyer, "Stochastic complementation, uncoupling
+Markov chains, and the theory of nearly reducible systems", SIAM Review
+1989)
 
     G_R = G_rr + G_rs (I - G_ss)^{-1} G_sr,
 
 an exact Markov-chain reduction: the restriction of the PageRank vector
 to ``r``, L1-normalized, is a fixed point of ``G_R``.  ``I - G_ss`` is the
-sparse matrix ``I - alpha * A_ss`` minus a rank-one teleport/dangling
-term, so one solve of the sparse part plus a Sherman-Morrison correction
-handles all right-hand sides at once.  ``A_ss`` links only ASes to IXPs,
-so eliminating the complement's ASes leaves one dense system over its
-IXPs.
+sparse ``I - alpha * A_ss`` minus a rank-one teleport/dangling term, so
+one sparse solve and a Sherman-Morrison step give every column.  ``A_ss``
+links only ASes to IXPs: eliminating the complement's ASes leaves one
+dense system over its IXPs, and ``G_R`` needs only small products of its
+solution, so no dense array has a row per complement AS.
 
 scipy is imported where a sparse matrix is built, not at module level, so
 the functions that only read rank tables or reduced matrices do not load it.
@@ -257,37 +259,27 @@ class ReducedGoogleMatrix:
     date: Date | None = None
 
 
-def _dense_block(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Normalized weights ``A[rows][:, cols]`` over node indices, dense, from the two blocks."""
-    out = np.zeros((rows.size, cols.size))
-    row_as, col_as = rows < G.n_as, cols < G.n_as
-    out[np.ix_(row_as, ~col_as)] = G.to_as[:, cols[~col_as] - G.n_as][rows[row_as]].toarray()
-    out[np.ix_(~row_as, col_as)] = G.to_ixp[rows[~row_as] - G.n_as][:, cols[col_as]].toarray()
-    return out
+def _solve_ixp_system(
+    A_xa: sparse.csr_matrix, A_ax: sparse.csc_matrix, alpha: float, rhs: np.ndarray, tol: float
+) -> np.ndarray:
+    """``K^-1 rhs`` for ``K = I - alpha^2 A_xa A_ax``, refused unless its residual is within tol.
 
-
-def _solve_complement(
-    A_xa: sparse.csr_matrix, A_ax: sparse.csc_matrix, alpha: float, b: np.ndarray
-) -> None:
-    """Overwrite ``b`` with the solution ``Y`` of ``(I - alpha * A_ss) Y = b``.
-
-    The complement lists its ASes (``a``) before its IXPs (``x``), and
-    ``A_xa`` and ``A_ax`` are the only nonzero blocks of ``A_ss``: every
-    link joins an AS and an IXP.  So eliminating ``a`` is exact and leaves
-    the dense system
-
-        (I - alpha^2 A_xa A_ax) y_x = b_x + alpha A_xa b_a,
-        y_a = b_a + alpha A_ax y_x.
-
-    Columns of ``A`` sum to at most 1, so ``K = I - alpha^2 A_xa A_ax`` is
-    strictly column diagonally dominant with ``||K^-1||_1 <= 1 / (1 - alpha^2)``.
+    Columns of ``A`` sum to at most 1, so ``K`` is strictly column
+    diagonally dominant with ``||K^-1||_1 <= 1 / (1 - alpha^2)``.  The
+    dense ``K`` is freed before the residual ``||rhs - K W_x||_1`` of each
+    column is taken through ``A_ax`` and ``A_xa``, one column at a time.
     """
-    n_a = A_ax.shape[0]
     K = (A_xa @ A_ax).toarray()
     K *= -(alpha**2)
     K.flat[:: K.shape[0] + 1] += 1.0
-    b[n_a:] = np.linalg.solve(K, b[n_a:] + alpha * (A_xa @ b[:n_a]))
-    b[:n_a] += alpha * (A_ax @ b[n_a:])
+    W_x = np.linalg.solve(K, rhs)
+    del K
+    residual = max(
+        float(np.abs(b - w + alpha**2 * (A_xa @ (A_ax @ w))).sum()) for b, w in zip(rhs.T, W_x.T)
+    )
+    if not residual <= max(tol, 1e-9):
+        raise ConvergenceError(f"complement solve residual {residual:.3e} exceeds tolerance")
+    return W_x
 
 
 def reduced_google_matrix(
@@ -297,13 +289,15 @@ def reduced_google_matrix(
 ) -> ReducedGoogleMatrix:
     """Stochastic complement of ``G`` onto ``subset`` (order preserved).
 
-    ``I - G_ss = M - 1 q^T`` with sparse ``M = I - alpha * A_ss``.  One
-    solve of ``M`` over the stacked right-hand sides ``[1 | G_sr]`` gives
-    the Sherman-Morrison correction for the rank-one term.  That solve
-    eliminates the complement's ASes exactly and solves one dense system
-    over its IXPs.  The residual of every column is checked against
-    ``tol``.  With an empty complement the result is ``G`` itself
-    restricted to the requested ordering.
+    With ``M = I - alpha * A_ss``, ``I - G_ss = M - 1 q^T`` and
+    ``G_sr = alpha * A_sr + 1 c^T``, so ``G_R`` follows by one
+    Sherman-Morrison step from ``q^T W`` and ``A_rs W`` for
+    ``W = M^-1 b``, ``b = [1 | A_sr]``.  The complement lists its ASes
+    (``a``) before its IXPs (``x``).  Eliminating ``a`` leaves
+    ``K W_x = b_x + alpha A_xa b_a`` (:func:`_solve_ixp_system`), and
+    ``W_a = b_a + alpha A_ax W_x`` enters both products through sparse
+    ones.  Raises :class:`ConvergenceError` when the residual of the IXP
+    system exceeds ``tol`` or ``G_R`` has an entry that is not finite.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -315,42 +309,48 @@ def reduced_google_matrix(
     if r.min() < 0 or r.max() >= G.N:
         raise ValueError("subset index out of range")
 
-    alpha, n, n_as = G.alpha, G.N, G.n_as
+    alpha, n, n_as, k = G.alpha, G.N, G.n_as, r.size
+    base = (1.0 - alpha) / n
     s = np.setdiff1d(np.arange(n), r, assume_unique=True)
     n_sa = int(np.searchsorted(s, n_as))  # s ascends: its ASes come first
     s_a, s_x = s[:n_sa], s[n_sa:] - n_as
-    A_xa, A_ax = G.to_ixp[s_x][:, s_a], G.to_as[s_a][:, s_x]
-    dang_s = G.dangling[s].astype(np.float64)
-    base = (1.0 - alpha) / n
-
-    def from_complement(AY: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """``G_.s @ Y`` from ``AY = A_.s @ Y``; dangling and teleport fill every row alike."""
-        GY = alpha * AY
-        GY += (alpha / n) * (dang_s @ Y)
-        GY += base * Y.sum(axis=0)
-        return GY
-
-    # Dense G_rr and G_sr blocks (columns indexed by the subset order).
-    G_r = alpha * _dense_block(G, np.concatenate([r, s]), r) + (alpha / n) * G.dangling[r] + base
-    G_rr, B = G_r[: r.size], G_r[r.size :]
-    HZ = np.column_stack([np.ones(s.size), B])
-    _solve_complement(A_xa, A_ax, alpha, HZ)
-    h, Z = HZ[:, 0], HZ[:, 1:]
-    # I - G_ss = M - 1 q^T with q = (alpha/n)*dangling_s + (1-alpha)/n.
-    q = (alpha / n) * dang_s + base
-    Y = Z + np.outer(h, q @ Z) / (1.0 - float(q @ h))
-    G_ssY = from_complement(np.vstack([A_ax @ Y[n_sa:], A_xa @ Y[:n_sa]]), Y)
-    residual = float(np.abs(Y - G_ssY - B).sum(axis=0).max())
-    if not residual <= max(tol, 1e-9):
-        raise ConvergenceError(f"complement solve residual {residual:.3e} exceeds tolerance")
-    # A_rs @ Y, one sparse product per side of r.
     r_as = r < n_as
-    A_rsY = np.empty((r.size, Y.shape[1]))
-    A_rsY[r_as] = G.to_as[r[r_as]][:, s_x] @ Y[n_sa:]
-    A_rsY[~r_as] = G.to_ixp[r[~r_as] - n_as][:, s_a] @ Y[:n_sa]
+    r_a, r_x = r[r_as], r[~r_as] - n_as
+    sa_rows, sx_rows, ra_rows, rx_rows = G.to_as[s_a], G.to_ixp[s_x], G.to_as[r_a], G.to_ixp[r_x]
+    A_xa, A_ax, A_rx_sa = sx_rows[:, s_a], sa_rows[:, s_x], rx_rows[:, s_a]
+    # Column 0 of b is the ones, column 1 + j that of subset node j: an
+    # AS's column of A_sr is nonzero on s_x only, an IXP's on s_a only.
+    col_a, col_x = 1 + np.flatnonzero(r_as), 1 + np.flatnonzero(~r_as)
+    b_a, ones_a = sa_rows[:, r_x], np.ones(n_sa)
+    rhs = np.zeros((s_x.size, k + 1))
+    rhs[:, 0] = 1.0 + alpha * (A_xa @ ones_a)
+    rhs[:, col_a] = sx_rows[:, r_a].toarray()
+    rhs[:, col_x] = alpha * (A_xa @ b_a).toarray()
+    W_x = _solve_ixp_system(A_xa, A_ax, alpha, rhs, tol)
+    # q = (alpha/n) * dangling_s + (1-alpha)/n and q^T W = q_a^T W_a + q_x^T W_x.
+    q_a, q_x = np.split((alpha / n) * G.dangling[s] + base, [n_sa])
+    qW = (alpha * (A_ax.T @ q_a) + q_x) @ W_x
+    qW[0] += q_a.sum()
+    qW[col_x] += b_a.T @ q_a
+    A_rsW = np.empty((k, k + 1))
+    A_rsW[r_as] = ra_rows[:, s_x] @ W_x
+    A_rsW[~r_as] = alpha * ((A_rx_sa @ A_ax) @ W_x)
+    A_rsW[~r_as, 0] += A_rx_sa @ ones_a
+    A_rsW[np.ix_(~r_as, col_x)] += (A_rx_sa @ b_a).toarray()
+    # Rows q^T and G_rs = alpha A_rs + 1 q^T times W, then times
+    # Z = M^-1 G_sr = W [c^T; alpha I], then times Y = (I - G_ss)^-1 G_sr.
+    c = (alpha / n) * G.dangling[r] + base
+    QW = np.vstack([qW, alpha * A_rsW + qW])
+    QZ = alpha * QW[:, 1:] + np.outer(QW[:, 0], c)
+    QY = QZ + np.outer(QW[:, 0], QZ[0]) / (1.0 - QW[0, 0])
+    GR = QY[1:] + c
+    GR[np.ix_(r_as, ~r_as)] += alpha * ra_rows[:, r_x].toarray()
+    GR[np.ix_(~r_as, r_as)] += alpha * rx_rows[:, r_a].toarray()
+    if not np.isfinite(GR).all():
+        raise ConvergenceError("reduced matrix has an entry that is not finite")
     return ReducedGoogleMatrix(
         labels=tuple(G.labels[i] for i in r),
-        GR=np.asfortranarray(G_rr + from_complement(A_rsY, Y)),
+        GR=np.asfortranarray(GR),
         direction=G.direction,
         alpha=alpha,
     )

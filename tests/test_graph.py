@@ -244,6 +244,26 @@ def test_every_node_has_a_neighbor(snap):
     assert (neighbor_counts(g) >= 1).all()
 
 
+# Each case has finite port sizes whose sum overflows: one AS's ports, the
+# total over ASes whose own capacities are finite, and one IXP's ports.
+OVERFLOWING_PORTS = {
+    "one AS": ([(10, 1, 1e308), (10, 2, 1e308), (20, 1, 5.0)], "AS10"),
+    "the total": ([(10, 1, 1e308), (20, 2, 1e308), (30, 1, 5.0)], "AS20"),
+    "one IXP": ([(10, 1, 7e307), (20, 1, 7e307), (30, 1, 7e307)], "AS30"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_PORTS))
+def test_capacity_that_overflows_is_refused(case):
+    ports, first = OVERFLOWING_PORTS[case]
+    snap = make_snapshot(
+        [(a, TC.BALANCED) for a in (10, 20, 30)], [(1, "DE"), (2, "US")], ports
+    )
+    with pytest.raises(ValueError) as info:
+        build_graph(snap)
+    assert str(info.value) == f"port capacity sums past the float range at {first}"
+
+
 def test_capacity_is_float_on_an_edgeless_graph():
     g = single_edge(TC.HEAVY_OUTBOUND, 100.0)
     edgeless = _assemble(*node_columns(g), (), (), (), g.beta, g.date)

@@ -1,8 +1,10 @@
 """Native graph JSON, matrix CSVs, exports, subset files."""
 from __future__ import annotations
 
+import errno
 import functools
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -491,6 +493,29 @@ def test_gexf_header_names_snapshot_date_and_package(fixture_graph, tmp_path):
     assert '<meta lastmodifieddate="2020-01-01">' in text
     assert "<creator>peergraph 0.1.0</creator>" in text
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gexf_export_failing_mid_write_leaves_no_file(fixture_graph, tmp_path, monkeypatch):
+    """A write that fails part of the way through, as on a full disk."""
+    fdopen, writes = os.fdopen, []
+
+    def filling_fdopen(*args, **kwargs):
+        handle = fdopen(*args, **kwargs)
+        write = handle.write
+
+        def write_until_full(data):
+            writes.append(data)
+            if len(writes) > 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(data)
+
+        handle.write = write_until_full
+        return handle
+
+    monkeypatch.setattr(os, "fdopen", filling_fdopen)
+    with pytest.raises(OSError, match="No space left on device"):
+        export_gexf(fixture_graph, tmp_path / "graph.gexf")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _without_meta(text: bytes) -> bytes:

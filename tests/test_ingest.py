@@ -581,6 +581,20 @@ def test_timeseries_empty_snapshot():
     assert capacity_timeseries([snap]) == ((D, 0.0),)
 
 
+def test_timeseries_refuses_a_total_that_overflows():
+    snap = make_snapshot(
+        networks=[(1, TrafficClass.BALANCED), (2, TrafficClass.BALANCED)],
+        ixps=[(1, "DE")],
+        memberships=[(2, 1, 5.0), (1, 1, 1e308), (2, 1, 1e308), (1, 1, 5.0)],
+        date=D,
+    )
+    empty = make_snapshot([(1, TrafficClass.BALANCED)], [(1, "DE")], [], date=D)
+    with pytest.raises(ValueError) as info:
+        capacity_timeseries([empty, snap])
+    # the memberships are summed in dump order: AS2's second port overflows
+    assert str(info.value) == "port capacity sums past the float range at AS2"
+
+
 def test_timeseries_requires_snapshot():
     with pytest.raises(ValueError):
         capacity_timeseries([])

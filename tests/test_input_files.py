@@ -5,6 +5,9 @@ A bad flag value is reported with the flag and the value.
 """
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from peergraph import cli
@@ -13,7 +16,7 @@ from peergraph.graph import build_graph
 from peergraph.graphio import SUBSET_CAP, save_graph
 from peergraph.ingest import TrafficClass
 
-from conftest import FIXTURE_SNAPSHOT, make_snapshot
+from conftest import FIXTURE_SNAPSHOT, GOLDEN_DIR, make_snapshot
 
 DATE = "2020-01-01"
 
@@ -284,6 +287,73 @@ def test_diff_refuses_matrices_reduced_at_different_alphas(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "peergraph: reduced matrices have different alphas (0.5 and 0.85)\n"
     assert not out.exists()
+
+
+def _edited_graph(tmp_path, edit) -> Path:
+    path = Path(_graph(tmp_path))
+    payload = json.loads(path.read_text())
+    for edge in payload["edges"]:
+        edit(edge)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _overflow(edge: list) -> None:
+    """AS64500's edges to IX1 and IX2 at 1e308: each is finite, their sum is not."""
+    if edge[0] == 64500 and edge[1] in (1, 2):
+        edge[2] = 1e308
+
+
+OVERFLOW = "port capacity sums past the float range at AS64500"
+
+
+@pytest.mark.parametrize("command", ["rank", "reduce", "cluster"])
+def test_graph_whose_capacity_overflows_is_refused(tmp_path, capsys, command):
+    graph = _edited_graph(tmp_path, _overflow)
+    out = tmp_path / "out.csv"
+    argv = [command, "--graph", str(graph), "--out", str(out)]
+    if command == "reduce":
+        argv += ["--subset", str(GOLDEN_DIR / "subset.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"peergraph: {graph}: {OVERFLOW}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "timeseries", "ingest", "sweep"])
+def test_dump_whose_capacity_overflows_is_refused(tmp_path, capsys, command):
+    payload = json.loads(FIXTURE_SNAPSHOT.read_text())
+    for membership in payload["netixlan"]["data"]:
+        if membership["asn"] == 64500 and membership["ix_id"] in (1, 2):
+            membership["speed"] = 1e308
+    dump = tmp_path / "dump.json"
+    dump.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    argv = {
+        "build": ["build", "--snapshot", str(dump), "--date", DATE],
+        "timeseries": ["timeseries", "--snapshot", str(dump), DATE],
+        "ingest": ["ingest", "--snapshot", str(dump), "--date", DATE],
+        "sweep": ["sweep", "--snapshot", str(dump), "--date", DATE, "--grid-h", "0.9",
+                  "--grid-m", "0.7"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"peergraph: {dump}: {OVERFLOW}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size, shown", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (0.0, "0.0"), (-5.0, "-5.0"),
+])
+def test_bad_port_size_is_shown_as_a_plain_number(tmp_path, capsys, size, shown):
+    def edit(edge: list) -> None:
+        if edge[:2] == [64500, 1]:
+            edge[2] = size
+
+    graph = _edited_graph(tmp_path, edit)
+    assert main(["rank", "--graph", str(graph), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"peergraph: {graph}: edge AS64500-IX1 has port size {shown}; "
+        "port sizes must be finite and positive\n"
+    )
 
 
 def test_programming_error_propagates(tmp_path, monkeypatch):

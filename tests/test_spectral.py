@@ -435,6 +435,25 @@ def test_nan_in_complement_fails_residual_gate(block):
         reduced_google_matrix(G, [g.as_index(10)])
 
 
+@pytest.mark.parametrize("block", ["to_ixp", "to_as"])
+def test_nan_on_a_link_into_the_subset_is_refused(block):
+    snap = make_snapshot(
+        [(10, TC.BALANCED), (20, TC.BALANCED)],
+        [(1, "DE"), (2, "DE")],
+        [(10, 1, 5.0), (20, 1, 5.0), (20, 2, 5.0)],
+    )
+    g = build_graph(snap)
+    G = google_matrix(g)
+    # corrupt the link AS10 -> IX1 or IX1 -> AS10, between {AS10} and its complement
+    x, a = g.ixp_index(1) - g.n_as, g.as_index(10)
+    if block == "to_ixp":
+        G.to_ixp[x, a] = np.nan
+    else:
+        G.to_as[a, x] = np.nan
+    with pytest.raises(ConvergenceError):
+        reduced_google_matrix(G, [a])
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
 def test_reduction_refuses_tol_that_is_not_finite_and_positive(tol):
     G = google_matrix(complete_graph())
