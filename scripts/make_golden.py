@@ -3,8 +3,9 @@
 
 Everything here is computed independently of the package: the dump is
 parsed with plain json, the weight matrix is assembled densely from the
-documented weighting rules, PageRank comes from a dense linear solve and
-the reduced matrix from an explicit dense block inversion.  The CLI
+documented weighting rules, PageRank comes from a dense linear solve,
+the reduced matrix from an explicit dense block inversion and the
+communities from a node-at-a-time Louvain on nested lists.  The CLI
 end-to-end test compares its outputs against these files, so any change
 to the library's numerics that alters results will show up as a diff.
 
@@ -148,6 +149,104 @@ def reduced_and_censored(G, subset_idx):
     return GR, C
 
 
+def louvain(A, n_as):
+    """Bipartite Louvain (Blondel et al. 2008 on Barber's 2007 modularity).
+
+    ``A`` is the symmetric weight matrix as nested lists, its first ``n_as``
+    nodes the AS side.  Nodes are visited one at a time in ascending order;
+    a node takes the first community, scanned in ascending id, whose gain
+    beats the best so far by more than 1e-12.  Each level ends when a sweep
+    moves no node; each (community, side) pair then becomes one super node,
+    numbered by its first node.  Communities are numbered by first node.
+    """
+    n = len(A)
+    rows = [[(j, w) for j, w in enumerate(row) if w] for row in A]
+    side = [int(i >= n_as) for i in range(n)]
+    m = sum(w for row in rows for _, w in row) / 2.0
+    final = list(range(n))
+    if m <= 0:
+        return final
+    node_of = list(range(n))  # original node -> node of the current level
+    comm = list(range(n))
+    while True:
+        k = [sum(w for _, w in row) for row in rows]
+        mass = [{}, {}]
+        for i, c in enumerate(comm):
+            mass[side[i]][c] = mass[side[i]].get(c, 0.0) + k[i]
+        any_move = False
+        while True:
+            moved = False
+            for i, row in enumerate(rows):
+                link = {}
+                for j, w in row:
+                    link[comm[j]] = link.get(comm[j], 0.0) + w
+                own, current, opp = side[i], comm[i], mass[1 - side[i]]
+                base_link = link.get(current, 0.0)
+                base_null = k[i] * opp.get(current, 0.0) / m
+                best_gain, best = 0.0, current
+                for c in sorted(link):
+                    if c == current:
+                        continue
+                    gain = (link[c] - base_link) - (k[i] * opp.get(c, 0.0) / m - base_null)
+                    if gain > best_gain + 1e-12:
+                        best_gain, best = gain, c
+                if best != current:
+                    mass[own][current] -= k[i]
+                    mass[own][best] = mass[own].get(best, 0.0) + k[i]
+                    comm[i] = best
+                    moved = any_move = True
+            if not moved:
+                break
+        number = {}
+        for c in comm:
+            number.setdefault(c, len(number))
+        comm = [number[c] for c in comm]
+        final = [comm[v] for v in node_of]
+        if not any_move:
+            return final
+        supers = {}
+        for i in range(len(rows)):
+            supers.setdefault((comm[i], side[i]), len(supers))
+        super_of = [supers[(comm[i], side[i])] for i in range(len(rows))]
+        merged = [{} for _ in supers]
+        for i, row in enumerate(rows):
+            for j, w in row:
+                target = merged[super_of[i]]
+                target[super_of[j]] = target.get(super_of[j], 0.0) + w
+        rows = [sorted(row.items()) for row in merged]
+        side = [s for _, s in supers]  # dicts keep the order of first appearance
+        comm = [c for c, _ in supers]
+        node_of = [super_of[v] for v in node_of]
+
+
+def cluster_csvs(W, labels, kinds, names, n_as, capacity, country):
+    """The ``cluster`` table and its per-community profile table."""
+    n = len(labels)
+    A = [[float(W[i, j] + W[j, i]) for j in range(n)] for i in range(n)]
+    comm = louvain(A, n_as)
+    rows = [["node", "type", "name", "community"]]
+    rows.extend([labels[i], kinds[i], names[i], comm[i]] for i in range(n))
+
+    total_capacity = sum(capacity[n_as:])
+    n_ixps = n - n_as
+    profiles = []
+    for c in range(max(comm) + 1):
+        members = [i for i in range(n) if comm[i] == c]
+        ixps = [i for i in members if i >= n_as]
+        cap = sum(capacity[i] for i in ixps)
+        table = sorted(Counter(country[i] for i in ixps if country[i]).items(),
+                       key=lambda item: (-item[1], item[0]))
+        profiles.append([
+            c, 100.0 * cap / total_capacity, 100.0 * len(ixps) / n_ixps, len(ixps),
+            len(members) - len(ixps), len(table), "|".join(f"{k}:{v}" for k, v in table),
+        ])
+    profiles.sort(key=lambda p: (-p[1], p[0]))
+    prof_rows = [["community", "capacity_share_pct", "ixp_share_pct", "n_ixps", "n_as",
+                  "n_countries", "countries"]]
+    prof_rows.extend([p[0], repr(p[1]), repr(p[2]), *p[3:]] for p in profiles)
+    return csv_text(rows), csv_text(prof_rows)
+
+
 def reduced_csv(C, labels_subset, date):
     head = f"# peergraph=reduced direction=reverse censored=1 alpha={ALPHA!r} date={date}\n"
     rows = [["node", *labels_subset]]
@@ -288,6 +387,18 @@ def main() -> None:
             repr(float(max(pr_v) - min(pr_v))), repr(float(max(rpr_v) - min(rpr_v))),
         ])
     write(GOLDEN / "sweep.csv", csv_text(sweep_rows))
+
+    # --- bipartite Louvain communities and their profiles ---
+    node_capacity = [0.0] * len(labels)
+    for (a, x), ps in edges.items():
+        node_capacity[as_ids.index(a)] += ps
+        node_capacity[n_as + ixp_ids.index(x)] += ps
+    node_country = [""] * n_as + [ixps[x].get("country") or "" for x in ixp_ids]
+    cluster_text, profile_text = cluster_csvs(
+        W, labels, kinds, names, n_as, node_capacity, node_country
+    )
+    write(GOLDEN / "cluster.csv", cluster_text)
+    write(GOLDEN / "cluster_profiles.csv", profile_text)
 
 
 if __name__ == "__main__":

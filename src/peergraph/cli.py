@@ -492,7 +492,7 @@ def cmd_sweep(args) -> list[Path]:
 
 def cmd_cluster(args) -> list[Path]:
     g = load_graph(args.graph)
-    partition = louvain_bipartite(symmetrize(g), g.n_as, seed=args.seed, shuffle=args.shuffle)
+    partition = louvain_bipartite(symmetrize(g), g.n_as)
     rows = [["node", "type", "name", "community"]]
     rows.extend(map(list, zip(g.labels, g.kinds, g.names, partition.communities.tolist())))
     atomic_write_text(args.out, _csv_text(rows))
@@ -672,8 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="bipartite Louvain communities")
     p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shuffle", action="store_true", help="randomize the visit order")
     p.add_argument("--profile-out", default=None, help="per-cluster country table")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)

@@ -12,20 +12,21 @@ where ``k`` and ``d`` are the weighted degrees of the two sides and ``m``
 is the total cross-side edge weight.  The null model only allows
 cross-side pairs, so same-side co-membership neither costs nor rewards.
 
-Local moves require a strictly positive gain; on ties the node keeps its
-current community, and candidate communities are scanned in ascending id
-so the whole procedure is deterministic for a fixed visit order.
-Communities are node-aligned int64 columns numbered by first appearance.
+Every entry of ``A`` joins an AS to an IXP, and aggregation keeps it so.
+A node's gain then reads only the other side, so each sweep decides all
+AS moves at once and then all IXP moves, bit-equal to visiting the nodes
+one at a time in ascending order.  A node takes the first community, in
+ascending id, whose gain beats the best so far (from 0) by ``_GAIN_EPS``;
+on ties it stays.  Communities are numbered by first appearance.
 
 scipy is imported where a sparse matrix is built (:func:`symmetrize` and
 :func:`_aggregate`).
 """
 from __future__ import annotations
 
-import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -106,60 +107,59 @@ def _first_seen(keys: np.ndarray) -> np.ndarray:
 
 def _local_moves(
     A: sparse.csr_matrix,
-    side: np.ndarray,
+    n_first: int,
     k: np.ndarray,
     m: float,
-    order: Sequence[int],
     init_comm: np.ndarray,
     max_sweeps: int = 1_000,
 ) -> tuple[np.ndarray, bool]:
     """One Louvain level: greedy single-node moves until none improves.
 
-    Starts from ``init_comm`` (singletons at the first level, the
-    inherited communities after an aggregation).  Gains are kept unscaled
-    (modularity gain times m); the sign is all that matters for
-    acceptance.  Returns the assignment and whether any move happened.
+    Nodes ``0 .. n_first - 1`` are one side and the rest the other.  Each
+    sweep decides a whole side from the state before any of its nodes
+    moves, with the float operations of a node-at-a-time loop: link weights
+    summed per (node, community) in CSR order, and the mass updates in node
+    order through one ``np.add.at``.  The ``_GAIN_EPS`` scan runs in rounds,
+    each giving every node its first community that beats its best gain so
+    far.  Starts from ``init_comm``; gains are unscaled (modularity gain
+    times m).  Returns the assignment and whether any move happened.
     """
     n = A.shape[0]
-    # Degree mass per community, one list per node side.
-    mass = [
-        np.bincount(init_comm[side == s], weights=k[side == s], minlength=n).tolist()
-        for s in (0, 1)
-    ]
-    # Python lists: indexing them one element at a time is far cheaper
-    # than indexing numpy arrays, and the float arithmetic is the same.
-    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-    k, side, comm = k.tolist(), side.tolist(), init_comm.tolist()
+    comm = init_comm.copy()
+    sides = ((0, n_first), (n_first, n))
+    mass = [np.bincount(comm[lo:hi], weights=k[lo:hi], minlength=n) for lo, hi in sides]
     any_move = False
     for _ in range(max_sweeps):
         moved = False
-        for i in order:
-            own = side[i]
-            opp_mass = mass[1 - own]
-            current = comm[i]
-            link: dict[int, float] = defaultdict(float)
-            for ptr in range(indptr[i], indptr[i + 1]):
-                link[comm[indices[ptr]]] += data[ptr]
-            base_link = link.get(current, 0.0)
-            base_null = k[i] * opp_mass[current] / m
-            best_gain = 0.0
-            best_comm = current
-            for c in sorted(link):
-                if c == current:
-                    continue
-                gain = (link[c] - base_link) - (k[i] * opp_mass[c] / m - base_null)
-                if gain > best_gain + _GAIN_EPS:
-                    best_gain = gain
-                    best_comm = c
-            if best_comm != current:
-                mass[own][current] -= k[i]
-                mass[own][best_comm] += k[i]
-                comm[i] = best_comm
-                moved = True
-                any_move = True
+        for own, (lo, hi) in enumerate(sides):
+            span = slice(A.indptr[lo], A.indptr[hi])
+            node = np.repeat(np.arange(lo, hi), np.diff(A.indptr[lo : hi + 1]))
+            key, pair = np.unique(node * n + comm[A.indices[span]], return_inverse=True)
+            link = np.bincount(pair, weights=A.data[span])
+            node, cand = np.divmod(key, n)
+            stay = cand == comm[node]
+            base_link = np.zeros(n)
+            base_link[node[stay]] = link[stay]
+            kn, opp = k[node], mass[1 - own]
+            gain = (link - base_link[node]) - (kn * opp[cand] / m - kn * opp[comm[node]] / m)
+            best_gain, best = np.zeros(n), comm.copy()
+            live = np.flatnonzero(~stay)
+            while True:
+                live = live[gain[live] > best_gain[node[live]] + _GAIN_EPS]
+                if not live.size:
+                    break
+                first = live[np.diff(node[live], prepend=-1) != 0]
+                best_gain[node[first]] = gain[first]
+                best[node[first]] = cand[first]
+            movers = lo + np.flatnonzero(best[lo:hi] != comm[lo:hi])
+            if movers.size:
+                steps = np.column_stack([comm[movers], best[movers]]).ravel()
+                np.add.at(mass[own], steps, np.column_stack([-k[movers], k[movers]]).ravel())
+                comm[movers] = best[movers]
+                moved = any_move = True
         if not moved:
             break
-    return np.array(comm, dtype=np.int64), any_move
+    return comm, any_move
 
 
 def _aggregate(
@@ -194,22 +194,23 @@ def _aggregate(
     return agg, new_side, node_map, origin_comm
 
 
-def louvain_bipartite(
-    A: sparse.spmatrix,
-    n_as: int,
-    seed: int = 0,
-    shuffle: bool = False,
-) -> Partition:
+def louvain_bipartite(A: sparse.spmatrix, n_as: int) -> Partition:
     """Greedy Louvain with bipartite modularity on the symmetric matrix ``A``.
 
-    Nodes ``0 .. n_as - 1`` are the AS side, the rest the IXP side.  The
-    visit order is ascending node id by default; ``shuffle=True``
-    randomizes it with ``seed`` for robustness studies.  Passes alternate
-    local moves and community aggregation until a pass produces no merge.
-    Communities are numbered by their first node.
+    Nodes ``0 .. n_as - 1`` are the AS side, the rest the IXP side; an
+    entry between two nodes of one side raises ``ValueError``.  Passes
+    alternate local moves and community aggregation until a pass produces
+    no move.  Communities are numbered by their first node.
     """
-    n = A.shape[0]
     level = A.tocsr().astype(np.float64)
+    n = level.shape[0]
+    if level.shape[1] != n:
+        raise ValueError(f"A must be square, got shape {level.shape}")
+    row = np.repeat(np.arange(n), np.diff(level.indptr))
+    same = np.flatnonzero((row < n_as) == (level.indices < n_as))
+    if same.size:
+        i, j = row[same[0]], level.indices[same[0]]
+        raise ValueError(f"A[{i}, {j}] joins two nodes of the same side")
     side = (np.arange(n) >= n_as).astype(np.int64)
     m = float(level.sum()) / 2.0
 
@@ -217,15 +218,12 @@ def louvain_bipartite(
     if m <= 0:
         return Partition(communities=node_of, modularity=0.0, history=(0.0,))
 
-    rng = random.Random(seed)
     history: list[float] = []
     init_comm = node_of.copy()
     while True:
         k = np.asarray(level.sum(axis=1)).ravel()
-        order = list(range(level.shape[0]))
-        if shuffle:
-            rng.shuffle(order)
-        comm, moved = _local_moves(level, side, k, m, order, init_comm)
+        n_first = int(np.count_nonzero(side == 0))  # aggregation keeps ASes first
+        comm, moved = _local_moves(level, n_first, k, m, init_comm)
         comm = _first_seen(comm)
         final = comm[node_of]
         history.append(modularity(A, n_as, final))

@@ -215,13 +215,12 @@ def _indexed_local_moves(A, side, k, m, order, init_comm, max_sweeps=1_000):
     return comm, any_move
 
 
-def dict_louvain(A, n_as: int, seed: int = 0, shuffle: bool = False):
+def dict_louvain(A, n_as: int):
     """Bipartite Louvain with dict numbering and numpy-indexed local moves.
 
-    Returns ``(communities, modularity, history)``.
+    Nodes are visited one at a time in ascending order.  Returns
+    ``(communities, modularity, history)``.
     """
-    import random
-
     is_as = np.arange(A.shape[0]) < n_as
     level = A.tocsr().astype(np.float64)
     side = np.where(is_as, 0, 1)
@@ -229,14 +228,11 @@ def dict_louvain(A, n_as: int, seed: int = 0, shuffle: bool = False):
     node_of = np.arange(A.shape[0])
     if m <= 0:
         return node_of, 0.0, (0.0,)
-    rng = random.Random(seed)
     history = []
     init_comm = np.arange(level.shape[0])
     while True:
         k = np.asarray(level.sum(axis=1)).ravel()
-        order = list(range(level.shape[0]))
-        if shuffle:
-            rng.shuffle(order)
+        order = range(level.shape[0])
         comm, moved = _indexed_local_moves(level, side, k, m, order, init_comm)
         comm = dict_first_seen([int(c) for c in comm])
         final = comm[node_of]

@@ -2,8 +2,9 @@
 
 The golden outputs are produced by scripts/make_golden.py, an independent
 dense implementation (linear-solve PageRank, explicit block inversion for
-the reduction).  Labels, ranks and structure must match exactly; float
-cells are compared numerically.
+the reduction, a node-at-a-time loop Louvain for the communities).
+Labels, ranks, communities and structure must match exactly; float cells
+are compared numerically.
 """
 from __future__ import annotations
 
@@ -248,12 +249,22 @@ def test_sweep_matches_golden(tmp_path):
     assert_matches_golden(out, "sweep.csv")
 
 
+def test_cluster_matches_golden(workdir, tmp_path):
+    out, profiles = tmp_path / "cluster.csv", tmp_path / "profiles.csv"
+    assert main([
+        "cluster", "--graph", str(workdir / "graph.json"), "--profile-out", str(profiles),
+        "--out", str(out),
+    ]) == 0
+    assert_matches_golden(out, "cluster.csv")
+    assert_matches_golden(profiles, "cluster_profiles.csv")
+
+
 def test_cluster_deterministic_and_consistent(workdir, tmp_path):
     outs = []
     for name in ("p1.csv", "p2.csv"):
         out = tmp_path / name
         assert main([
-            "cluster", "--graph", str(workdir / "graph.json"), "--seed", "0",
+            "cluster", "--graph", str(workdir / "graph.json"),
             "--out", str(out), "--profile-out", str(tmp_path / ("prof_" + name)),
         ]) == 0
         outs.append(out)

@@ -144,8 +144,8 @@ def test_modularity_non_decreasing_per_pass():
 
 def test_louvain_deterministic(fixture_graph):
     A = symmetrize(fixture_graph)
-    p1 = louvain_bipartite(A, fixture_graph.n_as, seed=0)
-    p2 = louvain_bipartite(A, fixture_graph.n_as, seed=0)
+    p1 = louvain_bipartite(A, fixture_graph.n_as)
+    p2 = louvain_bipartite(A, fixture_graph.n_as)
     assert np.array_equal(p1.communities, p2.communities)
     assert p1.modularity == p2.modularity
 
@@ -169,16 +169,6 @@ def test_louvain_near_optimal_on_tiny_graphs():
         assert partition.modularity >= 0.95 * best_q - 1e-12
 
 
-def test_shuffled_order_still_valid(fixture_graph):
-    g = fixture_graph
-    A = symmetrize(g)
-    partition = louvain_bipartite(A, g.n_as, seed=3, shuffle=True)
-    direct = bipartite_modularity_direct(
-        A.toarray(), as_mask(g.n_nodes, g.n_as), partition.communities
-    )
-    assert partition.modularity == pytest.approx(direct, abs=1e-12)
-
-
 @st.composite
 def bipartite_matrices(draw):
     """A symmetric AS-IXP matrix and its AS count.
@@ -199,16 +189,60 @@ def bipartite_matrices(draw):
     return sparse.csr_matrix(A), n_as
 
 
-@settings(max_examples=150, deadline=None)
-@given(bipartite_matrices(), st.booleans(), st.integers(0, 7))
-def test_louvain_matches_dict_oracle(matrix, shuffle, seed):
-    A, n_as = matrix
-    partition = louvain_bipartite(A, n_as, seed=seed, shuffle=shuffle)
-    communities, q, history = dict_louvain(A, n_as, seed=seed, shuffle=shuffle)
+def assert_matches_dict_oracle(A, n_as):
+    partition = louvain_bipartite(A, n_as)
+    communities, q, history = dict_louvain(A, n_as)
     assert partition.communities.dtype == np.int64
     assert partition.communities.tolist() == communities.tolist()
     assert partition.history == history
     assert partition.modularity == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_matrices())
+def test_louvain_matches_dict_oracle(matrix):
+    assert_matches_dict_oracle(*matrix)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_louvain_matches_dict_oracle_on_long_sides(seed):
+    # 1,600 to 2,600 ASes, so each side is one long run of rows.
+    g = build_graph(random_snapshot(np.random.default_rng(seed), max_as=3000, max_ixp=200))
+    assert_matches_dict_oracle(symmetrize(g), g.n_as)
+
+
+def test_gains_within_the_margin_of_each_other_keep_the_first():
+    # AS 0 links to IXPs 5, 6 and 7, which link to ASes 1, 2 and 3 with
+    # weights 1 and just below 1; AS 4 and IXP 8 add mass.  AS 0's first move has gains g,
+    # g + 1.5e-12 and g + 2.2e-12 (g = 0.94): IXP 6 beats IXP 5 by more than
+    # _GAIN_EPS, and IXP 7 does not beat IXP 6 by that much.
+    A = np.zeros((9, 9))
+    for j, weight in enumerate([1.0, 1.0 - 5.3e-11, 1.0 - 5.3e-11 * 2.2 / 1.5]):
+        A[0, 5 + j] = A[5 + j, 0] = 1.0
+        A[1 + j, 5 + j] = A[5 + j, 1 + j] = weight
+    A[4, 8] = A[8, 4] = 100.0
+    A = sparse.csr_matrix(A)
+    assert_matches_dict_oracle(A, 5)
+    communities = louvain_bipartite(A, 5).communities
+    assert communities[0] == communities[6] != communities[7]
+
+
+@pytest.mark.parametrize(
+    "entry, shape, message",
+    [
+        ((0, 1), (5, 5), r"A\[0, 1\] joins two nodes of the same side"),
+        ((3, 4), (5, 5), r"A\[3, 4\] joins two nodes of the same side"),
+        ((2, 2), (5, 5), r"A\[2, 2\] joins two nodes of the same side"),
+        ((0, 3), (5, 6), r"A must be square, got shape \(5, 6\)"),
+    ],
+    ids=["as-as", "ixp-ixp", "diagonal", "not-square"],
+)
+def test_matrix_the_kernel_is_not_exact_on_is_refused(entry, shape, message):
+    A = sparse.lil_matrix(shape)
+    A[0, 3] = A[3, 0] = A[1, 4] = A[4, 1] = 5.0
+    A[entry] = A[entry[::-1]] = 1.0
+    with pytest.raises(ValueError, match=message):
+        louvain_bipartite(A, 3)
 
 
 @settings(max_examples=200, deadline=None)
