@@ -15,9 +15,9 @@ from .clustering import (
     ClusterProfile,
     Partition,
     cluster_profiles,
+    cross_weights,
     louvain_bipartite,
     modularity,
-    symmetrize,
 )
 from .graph import (
     BetaParams,

@@ -36,8 +36,8 @@ from .analysis import (
     top_hypergiants,
     traffic_receivers,
 )
-from .clustering import cluster_profiles, louvain_bipartite, symmetrize
-from .errors import PeergraphError, SnapshotFormatError
+from .clustering import cluster_profiles, cross_weights, louvain_bipartite
+from .errors import EmptyGraphError, PeergraphError, SnapshotFormatError
 from .graph import BetaParams, PeeringGraph, build_graph, fit_breakpoint
 from .graphio import (
     atomic_write_text,
@@ -257,6 +257,8 @@ def _dump_graph(path, date, args, min_members: int = 1) -> PeeringGraph:
         return build_graph(snapshot, beta, min_members=min_members)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from exc
+    except EmptyGraphError as exc:
+        raise EmptyGraphError(f"{path}: {exc}") from exc
 
 
 def _capacity_point(path, snapshot) -> tuple[Date, float]:
@@ -291,7 +293,8 @@ def cmd_ingest(args) -> list[Path]:
         reference = capacities.get(args.reference_asn, 0.0)
         if reference <= 0:
             raise PeergraphError(
-                f"reference AS {args.reference_asn} has no capacity in this snapshot"
+                f"{args.snapshot}: reference AS {args.reference_asn} has no capacity "
+                "in this snapshot"
             )
         outliers = validate_snapshot(snapshot, reference, factor=args.outlier_factor)
         for o in outliers:
@@ -492,7 +495,7 @@ def cmd_sweep(args) -> list[Path]:
 
 def cmd_cluster(args) -> list[Path]:
     g = load_graph(args.graph)
-    partition = louvain_bipartite(symmetrize(g), g.n_as)
+    partition = louvain_bipartite(g.edge_as, g.edge_ixp, cross_weights(g), g.n_as, g.n_nodes)
     rows = [["node", "type", "name", "community"]]
     rows.extend(map(list, zip(g.labels, g.kinds, g.names, partition.communities.tolist())))
     atomic_write_text(args.out, _csv_text(rows))

@@ -135,8 +135,11 @@ def dict_first_seen(keys) -> np.ndarray:
 def dict_aggregate(A, side, comm):
     """Louvain aggregation numbering (community, side) pairs with a dict.
 
-    Returns the aggregated matrix, the side of each super node, the node
-    -> super node map and the community each super node came from.
+    ``A`` is a symmetric AS-IXP matrix with sorted indices.  Each super edge
+    is summed once in a dict, over the AS rows in order, and that one sum is
+    written at both of its entries.  Returns the aggregated matrix, the side
+    of each super node, the node -> super node map and the community each
+    super node came from.
     """
     pairs: dict[tuple[int, int], int] = {}
     node_map = np.empty(A.shape[0], dtype=np.int64)
@@ -145,12 +148,24 @@ def dict_aggregate(A, side, comm):
         if key not in pairs:
             pairs[key] = len(pairs)
         node_map[i] = pairs[key]
-    coo = A.tocoo()
+    assert A.has_sorted_indices
+    sums: dict[tuple[int, int], float] = {}
+    for i in range(A.shape[0]):
+        if side[i] != 0:
+            continue
+        for ptr in range(A.indptr[i], A.indptr[i + 1]):
+            j = A.indices[ptr]
+            assert side[j] == 1, f"A[{i}, {j}] joins two nodes of one side"
+            edge = (int(node_map[i]), int(node_map[j]))
+            sums[edge] = sums.get(edge, 0.0) + A.data[ptr]
+    rows, cols, data = [], [], []
+    for (p, q), weight in sums.items():
+        rows += [p, q]
+        cols += [q, p]
+        data += [weight, weight]
     agg = sparse.csr_matrix(
-        (coo.data, (node_map[coo.row], node_map[coo.col])),
-        shape=(len(pairs), len(pairs)),
+        (np.asarray(data, dtype=np.float64), (rows, cols)), shape=(len(pairs), len(pairs))
     )
-    agg.sum_duplicates()
     agg.sort_indices()
     new_side = np.empty(len(pairs), dtype=np.int64)
     origin_comm = np.empty(len(pairs), dtype=np.int64)

@@ -562,7 +562,7 @@ for argv in json.loads(sys.argv[1]):
 
 def test_commands_that_build_no_sparse_matrix_never_import_scipy(workdir, reduced, tmp_path):
     # scipy.sparse is imported where a sparse matrix is built, so the package
-    # import and these eight commands start without paying for it.
+    # import and these nine commands start without paying for it.
     graph = str(workdir / "graph.json")
     out = str(tmp_path)
     commands = [
@@ -576,6 +576,8 @@ def test_commands_that_build_no_sparse_matrix_never_import_scipy(workdir, reduce
         ["export", "--graph", graph, "--format", "csv", "--out", f"{out}/weights.csv"],
         ["diff", "--reduced", str(reduced[0]), str(reduced[1]), "--out", f"{out}/diff.csv"],
         ["timeseries", "--snapshot", str(FIXTURE_SNAPSHOT), DATE, "--out", f"{out}/ts.csv"],
+        ["cluster", "--graph", graph, "--profile-out", f"{out}/profiles.csv",
+         "--out", f"{out}/cluster.csv"],
         # rank builds the Google operator: the probe must see scipy arrive.
         ["rank", "--graph", graph, "--out", f"{out}/rank.csv"],
     ]

@@ -1,5 +1,7 @@
-"""Symmetrization, bipartite-modularity Louvain, cluster profiles."""
+"""Edge weights, bipartite-modularity Louvain, cluster profiles."""
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from peergraph.clustering import (
     _aggregate,
     _first_seen,
     cluster_profiles,
+    cross_weights,
     louvain_bipartite,
     modularity,
-    symmetrize,
 )
 from peergraph.graph import build_graph
 from peergraph.ingest import TrafficClass
@@ -44,34 +46,55 @@ def biclique(as_ids, ixp_ids, weight=10.0):
     return [(a, x, weight) for a in as_ids for x in ixp_ids]
 
 
-# --- symmetrization ---
+def symmetric_matrix(snap, g) -> sparse.csr_matrix:
+    """``W + W^T`` of the graph ``g`` of ``snap``, from the loop-built ``W``."""
+    Wl = loop_weight_matrix(snap, g.beta)
+    return (Wl + Wl.T).tocsr()
+
+
+def cross_edges(A, n_as: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (AS, IXP, weight) edges of a symmetric AS-IXP matrix, sorted by (AS, IXP).
+
+    Nodes ``0 .. n_as - 1`` are the ASes; each edge is read from the AS row.
+    """
+    block = sparse.csr_matrix(A[:n_as, n_as:])
+    block.sort_indices()
+    coo = block.tocoo()
+    return coo.row.astype(np.int64), n_as + coo.col.astype(np.int64), coo.data
+
+
+def louvain_of(g) -> Partition:
+    return louvain_bipartite(g.edge_as, g.edge_ixp, cross_weights(g), g.n_as, g.n_nodes)
+
+
+# --- edge weights ---
 
 
 def test_balanced_edge_doubles():
     snap = make_snapshot([(1, TC.BALANCED)], [(1, "DE")], [(1, 1, 10.0)])
     g = build_graph(snap)
-    A = symmetrize(g)
-    assert A[g.as_index(1), g.ixp_index(1)] == 20.0
+    assert cross_weights(g).tolist() == [20.0]
+    assert symmetric_matrix(snap, g)[g.as_index(1), g.ixp_index(1)] == 20.0
 
 
 def test_heavy_outbound_edge_sums_both_directions():
     snap = make_snapshot([(1, TC.HEAVY_OUTBOUND)], [(1, "DE")], [(1, 1, 100.0)])
     g = build_graph(snap)
-    A = symmetrize(g)
-    assert A[g.as_index(1), g.ixp_index(1)] == 100.0 + (1.0 - 0.95) * 100.0
+    assert cross_weights(g).tolist() == [100.0 + (1.0 - 0.95) * 100.0]
+    assert symmetric_matrix(snap, g)[g.as_index(1), g.ixp_index(1)] == cross_weights(g)[0]
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), beta=BETAS)
 def test_symmetrization_is_exact(seed, beta):
     snap = random_snapshot(np.random.default_rng(seed))
-    A = symmetrize(build_graph(snap, beta))
+    g = build_graph(snap, beta)
     Wl = loop_weight_matrix(snap, beta)
     expected = (Wl + Wl.T).tocsr()
-    expected.sort_indices()
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A, part), getattr(expected, part)), part
-    assert (A != A.T).nnz == 0
+    assert expected.nnz == 2 * g.n_edges  # only the edges carry weight
+    weight = cross_weights(g)
+    assert weight.dtype == np.float64
+    assert np.array_equal(weight, np.asarray(expected[g.edge_as, g.edge_ixp]).ravel())
 
 
 # --- modularity evaluation ---
@@ -80,12 +103,12 @@ def test_symmetrization_is_exact(seed, beta):
 def test_modularity_matches_direct_evaluation():
     rng = np.random.default_rng(21)
     for _ in range(10):
-        g = build_graph(random_snapshot(rng, max_as=10, max_ixp=5))
-        A = symmetrize(g)
+        snap = random_snapshot(rng, max_as=10, max_ixp=5)
+        g = build_graph(snap)
         communities = rng.integers(0, 3, size=g.n_nodes)
-        mine = modularity(A, g.n_as, communities)
+        mine = modularity(g.edge_as, g.edge_ixp, cross_weights(g), g.n_as, communities)
         oracle = bipartite_modularity_direct(
-            A.toarray(), as_mask(g.n_nodes, g.n_as), communities
+            symmetric_matrix(snap, g).toarray(), as_mask(g.n_nodes, g.n_as), communities
         )
         assert mine == pytest.approx(oracle, abs=1e-12)
 
@@ -100,8 +123,8 @@ def test_two_disconnected_bicliques_two_communities():
         biclique([1, 2], [101, 102]) + biclique([3, 4], [103, 104]),
     )
     g = build_graph(snap)
-    A = symmetrize(g)
-    partition = louvain_bipartite(A, g.n_as)
+    A = symmetric_matrix(snap, g)
+    partition = louvain_of(g)
     assert partition.n_communities == 2
     # communities must coincide with the connected components
     _, comps = connected_components(A, directed=False)
@@ -113,8 +136,8 @@ def test_two_disconnected_bicliques_two_communities():
 def test_single_edge_modularity_consistent_with_brute_force():
     snap = make_snapshot([(1, TC.BALANCED)], [(1, "DE")], [(1, 1, 10.0)])
     g = build_graph(snap)
-    A, is_as = symmetrize(g), as_mask(g.n_nodes, g.n_as)
-    partition = louvain_bipartite(A, g.n_as)
+    A, is_as = symmetric_matrix(snap, g), as_mask(g.n_nodes, g.n_as)
+    partition = louvain_of(g)
     best_q, _ = best_partition_exhaustive(A.toarray(), is_as)
     # every partition of a single edge scores exactly zero
     assert best_q == pytest.approx(0.0, abs=1e-15)
@@ -126,7 +149,7 @@ def test_single_edge_modularity_consistent_with_brute_force():
 
 
 def test_partition_ids_contiguous(fixture_graph):
-    partition = louvain_bipartite(symmetrize(fixture_graph), fixture_graph.n_as)
+    partition = louvain_of(fixture_graph)
     seen = set(int(c) for c in partition.communities)
     assert seen == set(range(partition.n_communities))
     assert partition.communities.shape[0] == fixture_graph.n_nodes
@@ -136,16 +159,15 @@ def test_modularity_non_decreasing_per_pass():
     rng = np.random.default_rng(22)
     for _ in range(20):
         g = build_graph(random_snapshot(rng, max_as=15, max_ixp=6))
-        partition = louvain_bipartite(symmetrize(g), g.n_as)
+        partition = louvain_of(g)
         history = partition.history
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
         assert partition.modularity == history[-1]
 
 
 def test_louvain_deterministic(fixture_graph):
-    A = symmetrize(fixture_graph)
-    p1 = louvain_bipartite(A, fixture_graph.n_as)
-    p2 = louvain_bipartite(A, fixture_graph.n_as)
+    p1 = louvain_of(fixture_graph)
+    p2 = louvain_of(fixture_graph)
     assert np.array_equal(p1.communities, p2.communities)
     assert p1.modularity == p2.modularity
 
@@ -164,7 +186,7 @@ def test_louvain_near_optimal_on_tiny_graphs():
                     A[i, j] = A[j, i] = w
         if A.sum() == 0:
             continue
-        partition = louvain_bipartite(sparse.csr_matrix(A), n_as)
+        partition = louvain_bipartite(*cross_edges(A, n_as), n_as, n)
         best_q, _ = best_partition_exhaustive(A, as_mask(n, n_as))
         assert partition.modularity >= 0.95 * best_q - 1e-12
 
@@ -173,14 +195,15 @@ def test_louvain_near_optimal_on_tiny_graphs():
 def bipartite_matrices(draw):
     """A symmetric AS-IXP matrix and its AS count.
 
-    Either the symmetrized graph of a ``random_snapshot`` or a dense matrix
+    Either ``W + W^T`` of a ``random_snapshot`` graph or a dense matrix
     of small integer weights, whose few weight levels make equal gains
     common.
     """
     if draw(st.booleans()):
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        g = build_graph(random_snapshot(rng, max_as=50, max_ixp=15))
-        return symmetrize(g), g.n_as
+        snap = random_snapshot(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                               max_as=50, max_ixp=15)
+        g = build_graph(snap)
+        return symmetric_matrix(snap, g), g.n_as
     n_as, n_ixp = draw(st.integers(1, 12)), draw(st.integers(1, 8))
     cross = draw(arrays(np.int64, (n_as, n_ixp), elements=st.integers(0, 3)))
     A = np.zeros((n_as + n_ixp, n_as + n_ixp))
@@ -190,7 +213,7 @@ def bipartite_matrices(draw):
 
 
 def assert_matches_dict_oracle(A, n_as):
-    partition = louvain_bipartite(A, n_as)
+    partition = louvain_bipartite(*cross_edges(A, n_as), n_as, A.shape[0])
     communities, q, history = dict_louvain(A, n_as)
     assert partition.communities.dtype == np.int64
     assert partition.communities.tolist() == communities.tolist()
@@ -207,8 +230,19 @@ def test_louvain_matches_dict_oracle(matrix):
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_louvain_matches_dict_oracle_on_long_sides(seed):
     # 1,600 to 2,600 ASes, so each side is one long run of rows.
-    g = build_graph(random_snapshot(np.random.default_rng(seed), max_as=3000, max_ixp=200))
-    assert_matches_dict_oracle(symmetrize(g), g.n_as)
+    snap = random_snapshot(np.random.default_rng(seed), max_as=3000, max_ixp=200)
+    g = build_graph(snap)
+    assert_matches_dict_oracle(symmetric_matrix(snap, g), g.n_as)
+
+
+@pytest.mark.parametrize("seed", [306698232, 1670592131, 1537685136])
+def test_each_super_edge_is_summed_once(seed):
+    # Graphs with a single-IXP star, on which every partition has modularity
+    # exactly 0 and moves follow rounding: a super edge whose two entries
+    # were summed apart, in different orders, moves the partition.
+    snap = random_snapshot(np.random.default_rng(seed), max_as=50, max_ixp=15)
+    g = build_graph(snap)
+    assert_matches_dict_oracle(symmetric_matrix(snap, g), g.n_as)
 
 
 def test_gains_within_the_margin_of_each_other_keep_the_first():
@@ -223,42 +257,52 @@ def test_gains_within_the_margin_of_each_other_keep_the_first():
     A[4, 8] = A[8, 4] = 100.0
     A = sparse.csr_matrix(A)
     assert_matches_dict_oracle(A, 5)
-    communities = louvain_bipartite(A, 5).communities
+    communities = louvain_bipartite(*cross_edges(A, 5), 5, 9).communities
     assert communities[0] == communities[6] != communities[7]
 
 
 @pytest.mark.parametrize(
-    "entry, shape, message",
+    "edges, bad",
     [
-        ((0, 1), (5, 5), r"A\[0, 1\] joins two nodes of the same side"),
-        ((3, 4), (5, 5), r"A\[3, 4\] joins two nodes of the same side"),
-        ((2, 2), (5, 5), r"A\[2, 2\] joins two nodes of the same side"),
-        ((0, 3), (5, 6), r"A must be square, got shape \(5, 6\)"),
+        ([(0, 1), (1, 4)], "edge 0 = (0, 1)"),
+        ([(0, 3), (3, 4)], "edge 1 = (3, 4)"),
+        ([(0, 3), (2, 2)], "edge 1 = (2, 2)"),
+        ([(0, 3), (1, 5)], "edge 1 = (1, 5)"),
+        ([(0, 3), (0, 3), (1, 4)], "edge 1 = (0, 3)"),
+        ([(1, 3), (0, 4)], "edge 1 = (0, 4)"),
+        ([(-1, 3), (0, 3)], "edge 0 = (-1, 3)"),
     ],
-    ids=["as-as", "ixp-ixp", "diagonal", "not-square"],
+    ids=["as-as", "ixp-ixp", "diagonal", "not-square", "repeated-pair", "out-of-order",
+         "negative"],
 )
-def test_matrix_the_kernel_is_not_exact_on_is_refused(entry, shape, message):
-    A = sparse.lil_matrix(shape)
-    A[0, 3] = A[3, 0] = A[1, 4] = A[4, 1] = 5.0
-    A[entry] = A[entry[::-1]] = 1.0
-    with pytest.raises(ValueError, match=message):
-        louvain_bipartite(A, 3)
+def test_matrix_the_kernel_is_not_exact_on_is_refused(edges, bad):
+    # The edges of the AS-IXP block of a 5 x 5 matrix: nodes 0-2 are ASes
+    # and 3-4 IXPs.  "not-square" is a column past the last node.
+    edge_as, edge_ixp = np.array(edges).T
+    message = f"{bad} is not a strictly ascending (AS, IXP) pair with 0 <= AS < 3 <= IXP < 5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        louvain_bipartite(edge_as, edge_ixp, np.full(len(edges), 5.0), 3, 5)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_aggregate_matches_dict_numbering(data):
-    n = data.draw(st.integers(1, 30))
+    # The kernel's levels hold the ASes first, so the drawn cross block does too.
+    n_as, n_ixp = data.draw(st.integers(1, 15)), data.draw(st.integers(1, 15))
+    n = n_as + n_ixp
     comm = data.draw(arrays(np.int64, n, elements=st.integers(0, 6)))
-    side = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
-    weights = data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 3)))
-    A = sparse.csr_matrix((weights + weights.T).astype(np.float64))
+    side = (np.arange(n) >= n_as).astype(np.int64)
+    cross = data.draw(arrays(np.int64, (n_as, n_ixp), elements=st.integers(0, 3)))
+    A = np.zeros((n, n))
+    A[:n_as, n_as:] = cross
+    A[n_as:, :n_as] = cross.T
+    A = sparse.csr_matrix(A)
     assert _first_seen(comm).tolist() == dict_first_seen(comm.tolist()).tolist()
-    agg, new_side, node_map, origin_comm = _aggregate(A, side, comm)
+    edges, new_side, node_map, origin_comm = _aggregate(cross_edges(A, n_as), side, comm)
     ref_agg, ref_side, ref_map, ref_comm = dict_aggregate(A, side, comm)
-    assert agg.shape == ref_agg.shape
-    for part in ("indptr", "indices", "data"):
-        assert getattr(agg, part).tolist() == getattr(ref_agg, part).tolist()
+    ref_edges = cross_edges(ref_agg, int(np.count_nonzero(ref_side == 0)))
+    for mine, ref in zip(edges, ref_edges, strict=True):
+        assert mine.tolist() == ref.tolist()
     assert new_side.tolist() == ref_side.tolist()
     assert node_map.tolist() == ref_map.tolist()
     assert origin_comm.tolist() == ref_comm.tolist()
@@ -288,7 +332,7 @@ def test_capacity_split_shares():
         [(1, 101, 30.0), (2, 102, 70.0)],
     )
     g = build_graph(snap)
-    partition = louvain_bipartite(symmetrize(g), g.n_as)
+    partition = louvain_of(g)
     profiles = cluster_profiles(partition, g)
     shares = sorted(p.capacity_share_pct for p in profiles)
     assert shares == [pytest.approx(30.0), pytest.approx(70.0)]
@@ -296,14 +340,14 @@ def test_capacity_split_shares():
 
 
 def test_profile_shares_sum_to_hundred(fixture_graph):
-    partition = louvain_bipartite(symmetrize(fixture_graph), fixture_graph.n_as)
+    partition = louvain_of(fixture_graph)
     profiles = cluster_profiles(partition, fixture_graph)
     assert sum(p.capacity_share_pct for p in profiles) == pytest.approx(100.0, abs=1e-9)
     assert sum(p.ixp_share_pct for p in profiles) == pytest.approx(100.0, abs=1e-9)
 
 
 def test_profile_country_tables(fixture_graph):
-    partition = louvain_bipartite(symmetrize(fixture_graph), fixture_graph.n_as)
+    partition = louvain_of(fixture_graph)
     profiles = cluster_profiles(partition, fixture_graph)
     total_ixps = sum(p.n_ixps for p in profiles)
     assert total_ixps == fixture_graph.n_ixp

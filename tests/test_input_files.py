@@ -340,6 +340,29 @@ def test_dump_whose_capacity_overflows_is_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "sweep", "ingest"])
+def test_dump_without_networks_is_refused_naming_the_file(tmp_path, capsys, command):
+    payload = json.loads(FIXTURE_SNAPSHOT.read_text())
+    payload["net"] = []
+    dump = tmp_path / "dump.json"
+    dump.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    argv = {
+        "build": ["build", "--snapshot", str(dump), "--date", DATE],
+        "sweep": ["sweep", "--snapshot", str(dump), "--date", DATE, "--grid-h", "0.9",
+                  "--grid-m", "0.7"],
+        "ingest": ["ingest", "--snapshot", str(dump), "--date", DATE, "--validate",
+                   "--reference-asn", "64500"],
+    }[command]
+    message = (
+        "reference AS 64500 has no capacity in this snapshot" if command == "ingest"
+        else "snapshot has no positive-capacity membership"
+    )
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"peergraph: {dump}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size, shown", [
     (float("nan"), "nan"), (float("inf"), "inf"), (0.0, "0.0"), (-5.0, "-5.0"),
 ])
